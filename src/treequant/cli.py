@@ -13,7 +13,8 @@ import numpy as np
 
 from .checkpoint import load_checkpoint
 from .config import load_config
-from .errors import ConfigError
+from .errors import (CheckpointError, ConfigError, DataError, DimensionError,
+                     DivergenceError)
 from .quantizer import code_purity, codebook_utilization, extract_tree, quantize_batch
 from .train import model_from_checkpoint, run_evaluate, run_train
 from .treeio import write_tree_dot, write_tree_json
@@ -150,7 +151,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, DataError, CheckpointError, DimensionError, DivergenceError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -237,7 +237,7 @@ def sample_negatives(user, n: int, vocab_size: int, positives, rng: np.random.Ge
     positives = set(positives)
     eligible = vocab_size - len(positives)
     if eligible < n:
-        raise ValueError(f"user {user!r}: only {eligible} non-positive items, need {n}")
+        raise DataError(f"user {user!r}: only {eligible} non-positive items, need {n}")
     chosen = []
     seen = set(positives)
     while len(chosen) < n:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -61,6 +62,11 @@ def hr_at_k(result: RankedResult, k: int, mode: str = "single", normalize: bool 
     return hits / min(k, len(result.relevant))
 
 
+def _frozen(model):
+    """The model's frozen-weight scope; scorers without one run as they are."""
+    return getattr(model, "frozen", contextlib.nullcontext)()
+
+
 def evaluate_ranking(model, split, n_negatives: int, ks, rng, positives_by_user=None) -> MetricReport:
     """Sampled-candidates protocol: each held-out positive is ranked against
     n_negatives sampled non-positives of the same user.
@@ -75,15 +81,16 @@ def evaluate_ranking(model, split, n_negatives: int, ks, rng, positives_by_user=
     gen = rng.stream("eval-negatives") if hasattr(rng, "stream") else rng
     vocab_size = model.n_items
     sums = {f"{m}@{k}": 0.0 for m in ("ndcg", "hr") for k in ks}
-    for user, pos_item in split:
-        positives = positives_by_user.get(user, {pos_item}) if positives_by_user else {pos_item}
-        negs = sample_negatives(user, n_negatives, vocab_size, positives, gen)
-        candidates = [pos_item] + negs
-        ranking = model.predict_topk(user, candidates, k=len(candidates))
-        result = RankedResult(ranking=list(ranking), relevant={pos_item})
-        for k in ks:
-            sums[f"ndcg@{k}"] += ndcg_at_k(result, k)
-            sums[f"hr@{k}"] += hr_at_k(result, k, mode="single")
+    with _frozen(model):
+        for user, pos_item in split:
+            positives = positives_by_user.get(user, {pos_item}) if positives_by_user else {pos_item}
+            negs = sample_negatives(user, n_negatives, vocab_size, positives, gen)
+            candidates = [pos_item] + negs
+            ranking = model.predict_topk(user, candidates, k=len(candidates))
+            result = RankedResult(ranking=list(ranking), relevant={pos_item})
+            for k in ks:
+                sums[f"ndcg@{k}"] += ndcg_at_k(result, k)
+                sums[f"hr@{k}"] += hr_at_k(result, k, mode="single")
     n = len(split)
     return MetricReport(values={name: s / n for name, s in sums.items()}, count=n)
 
@@ -100,11 +107,12 @@ def evaluate_completion(model, split, ks) -> MetricReport:
         raise ValueError("empty evaluation split")
     kmax = max(ks)
     sums = {f"{m}@{k}": 0.0 for m in ("ndcg", "hr") for k in ks}
-    for prefix, targets in split:
-        ranking = model.predict_completion(prefix, k=kmax, exclude=set(prefix))
-        result = RankedResult(ranking=list(ranking), relevant=set(targets))
-        for k in ks:
-            sums[f"ndcg@{k}"] += ndcg_at_k(result, k)
-            sums[f"hr@{k}"] += hr_at_k(result, k, mode="multi")
+    with _frozen(model):
+        for prefix, targets in split:
+            ranking = model.predict_completion(prefix, k=kmax, exclude=set(prefix))
+            result = RankedResult(ranking=list(ranking), relevant=set(targets))
+            for k in ks:
+                sums[f"ndcg@{k}"] += ndcg_at_k(result, k)
+                sums[f"hr@{k}"] += hr_at_k(result, k, mode="multi")
     n = len(split)
     return MetricReport(values={name: s / n for name, s in sums.items()}, count=n)

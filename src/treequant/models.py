@@ -12,6 +12,7 @@ omega_c all zero) every model degrades bit-exactly to its plain backbone.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,8 @@ import numpy as np
 from .core import (Adam, Parameter, bce_with_logits_batch, mlp_apply,
                    mlp_backward, mlp_init, softmax_xent_batch)
 from .errors import DimensionError
-from .quantizer import (CascadedQuantizer, batch_cage_loss_sum, quantize_batch,
-                        ste_backward_batch)
+from .quantizer import (BatchTrace, CascadedQuantizer, _fuse_batch, batch_cage_loss_sum,
+                        quantize_batch, ste_backward_batch)
 from .rng import SeededRng, rng_normal_init
 
 
@@ -51,6 +52,19 @@ def _fused(cage: CascadedQuantizer | None, emb: np.ndarray):
     return trace.fused, trace
 
 
+def _frozen_rows(cage: CascadedQuantizer, full: BatchTrace, idx: np.ndarray):
+    """Rows idx of a whole-table trace, fused exactly as quantize_batch fuses them.
+
+    The search is row-independent, so its results can be sliced.  Fusion is
+    redone on the slice because concat-project fusion is a GEMM whose last
+    bits depend on the number of rows.
+    """
+    trace = BatchTrace(input=full.input[idx], indices=full.indices[:, idx],
+                       codes=full.codes[:, idx], sq_dists=full.sq_dists[:, idx])
+    _fuse_batch(trace, cage)
+    return trace.fused, trace
+
+
 def _rank(candidates: np.ndarray, scores: np.ndarray, k: int):
     """Descending score, ties by ascending candidate index."""
     order = np.lexsort((candidates, -scores.astype(np.float64)))
@@ -58,7 +72,31 @@ def _rank(candidates: np.ndarray, scores: np.ndarray, k: int):
 
 
 class _Model:
-    """Shared parameter bookkeeping."""
+    """Shared parameter bookkeeping and the frozen-weight evaluation scope."""
+
+    _frozen = None  # table role -> whole-table BatchTrace, only inside frozen()
+
+    @contextlib.contextmanager
+    def frozen(self):
+        """Scope in which each quantized table is quantized once, on first use.
+
+        Fused rows are sliced from that whole-table pass instead of running
+        the cascade per call; results are bit-identical.  The weights must not
+        change while the scope is open.  The tables are dropped on exit.
+        """
+        self._frozen = {}
+        try:
+            yield self
+        finally:
+            self._frozen = None
+
+    def _fused_rows(self, cage: CascadedQuantizer | None, table: EmbeddingTable, idx):
+        idx = np.asarray(idx)
+        if cage is None or self._frozen is None:
+            return _fused(cage, table.rows.value[idx])
+        if table.role not in self._frozen:
+            self._frozen[table.role] = quantize_batch(cage, table.rows.value)
+        return _frozen_rows(cage, self._frozen[table.role], idx)
 
     def parameters(self) -> list:
         raise NotImplementedError
@@ -101,10 +139,10 @@ class CfModel(_Model):
         return params
 
     def fused_user(self, user_idx):
-        return _fused(self.user_cage, self.users.rows.value[np.asarray(user_idx)])
+        return self._fused_rows(self.user_cage, self.users, user_idx)
 
     def fused_item(self, item_idx):
-        return _fused(self.item_cage, self.items.rows.value[np.asarray(item_idx)])
+        return self._fused_rows(self.item_cage, self.items, item_idx)
 
     def predict_topk(self, user: int, candidates, k: int):
         candidates = _check_indices(np.asarray(candidates), self.n_items, "item")
@@ -199,10 +237,8 @@ class CtrModel(_Model):
 
     def score(self, user_idx, item_idx):
         """Logits for aligned (user, item) index arrays, plus traces and tape."""
-        u = np.asarray(user_idx)
-        i = np.asarray(item_idx)
-        z_u, tr_u = _fused(self.user_cage, self.users.rows.value[u])
-        z_i, tr_i = _fused(self.item_cage, self.items.rows.value[i])
+        z_u, tr_u = self._fused_rows(self.user_cage, self.users, user_idx)
+        z_i, tr_i = self._fused_rows(self.item_cage, self.items, item_idx)
         x = np.concatenate([z_u, z_i], axis=1)
         logits, tape = mlp_apply(self._mlp_layers(), x)
         return logits[:, 0], tr_u, tr_i, tape
@@ -308,7 +344,7 @@ class SeqModel(_Model):
             raise ValueError("prefixes must be nonempty")
         lens = np.array([len(p) for p in prefixes], dtype=np.int64)
         flat = _check_indices(np.concatenate([np.asarray(p) for p in prefixes]), self.n_items, "item")
-        z_all, trace = _fused(self.item_cage, self.items.rows.value[flat])
+        z_all, trace = self._fused_rows(self.item_cage, self.items, flat)
         starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
         pooled = np.add.reduceat(z_all.astype(np.float64), starts, axis=0) / lens[:, None]
         z_bar, tape = mlp_apply(self._encoder_layers(), pooled.astype(np.float32))

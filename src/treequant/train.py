@@ -18,7 +18,7 @@ import numpy as np
 from . import data as D
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import TrainConfig, config_from_dict
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError
 from .metrics import MetricReport, evaluate_completion, evaluate_ranking
 from .models import (CfModel, CtrModel, EmbeddingTable, SeqModel, cf_bpr_step,
                      ctr_step, make_mlp_params, make_tree_heads, seq_step)
@@ -181,6 +181,24 @@ class TrainResult:
     dataset: object = None
 
 
+def _raw_ids(ds) -> dict:
+    """Raw ids in row order per side: the vocabulary a checkpoint stores."""
+    vocabs = {"items": ds.item_vocab}
+    if isinstance(ds, InteractionData):
+        vocabs = {"users": ds.user_vocab, **vocabs}
+    return {side: [v.raw(i) for i in range(len(v))] for side, v in vocabs.items()}
+
+
+def _check_vocab(ckpt: Checkpoint, ds, path):
+    """The data file must map raw ids to the rows the checkpoint was trained with."""
+    if ckpt.vocab is None:
+        return
+    for side, ids in _raw_ids(ds).items():
+        if ckpt.vocab.get(side) != ids:
+            raise DataError(f"{path}: the {side} vocabulary differs from the one the checkpoint "
+                            "was trained with (ids added, removed or reordered)")
+
+
 def _check_finite(loss: dict, epoch: int, step: int):
     for key, value in loss.items():
         if not math.isfinite(value):
@@ -197,6 +215,9 @@ def _bpr_negatives(users: np.ndarray, positives_by_user: dict, n_items: int,
     out = np.empty(users.shape[0], dtype=np.int64)
     for row, user in enumerate(users):
         pos = positives_by_user.get(int(user), set())
+        if len(pos) >= n_items:
+            raise DataError(f"user index {int(user)} is positive on all {n_items} items; "
+                            "no negative item can be sampled")
         while True:
             cand = int(gen.integers(0, n_items))
             if cand not in pos:
@@ -296,14 +317,9 @@ def run_train(cfg: TrainConfig, out_dir: str | None = None) -> TrainResult:
     if cfg.task == "list-completion":
         ds = prepare_lists(cfg, rng)
         model = build_model(cfg, n_users=1, n_items=len(ds.item_vocab))
-        vocab = {"items": [ds.item_vocab.raw(i) for i in range(len(ds.item_vocab))]}
     else:
         ds = prepare_interactions(cfg)
         model = build_model(cfg, n_users=len(ds.user_vocab), n_items=len(ds.item_vocab))
-        vocab = {
-            "users": [ds.user_vocab.raw(i) for i in range(len(ds.user_vocab))],
-            "items": [ds.item_vocab.raw(i) for i in range(len(ds.item_vocab))],
-        }
 
     result = TrainResult(model=model, config=cfg, step_losses=[], epoch_metrics=[], dataset=ds)
     log_lines = [{"config": cfg.to_dict()}]
@@ -318,7 +334,7 @@ def run_train(cfg: TrainConfig, out_dir: str | None = None) -> TrainResult:
         log_path = os.path.join(out_dir, "train_log.jsonl")
         tensors = {name: p.value for name, p in model.named_parameters().items()}
         save_checkpoint(ckpt_path, cfg.to_dict(), cfg.model.epochs, {"seed": cfg.model.seed},
-                        tensors, vocab=vocab)
+                        tensors, vocab=_raw_ids(ds))
         with open(log_path, "w", encoding="utf-8") as fh:
             for line in log_lines:
                 fh.write(json.dumps(line, sort_keys=True) + "\n")
@@ -352,14 +368,14 @@ def run_evaluate(checkpoint_path, split: str = "test", overrides: dict | None = 
     eval_rng = SeededRng(eval_seed)
     if cfg.task == "list-completion":
         ds = prepare_lists(cfg, SeededRng(cfg.model.seed))
-        pairs = ds.val_pairs if split == "val" else ds.test_pairs
-        if not pairs:
-            raise ConfigError(f"{split} split is empty")
-        return evaluate_completion(model, pairs, cfg.eval.ks)
-    ds = prepare_interactions(cfg)
+    else:
+        ds = prepare_interactions(cfg)
+    _check_vocab(ckpt, ds, cfg.data.path)
     pairs = ds.val_pairs if split == "val" else ds.test_pairs
     if not pairs:
         raise ConfigError(f"{split} split is empty")
+    if cfg.task == "list-completion":
+        return evaluate_completion(model, pairs, cfg.eval.ks)
     stream = "eval/final" if split == "test" else f"eval/epoch{cfg.model.epochs}"
     return evaluate_ranking(model, pairs, cfg.eval.n_negatives, cfg.eval.ks,
                             eval_rng.stream(stream), positives_by_user=ds.positives_by_user)

@@ -217,3 +217,8 @@ class TestVocabulary:
         v = Vocabulary(["a"]).freeze()
         with pytest.raises(KeyError):
             v.add("b")
+
+
+def test_sample_negatives_shortage_is_data_error():
+    with pytest.raises(DataError, match="only 2 non-positive items, need 3"):
+        sample_negatives(0, 3, 5, {0, 1, 2}, np.random.default_rng(0))

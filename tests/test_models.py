@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from treequant.core import Parameter, finite_diff_gradient
 from treequant.errors import DimensionError
+from treequant.metrics import evaluate_completion, evaluate_ranking
 from treequant.models import (CfModel, CtrModel, EmbeddingTable, SeqModel,
                               cf_bpr_step, ctr_step, make_mlp_params,
                               make_tree_heads, seq_step)
@@ -309,3 +311,144 @@ class TestEmbeddingTable:
         u = EmbeddingTable.create(rng, 5, 3, "user")
         i = EmbeddingTable.create(rng, 5, 3, "item")
         assert not np.array_equal(u.rows.value, i.rows.value)
+
+
+# ---------------------------------------------------------------------------
+# Frozen evaluation scope: one whole-table quantize per side, same results
+# ---------------------------------------------------------------------------
+
+
+class _PerCall:
+    """A model's scorer without the frozen scope: every call runs the cascade."""
+
+    def __init__(self, model):
+        self.model = model
+        self.n_items = model.n_items
+
+    def predict_topk(self, user, candidates, k):
+        return self.model.predict_topk(user, candidates, k)
+
+    def predict_completion(self, prefix, k, exclude=()):
+        return self.model.predict_completion(prefix, k, exclude)
+
+
+def _frozen_model(task, fusion_mode, seed=3, n_users=30, n_items=40, dim=32, sizes=(6, 3)):
+    rng = SeededRng(seed)
+
+    def cage(name):
+        return make_quantizer(rng, dim, list(sizes), alpha=0.8, fusion_mode=fusion_mode,
+                              name=name, init_std=0.3)
+
+    items = EmbeddingTable.create(rng, n_items, dim, "item", init_std=0.3)
+    if task == "seq":
+        enc = make_mlp_params(rng, [dim, 6, dim], name="encoder")
+        return SeqModel(items, enc, item_cage=cage("item_cage"),
+                        tree_heads=make_tree_heads(rng, dim, sizes), lr=0.05)
+    users = EmbeddingTable.create(rng, n_users, dim, "user", init_std=0.3)
+    if task == "cf":
+        return CfModel(users, items, user_cage=cage("user_cage"), item_cage=cage("item_cage"), lr=0.05)
+    mlp = make_mlp_params(rng, [2 * dim, 6, 1], name="scorer")
+    return CtrModel(users, items, mlp, user_cage=cage("user_cage"), item_cage=cage("item_cage"))
+
+
+def _completion_split(n_items=40, n_units=25, seed=0):
+    gen = np.random.default_rng(seed)
+    split = []
+    for _ in range(n_units):
+        chosen = gen.choice(n_items, size=int(gen.integers(3, 9)), replace=False).tolist()
+        cut = (len(chosen) + 1) // 2
+        split.append((chosen[:cut], chosen[cut:]))
+    return split
+
+
+@pytest.fixture
+def count_quantize(monkeypatch):
+    """Count the rows of every quantize_batch call made from treequant.models."""
+    import treequant.models as models_module
+
+    calls = []
+    real = models_module.quantize_batch
+
+    def counted(q, x):
+        calls.append(len(x))
+        return real(q, x)
+
+    monkeypatch.setattr(models_module, "quantize_batch", counted)
+    return calls
+
+
+FUSION_MODES = ["average", "concat-project"]
+
+
+class TestFrozenScope:
+    @pytest.mark.parametrize("fusion_mode", FUSION_MODES)
+    @pytest.mark.parametrize("task", ["cf", "ctr"])
+    def test_ranking_report_equals_per_call(self, task, fusion_mode, count_quantize):
+        model = _frozen_model(task, fusion_mode)
+        split = [(u, (3 * u) % 40) for u in range(30)]
+        frozen = evaluate_ranking(model, split, 20, [1, 5, 10], SeededRng(4))
+        n_frozen = len(count_quantize)
+        reference = evaluate_ranking(_PerCall(model), split, 20, [1, 5, 10], SeededRng(4))
+        assert frozen == reference
+        # one whole-table pass per quantized side instead of two cascades per unit
+        assert count_quantize[:n_frozen] == [30, 40]
+        assert len(count_quantize) == 2 + 2 * len(split)
+
+    @pytest.mark.parametrize("fusion_mode", FUSION_MODES)
+    def test_completion_report_equals_per_call(self, fusion_mode, count_quantize):
+        model = _frozen_model("seq", fusion_mode)
+        split = _completion_split()
+        frozen = evaluate_completion(model, split, [1, 5, 10])
+        assert count_quantize == [40]
+        reference = evaluate_completion(_PerCall(model), split, [1, 5, 10])
+        assert frozen == reference
+
+    @pytest.mark.parametrize("fusion_mode", FUSION_MODES)
+    def test_fused_rows_equal_quantize_batch(self, fusion_mode):
+        model = _frozen_model("cf", fusion_mode)
+        gen = np.random.default_rng(0)
+        with model.frozen():
+            # a single row takes a different BLAS path than a block of rows
+            for n in (1, 1, 1, 2, 3, 17, 40, 59):
+                for fused, cage, table in ((model.fused_user, model.user_cage, model.users),
+                                           (model.fused_item, model.item_cage, model.items)):
+                    idx = gen.integers(0, table.count, size=n)
+                    got, trace = fused(idx)
+                    want = quantize_batch(cage, table.rows.value[idx])
+                    assert np.array_equal(got, want.fused)
+                    assert np.array_equal(trace.indices, want.indices)
+                    assert np.array_equal(trace.sq_dists, want.sq_dists)
+
+    @pytest.mark.parametrize("fusion_mode", FUSION_MODES)
+    def test_ctr_and_seq_forward_unchanged_inside_scope(self, fusion_mode):
+        ctr = _frozen_model("ctr", fusion_mode)
+        u, i = np.arange(30) % 30, (7 * np.arange(30)) % 40
+        outside = ctr.score(u, i)[0]
+        with ctr.frozen():
+            assert np.array_equal(ctr.score(u, i)[0], outside)
+        seq = _frozen_model("seq", fusion_mode)
+        prefixes = [p for p, _ in _completion_split(n_units=8)]
+        outside = seq.encode(prefixes)[0]
+        with seq.frozen():
+            assert np.array_equal(seq.encode(prefixes)[0], outside)
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_tables_dropped_on_exit(self, fail):
+        model = _frozen_model("cf", "average")
+        candidates = list(range(40))
+        with pytest.raises(RuntimeError) if fail else contextlib.nullcontext():
+            with model.frozen():
+                stale_items = model.fused_item(candidates)[0]
+                model.predict_topk(0, candidates, k=40)
+                if fail:
+                    raise RuntimeError("boom")
+        for _ in range(3):
+            cf_bpr_step(model, [0, 1, 2], [1, 2, 3], [4, 5, 6])
+        z_u = quantize_batch(model.user_cage, model.users.rows.value[[0]]).fused[0]
+        z_c = quantize_batch(model.item_cage, model.items.rows.value[candidates]).fused
+        assert not np.array_equal(z_c, stale_items)
+        scores = (z_c @ z_u).astype(np.float64)
+        want = [int(c) for c in np.lexsort((np.array(candidates), -scores))]
+        assert model.predict_topk(0, candidates, k=40) == want
+        with model.frozen():
+            assert model.predict_topk(0, candidates, k=40) == want

@@ -6,8 +6,8 @@ import pytest
 from treequant.checkpoint import load_checkpoint
 from treequant.cli import main
 from treequant.config import config_from_dict
-from treequant.errors import ConfigError
-from treequant.train import model_from_checkpoint, run_evaluate, run_train
+from treequant.errors import ConfigError, DataError
+from treequant.train import _bpr_negatives, model_from_checkpoint, run_evaluate, run_train
 
 
 def _write_interactions(path, n_users=30, n_items=20, per_user=5, seed=0, labels=False):
@@ -231,3 +231,134 @@ class TestCli:
         ckpt = self._train(tmp_path, task="list-completion")
         assert main(["evaluate", "--checkpoint", str(ckpt), "--split", "val"]) == 0
         assert "hr@5" in capsys.readouterr().out
+
+
+class TestTaskFormatPairs:
+    @pytest.mark.parametrize("task, fmt", [("cf", "lists"), ("ctr", "lists"),
+                                           ("list-completion", "movielens-100k")])
+    def test_mismatched_pair_rejected(self, task, fmt):
+        with pytest.raises(ConfigError, match="data.format"):
+            config_from_dict({"task": task, "data": {"path": "x", "format": fmt},
+                              "model": {"seed": 0}})
+
+
+class _CountingGen:
+    """Stands in for a numpy Generator; fails the test instead of looping forever."""
+
+    def __init__(self, limit=1000):
+        self.draws = 0
+        self.limit = limit
+
+    def integers(self, low, high):
+        self.draws += 1
+        assert self.draws <= self.limit, "negative sampling does not terminate"
+        return np.int64(high - 1)
+
+
+class TestBprNegatives:
+    def test_user_positive_on_every_item_raises(self):
+        gen = _CountingGen()
+        with pytest.raises(DataError, match="user index 1"):
+            _bpr_negatives(np.array([0, 1]), {0: {0}, 1: {0, 1, 2}}, 3, gen)
+        assert gen.draws == 1
+
+    def test_draws_unchanged_for_other_users(self):
+        positives = {0: {1, 2}, 1: {0}}
+        users = np.array([0, 1, 0, 1, 1])
+        got = _bpr_negatives(users, positives, 5, np.random.default_rng(4))
+        ref_gen = np.random.default_rng(4)
+        want = []
+        for user in users:
+            while True:
+                cand = int(ref_gen.integers(0, 5))
+                if cand not in positives[int(user)]:
+                    want.append(cand)
+                    break
+        assert got.tolist() == want
+
+    def test_cf_run_on_saturated_file_fails_fast(self, tmp_path, capsys):
+        data = tmp_path / "d.tsv"
+        data.write_text("".join(f"u{u}\ti{i}\t1\t{i}\n" for u in range(3) for i in range(3)))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_cfg(data, epochs=1).to_dict()))
+        rc = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "positive on all 3 items" in capsys.readouterr().err
+
+
+def _move_line_to_front(path, lineno):
+    lines = path.read_text().splitlines()
+    lines.insert(0, lines.pop(lineno))
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestEvaluateVocabulary:
+    def test_reordered_interactions_rejected(self, tmp_path, capsys):
+        data = tmp_path / "d.tsv"
+        _write_interactions(data)
+        result = run_train(_cfg(data, epochs=1), out_dir=str(tmp_path / "run"))
+        # the last line's user is first seen on a later line: moving it first
+        # renumbers the users
+        _move_line_to_front(data, -1)
+        with pytest.raises(DataError, match="users vocabulary"):
+            run_evaluate(result.checkpoint_path, split="test")
+        assert main(["evaluate", "--checkpoint", result.checkpoint_path]) == 2
+        assert "vocabulary differs" in capsys.readouterr().err
+
+    def test_new_item_order_rejected(self, tmp_path):
+        data = tmp_path / "d.tsv"
+        data.write_text("".join(f"u{u}\ti{3 * u + t}\t1\t{t}\n" for u in range(6) for t in range(4)))
+        result = run_train(_cfg(data, epochs=1), out_dir=str(tmp_path / "run"))
+        # within user u5's lines, new item i18 moves ahead of i16 and i17;
+        # the user order stays the same
+        lines = data.read_text().splitlines()
+        data.write_text("\n".join(lines[:20] + [lines[23]] + lines[20:23]) + "\n")
+        with pytest.raises(DataError, match="items vocabulary"):
+            run_evaluate(result.checkpoint_path, split="val")
+
+    def test_reordered_lists_rejected(self, tmp_path):
+        data = tmp_path / "lists.txt"
+        _write_lists(data)
+        result = run_train(_cfg(data, task="list-completion", epochs=1), out_dir=str(tmp_path / "run"))
+        _move_line_to_front(data, -1)
+        with pytest.raises(DataError, match="items vocabulary"):
+            run_evaluate(result.checkpoint_path, split="val")
+
+    def test_unchanged_file_accepted(self, tmp_path):
+        data = tmp_path / "d.tsv"
+        _write_interactions(data)
+        result = run_train(_cfg(data, epochs=1), out_dir=str(tmp_path / "run"))
+        assert run_evaluate(result.checkpoint_path, split="val").values == \
+            result.epoch_metrics[-1].values
+
+
+class TestCliTypedErrors:
+    def test_too_many_negatives(self, tmp_path, capsys):
+        ckpt = TestCli()._train(tmp_path)
+        rc = main(["evaluate", "--checkpoint", str(ckpt), "--n-negatives", "50"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-positive items, need 50" in err
+
+    def test_cf_config_with_lists_format(self, tmp_path, capsys):
+        data = tmp_path / "lists.txt"
+        _write_lists(data)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"task": "cf", "data": {"path": str(data), "format": "lists"},
+                                        "model": {"seed": 0}}))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+        assert "error: " in capsys.readouterr().err
+
+    def test_malformed_data_file(self, tmp_path, capsys):
+        data = tmp_path / "d.tsv"
+        data.write_text("u0\ti0\t7\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_cfg(data).to_dict()))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+        assert "line 1" in capsys.readouterr().err
+
+    def test_bad_checkpoint(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"not a checkpoint at all")
+        assert main(["evaluate", "--checkpoint", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
