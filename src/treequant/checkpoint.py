@@ -10,6 +10,7 @@ tile the payload exactly.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -54,13 +55,20 @@ def save_checkpoint(path, config: dict, epoch: int, seed_state: dict, tensors: d
     if vocab is not None:
         meta["vocab"] = vocab
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(meta_bytes)))
-        fh.write(meta_bytes)
-        for raw in blobs:
-            fh.write(raw)
+    # write a sibling file, then rename it over the target: a crash never leaves a truncated checkpoint
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<Q", len(meta_bytes)))
+            fh.write(meta_bytes)
+            for raw in blobs:
+                fh.write(raw)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # only when writing or renaming failed
+            os.unlink(tmp)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -81,16 +89,22 @@ def load_checkpoint(path) -> Checkpoint:
         raise CorruptPayloadError(f"{path}: bad metadata: {exc}") from exc
     payload = blob[header_end + meta_len:]
 
-    directory = meta.get("tensors", [])
-    # the directory may appear in any order; offsets are authoritative
+    try:
+        config, epoch = meta["config"], int(meta["epoch"])
+        # the directory may appear in any order; offsets are authoritative
+        directory = [(int(e["offset"]), str(e["name"]), tuple(int(s) for s in e["shape"]))
+                     for e in meta.get("tensors", [])]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptPayloadError(f"{path}: incomplete metadata: {exc!r}") from exc
+    names = [name for _, name, _ in directory]
+    if len(set(names)) != len(names):
+        raise CorruptPayloadError(f"{path}: duplicate tensor names in the directory")
     spans = []
-    for entry in directory:
-        shape = tuple(int(s) for s in entry["shape"])
+    for off, name, shape in directory:
         nbytes = int(np.prod(shape, dtype=np.int64)) * 4
-        off = int(entry["offset"])
         if off < 0 or off + nbytes > len(payload):
-            raise CorruptPayloadError(f"{path}: tensor '{entry['name']}' overflows the payload")
-        spans.append((off, nbytes, entry["name"], shape))
+            raise CorruptPayloadError(f"{path}: tensor '{name}' overflows the payload")
+        spans.append((off, nbytes, name, shape))
     spans.sort()
     cursor = 0
     for off, nbytes, name, _ in spans:
@@ -104,8 +118,8 @@ def load_checkpoint(path) -> Checkpoint:
     for off, nbytes, name, shape in spans:
         tensors[name] = np.frombuffer(payload[off:off + nbytes], dtype="<f4").reshape(shape).copy()
     return Checkpoint(
-        config=meta["config"],
-        epoch=int(meta["epoch"]),
+        config=config,
+        epoch=epoch,
         seed_state=meta.get("seed_state", {}),
         tensors=tensors,
         vocab=meta.get("vocab"),

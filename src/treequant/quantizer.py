@@ -20,12 +20,9 @@ from .rng import SeededRng, rng_normal_init
 AVERAGE = "average"
 CONCAT_PROJECT = "concat-project"
 
-# Bytes of float64 differences per distance block (2 MiB).  On a Xeon with
-# 2 MiB of L2 cache per core, at 256 codes x 64 dims, such blocks cost about
-# 35 us per row, while 2048-row blocks (268 MB) cost 60-80 us, so one pass
-# over a whole table costs no more per row than many small batches.  Rows
-# never interact, so the block size leaves every distance bit-identical.
-_BLOCK_BYTES = 1 << 21
+_BLOCK = 1024  # rows per nearest-code search block; memory is O(block x codes)
+_PAIRS = 4096  # (row, code) pairs per direct recomputation chunk
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass
@@ -111,15 +108,57 @@ def make_quantizer(rng: SeededRng, dim: int, sizes, alpha: float = 1.0, beta: fl
 # ---------------------------------------------------------------------------
 
 
-def _sq_dists(entries: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Exact squared L2 distances, float64-accumulated; x is (n, d)."""
-    out = np.empty((x.shape[0], entries.shape[0]), dtype=np.float64)
-    rows = max(1, _BLOCK_BYTES // (8 * entries.size))
-    for start in range(0, x.shape[0], rows):
-        block = x[start:start + rows]
-        diff = block[:, None, :].astype(np.float64) - entries[None, :, :].astype(np.float64)
-        out[start:start + rows] = np.einsum("nkd,nkd->nk", diff, diff)
+def _direct_sq_dists(x: np.ndarray, entries: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """sum((x[r] - entries[c])^2) per (r, c) pair: float64 differences, einsum over d."""
+    out = np.empty(rows.shape[0], dtype=np.float64)
+    for start in range(0, rows.shape[0], _PAIRS):
+        diff = x[rows[start:start + _PAIRS]] - entries[cols[start:start + _PAIRS]]
+        out[start:start + _PAIRS] = np.einsum("nd,nd->n", diff, diff)
     return out
+
+
+def _nearest(entries: np.ndarray, x: np.ndarray):
+    """Nearest code for every row of x: (int64 indices, float64 squared distances).
+
+    Codes are ranked by |c|^2 - 2 x.c, one float64 GEMM per block of rows
+    (|x|^2 is the same for every code of a row).  Up to that row constant,
+    the GEMM value and the direct formula sum((x - c)^2) each lie within
+    gamma_{d+2} (|x| + |c|)^2 of the exact squared distance (Higham, Accuracy
+    and Stability of Numerical Algorithms, 3.1), so every code the direct
+    formula could rank first lies within twice their sum of the row's GEMM
+    minimum.  Those codes are recomputed with the direct formula and the
+    lowest value wins, ties going to the lowest index; the returned distance
+    is that direct value, so the result equals the argmin over the direct
+    formula bit for bit.  A row whose bound is not finite (an inf or NaN in
+    the row or the codebook) recomputes every code.  Inputs are float32, so
+    no product of finite inputs overflows or underflows in float64.
+    """
+    c64 = entries.astype(np.float64)
+    k, d = c64.shape
+    c_sq = np.einsum("kd,kd->k", c64, c64)
+    c_norm = np.sqrt(c_sq.max())
+    m = d + 4  # gamma_{d+4} rather than gamma_{d+2} covers the rounding of the bound itself
+    gamma = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+    n = x.shape[0]
+    indices = np.empty(n, dtype=np.int64)
+    dists = np.empty(n, dtype=np.float64)
+    for start in range(0, n, _BLOCK):
+        block = x[start:start + _BLOCK].astype(np.float64)
+        slack = 4.0 * gamma * (np.sqrt(np.einsum("nd,nd->n", block, block)) + c_norm) ** 2
+        with np.errstate(invalid="ignore", over="ignore"):
+            ranked = block @ c64.T
+            ranked *= -2.0
+            ranked += c_sq
+            cand = ranked <= (ranked.min(axis=1) + slack)[:, None]
+        cand[~np.isfinite(slack)] = True
+        rows, cols = np.divmod(np.flatnonzero(cand), k)
+        direct = ranked  # reuse the block's buffer; codes outside the bound stay +inf
+        direct.fill(np.inf)
+        direct[rows, cols] = _direct_sq_dists(block, c64, rows, cols)
+        j = direct.argmin(axis=1)  # argmin returns the first minimum
+        indices[start:start + _BLOCK] = j
+        dists[start:start + _BLOCK] = direct[np.arange(j.shape[0]), j]
+    return indices, dists
 
 
 def nearest_code(codebook: Codebook, e: np.ndarray):
@@ -127,9 +166,9 @@ def nearest_code(codebook: Codebook, e: np.ndarray):
     e = np.asarray(e, dtype=np.float32).reshape(-1)
     if e.shape[0] != codebook.dim:
         raise DimensionError(f"query dim {e.shape[0]} != codebook dim {codebook.dim}")
-    d2 = _sq_dists(codebook.entries.value, e[None, :])[0]
-    j = int(np.argmin(d2))  # argmin returns the first minimum
-    return j, codebook.entries.value[j].copy(), float(d2[j])
+    j, d2 = _nearest(codebook.entries.value, e[None, :])
+    j = int(j[0])
+    return j, codebook.entries.value[j].copy(), float(d2[0])
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +223,8 @@ def quantize_batch(q: CascadedQuantizer, x: np.ndarray) -> BatchTrace:
     dists = np.empty((h, n), dtype=np.float64)
     cur = x
     for i, cb in enumerate(q.codebooks):
-        d2 = _sq_dists(cb.entries.value, cur)
-        j = d2.argmin(axis=1)
-        indices[i] = j
-        codes[i] = cb.entries.value[j]
-        dists[i] = d2[np.arange(n), j]
+        indices[i], dists[i] = _nearest(cb.entries.value, cur)
+        codes[i] = cb.entries.value[indices[i]]
         cur = codes[i]
     trace = BatchTrace(input=x, indices=indices, codes=codes, sq_dists=dists)
     _fuse_batch(trace, q)
@@ -376,9 +412,7 @@ def extract_tree(q: CascadedQuantizer, embeddings: np.ndarray, keep_codes: bool 
     paths = trace.indices.T.copy()
     parents = []
     for i in range(q.depth - 1):
-        lower = q.codebooks[i].entries.value
-        d2 = _sq_dists(q.codebooks[i + 1].entries.value, lower)
-        parents.append(d2.argmin(axis=1).astype(np.int64))
+        parents.append(_nearest(q.codebooks[i + 1].entries.value, q.codebooks[i].entries.value)[0])
     codes = [cb.entries.value.copy() for cb in q.codebooks] if keep_codes else None
     return CategoryTree(level_sizes=q.level_sizes, paths=paths, parents=parents, codes=codes)
 

@@ -226,6 +226,17 @@ def _bpr_negatives(users: np.ndarray, positives_by_user: dict, n_items: int,
     return out
 
 
+def _check_eval_negatives(ds: InteractionData, n_negatives: int):
+    """Every validated user needs n_negatives non-positive items; check before any training step."""
+    n_items = len(ds.item_vocab)
+    for user, _ in ds.val_pairs:
+        n_pos = len(ds.positives_by_user.get(user, ()))
+        if n_items - n_pos < n_negatives:
+            held = f"all {n_items}" if n_pos >= n_items else f"{n_pos} of {n_items}"
+            raise DataError(f"user index {user} is positive on {held} items; "
+                            f"evaluation needs {n_negatives} non-positive items")
+
+
 def _train_interactions(cfg: TrainConfig, model, ds: InteractionData, result: TrainResult,
                         rng: SeededRng, log_lines: list):
     shuffle_gen = rng.stream("shuffle")
@@ -319,6 +330,7 @@ def run_train(cfg: TrainConfig, out_dir: str | None = None) -> TrainResult:
         model = build_model(cfg, n_users=1, n_items=len(ds.item_vocab))
     else:
         ds = prepare_interactions(cfg)
+        _check_eval_negatives(ds, cfg.eval.n_negatives)
         model = build_model(cfg, n_users=len(ds.user_vocab), n_items=len(ds.item_vocab))
 
     result = TrainResult(model=model, config=cfg, step_losses=[], epoch_metrics=[], dataset=ds)

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from treequant import checkpoint
 from treequant.checkpoint import (MAGIC, VERSION, load_checkpoint,
                                   save_checkpoint)
 from treequant.errors import (BadMagicError, CorruptPayloadError,
@@ -141,3 +142,87 @@ class TestDirectoryOrder:
         p.write_bytes(blob[:12] + struct.pack("<Q", len(new_meta)) + new_meta + blob[20 + meta_len:])
         with pytest.raises(CorruptPayloadError):
             load_checkpoint(p)
+
+
+def _rewrite_meta(path, edit):
+    """Apply edit(meta) to a saved container's metadata, keeping the payload."""
+    blob = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<Q", blob, 12)
+    meta = json.loads(blob[20:20 + meta_len].decode("utf-8"))
+    edit(meta)
+    new_meta = json.dumps(meta, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:12] + struct.pack("<Q", len(new_meta)) + new_meta + blob[20 + meta_len:])
+
+
+class TestIncompleteMetadata:
+    def test_duplicate_tensor_names_rejected(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        _save(p, _tensors())
+
+        def rename(meta):
+            meta["tensors"][1]["name"] = meta["tensors"][0]["name"]
+        _rewrite_meta(p, rename)
+        with pytest.raises(CorruptPayloadError, match="duplicate"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("key", ["config", "epoch"])
+    def test_missing_top_level_key_rejected(self, tmp_path, key):
+        p = tmp_path / "m.ckpt"
+        _save(p, _tensors())
+        _rewrite_meta(p, lambda meta: meta.pop(key))
+        with pytest.raises(CorruptPayloadError, match=key):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("key", ["name", "shape", "offset"])
+    def test_directory_entry_missing_key_rejected(self, tmp_path, key):
+        p = tmp_path / "m.ckpt"
+        _save(p, _tensors())
+        _rewrite_meta(p, lambda meta: meta["tensors"][1].pop(key))
+        with pytest.raises(CorruptPayloadError, match=key):
+            load_checkpoint(p)
+
+
+class _FailingWriter:
+    """A binary file whose fourth write fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 3:
+            raise OSError("no space left on device")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+class TestAtomicSave:
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.ckpt"
+        _save(p, _tensors(1))
+        before = p.read_bytes()
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            return _FailingWriter(fh) if "w" in mode else fh
+        monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            _save(p, _tensors(2))
+        monkeypatch.undo()
+        assert p.read_bytes() == before
+        assert np.array_equal(load_checkpoint(p).tensors["bias"], _tensors(1)["bias"])
+        assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_overwrite_gives_the_same_bytes_as_a_fresh_save(self, tmp_path):
+        fresh, reused = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        _save(reused, _tensors(1))
+        _save(reused, _tensors(2))
+        _save(fresh, _tensors(2))
+        assert reused.read_bytes() == fresh.read_bytes()
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["a.ckpt", "b.ckpt"]

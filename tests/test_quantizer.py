@@ -1,16 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from treequant.core import Parameter, finite_diff_gradient
 from treequant.errors import ConfigError, DimensionError
-from treequant.quantizer import (AVERAGE, CONCAT_PROJECT, CascadedQuantizer,
+from treequant.quantizer import (_BLOCK, AVERAGE, CONCAT_PROJECT, CascadedQuantizer,
                                  Codebook, cage_loss, code_purity,
                                  codebook_utilization, extract_tree,
                                  fuse_codes, make_quantizer, nearest_code,
                                  quantize_batch, quantize_cascade,
-                                 ste_backward, ste_backward_batch)
+                                 ste_backward, ste_backward_batch, _nearest)
 from treequant.rng import SeededRng
 
 
@@ -74,6 +75,131 @@ class TestNearestCode:
             e = gen.normal(size=d).astype(np.float32)
             j, _, _ = nearest_code(book(entries), e)
             assert j == oracle_nearest(entries, e)[0]
+
+
+def direct_nearest(entries, x):
+    """The direct search formula: a float64 difference per (row, code) pair,
+    squares summed over d by einsum, then the first minimum of each row."""
+    out = np.empty((x.shape[0], entries.shape[0]), dtype=np.float64)
+    rows = max(1, (1 << 21) // (8 * entries.size))  # 2 MiB difference blocks
+    for start in range(0, x.shape[0], rows):
+        block = x[start:start + rows]
+        diff = block[:, None, :].astype(np.float64) - entries[None, :, :].astype(np.float64)
+        out[start:start + rows] = np.einsum("nkd,nkd->nk", diff, diff)
+    j = out.argmin(axis=1)
+    return j, out[np.arange(x.shape[0]), j]
+
+
+def assert_same_search(entries, x):
+    """_nearest equals the direct formula bit for bit: indices and distances."""
+    entries = np.asarray(entries, dtype=np.float32)
+    x = np.asarray(x, dtype=np.float32)
+    j, d2 = _nearest(entries, x)
+    want_j, want_d2 = direct_nearest(entries, x)
+    assert j.dtype == np.int64 and d2.dtype == np.float64
+    assert np.array_equal(j, want_j)
+    assert np.array_equal(d2.view(np.uint64), want_d2.view(np.uint64))
+
+
+def _adversarial_rows(gen, entries, n, kind):
+    k, d = entries.shape
+    picks = gen.integers(0, k, n)
+    if kind == "random":
+        return gen.normal(size=(n, d)).astype(np.float32) * entries.std()
+    if kind == "equal":  # rows equal to codes: distance exactly 0
+        return entries[picks].copy()
+    if kind == "ulp":  # one ulp away from a code
+        away = np.where(gen.random((n, d)) < 0.5, -np.inf, np.inf).astype(np.float32)
+        return np.nextafter(entries[picks], away)
+    # midpoints of two codes, nudged by one ulp: near-ties between two codes
+    mid = ((entries[picks] + entries[gen.integers(0, k, n)]) / np.float32(2)).astype(np.float32)
+    return np.nextafter(mid, np.where(gen.random((n, d)) < 0.5, -np.inf, np.inf).astype(np.float32))
+
+
+class TestSearchEquivalence:
+    """The GEMM search with a certified argmin equals the direct formula exactly."""
+
+    @pytest.mark.parametrize("k", [3, 8, 32, 256])
+    @pytest.mark.parametrize("d", [1, 3, 64])
+    def test_adversarial_inputs(self, k, d):
+        gen = np.random.default_rng(1000 * k + d)
+        for case, n in enumerate([1, 7, _BLOCK, _BLOCK + 1, 3000]):
+            scale = [1e-3, 1.0, 1e3][case % 3]
+            entries = (gen.normal(size=(k, d)) * scale).astype(np.float32)
+            entries[gen.integers(0, k, k // 3)] = entries[0]  # duplicated codes: exact ties
+            entries[-1] = np.nextafter(entries[1], np.float32(np.inf))  # two codes one ulp apart
+            for kind in ("random", "equal", "ulp", "midpoint"):
+                assert_same_search(entries, _adversarial_rows(gen, entries, n, kind))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+    def test_scales(self, scale):
+        gen = np.random.default_rng(int(scale * 1000))
+        entries = (gen.normal(size=(32, 16)) * scale).astype(np.float32)
+        x = (gen.normal(size=(200, 16)) * scale).astype(np.float32)
+        assert_same_search(entries, x)
+        assert_same_search(entries, x + np.float32(100 * scale))  # far from every code
+
+    def test_exact_ties_go_to_lowest_index(self):
+        entries = np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=np.float32)
+        x = np.array([[0, 0], [1, 0], [0, 1], [0.5, 0.5]], dtype=np.float32)
+        assert_same_search(entries, x)
+        assert _nearest(entries, x)[0].tolist() == [0, 0, 1, 0]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row(self, bad):
+        gen = np.random.default_rng(3)
+        entries = gen.normal(size=(8, 3)).astype(np.float32)
+        x = gen.normal(size=(7, 3)).astype(np.float32)
+        x[2, 1] = bad
+        x[5] = bad
+        assert_same_search(entries, x)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_codebook(self, bad):
+        gen = np.random.default_rng(4)
+        entries = gen.normal(size=(8, 3)).astype(np.float32)
+        entries[3, 0] = bad
+        x = gen.normal(size=(7, 3)).astype(np.float32)
+        x[6, 0] = np.inf
+        assert_same_search(entries, x)
+
+    def test_nearest_code_and_quantize_batch_use_the_search(self):
+        q = make_quantizer(SeededRng(31), 8, [16, 4])
+        x = np.random.default_rng(31).normal(size=(50, 8)).astype(np.float32) * 0.01
+        trace = quantize_batch(q, x)
+        want_j, want_d2 = direct_nearest(q.codebooks[0].entries.value, x)
+        assert np.array_equal(trace.indices[0], want_j)
+        assert np.array_equal(trace.sq_dists[0], want_d2)
+        want_j, want_d2 = direct_nearest(q.codebooks[1].entries.value, trace.codes[0])
+        assert np.array_equal(trace.indices[1], want_j)
+        assert np.array_equal(trace.sq_dists[1], want_d2)
+        j, _, dist = nearest_code(q.codebooks[0], x[0])
+        assert (j, dist) == (int(trace.indices[0, 0]), float(trace.sq_dists[0, 0]))
+
+    def test_extract_tree_parents_equal_direct_argmin(self):
+        q = make_quantizer(SeededRng(32), 64, [256, 32, 8])
+        coarse = q.codebooks[1].entries.value
+        coarse[5] = coarse[2]  # duplicated parents: ties go to the lowest index
+        fine = q.codebooks[0].entries.value
+        fine[:4] = coarse[2]  # children sitting exactly on a duplicated parent
+        tree = extract_tree(q, np.random.default_rng(32).normal(size=(40, 64)).astype(np.float32))
+        for i in range(q.depth - 1):
+            want, _ = direct_nearest(q.codebooks[i + 1].entries.value, q.codebooks[i].entries.value)
+            assert np.array_equal(tree.parents[i], want)
+        assert tree.parents[0][:4].tolist() == [2, 2, 2, 2]
+
+    def test_quantize_batch_memory_is_bounded(self):
+        q = make_quantizer(SeededRng(33), 64, [256, 32, 8])
+        x = np.random.default_rng(33).normal(size=(2048, 64)).astype(np.float32) * 0.01
+        tracemalloc.start()
+        try:
+            quantize_batch(q, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestQuantizeCascade:

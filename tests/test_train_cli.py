@@ -9,6 +9,8 @@ from treequant.config import config_from_dict
 from treequant.errors import ConfigError, DataError
 from treequant.train import _bpr_negatives, model_from_checkpoint, run_evaluate, run_train
 
+from test_checkpoint import _rewrite_meta
+
 
 def _write_interactions(path, n_users=30, n_items=20, per_user=5, seed=0, labels=False):
     gen = np.random.default_rng(seed)
@@ -362,3 +364,46 @@ class TestCliTypedErrors:
         bad.write_bytes(b"not a checkpoint at all")
         assert main(["evaluate", "--checkpoint", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def _write_small_catalogue(path):
+    """6 users x 6 items, each user positive on 4: only 2 non-positive items per user."""
+    path.write_text("".join(f"u{u}\ti{(u + t) % 6}\t1\t{t}\n" for u in range(6) for t in range(4)))
+
+
+class TestEvalNegativesCheckedBeforeTraining:
+    @pytest.mark.parametrize("task, step", [("cf", "cf_bpr_step"), ("ctr", "ctr_step")])
+    def test_fails_before_any_step(self, tmp_path, monkeypatch, task, step):
+        data = tmp_path / "d.tsv"
+        _write_small_catalogue(data)
+        steps = []
+        monkeypatch.setattr(f"treequant.train.{step}", lambda *args: steps.append(args))
+        with pytest.raises(DataError, match="positive on 4 of 6 items; evaluation needs 10"):
+            run_train(_cfg(data, task=task, epochs=1), out_dir=str(tmp_path / "run"))
+        assert steps == []
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    def test_cli_exits_with_code_2(self, tmp_path, capsys):
+        data = tmp_path / "d.tsv"
+        _write_small_catalogue(data)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_cfg(data, epochs=1).to_dict()))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error: user index 0 is positive on 4 of 6 items")
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    def test_enough_negatives_trains(self, tmp_path):
+        data = tmp_path / "d.tsv"
+        _write_small_catalogue(data)
+        cfg = _cfg(data, epochs=1)
+        cfg.eval.n_negatives = 2
+        assert run_train(cfg).epoch_metrics[-1].count == 6
+
+
+class TestCliIncompleteCheckpoint:
+    def test_evaluate_reports_missing_epoch(self, tmp_path, capsys):
+        ckpt = TestCli()._train(tmp_path)
+        _rewrite_meta(ckpt, lambda meta: meta.pop("epoch"))
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "epoch" in err
