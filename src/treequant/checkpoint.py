@@ -96,6 +96,9 @@ def load_checkpoint(path) -> Checkpoint:
                      for e in meta.get("tensors", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptPayloadError(f"{path}: incomplete metadata: {exc!r}") from exc
+    vocab = meta.get("vocab")
+    if vocab is not None and not _is_vocab(vocab):
+        raise CorruptPayloadError(f"{path}: vocab must map 'users'/'items' to lists of raw-id strings")
     names = [name for _, name, _ in directory]
     if len(set(names)) != len(names):
         raise CorruptPayloadError(f"{path}: duplicate tensor names in the directory")
@@ -122,5 +125,10 @@ def load_checkpoint(path) -> Checkpoint:
         epoch=epoch,
         seed_state=meta.get("seed_state", {}),
         tensors=tensors,
-        vocab=meta.get("vocab"),
+        vocab=vocab,
     )
+
+
+def _is_vocab(vocab) -> bool:
+    return (isinstance(vocab, dict) and set(vocab) <= {"users", "items"}
+            and all(isinstance(ids, list) and set(map(type, ids)) <= {str} for ids in vocab.values()))

@@ -6,6 +6,7 @@ row-major float32 arrays; loss reductions accumulate in float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,22 +53,40 @@ class AdamState:
 
 
 def adam_step(param: Parameter, state: AdamState) -> None:
-    """One Adam update with bias correction; zeroes the gradient afterwards."""
+    """One Adam update with bias correction; zeroes the gradient afterwards.
+
+    In place, with one parameter-sized temporary and the gradient buffer as
+    scratch, the float32 operations and their order are those of
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+        value = value - lr*m_hat / (sqrt(v_hat) + eps)
+    with m_hat = m / (1 - b1**t) and v_hat = v / (1 - b2**t).
+    """
     g = param.grad
     if g.shape != param.value.shape:
         raise DimensionError(f"{param.name}: grad shape mismatch")
-    if not np.all(np.isfinite(g)):
+    # a float64 sum of finite float32 values cannot overflow; NaN and inf propagate
+    if not math.isfinite(g.sum(dtype=np.float64)):
         raise DivergenceError(f"non-finite gradient in parameter '{param.name}'")
     state.t += 1
     if not g.any():
         # untouched parameter: no update, no moment decay
         return
     b1, b2 = np.float32(state.beta1), np.float32(state.beta2)
-    state.m[...] = b1 * state.m + (np.float32(1.0) - b1) * g
-    state.v[...] = b2 * state.v + (np.float32(1.0) - b2) * (g * g)
-    m_hat = state.m / np.float32(1.0 - state.beta1 ** state.t)
-    v_hat = state.v / np.float32(1.0 - state.beta2 ** state.t)
-    param.value[...] = param.value - np.float32(state.lr) * m_hat / (np.sqrt(v_hat) + np.float32(state.eps))
+    m, v, tmp = state.m, state.v, np.empty_like(param.value)
+    np.multiply(np.float32(1.0) - b1, g, out=tmp)
+    m *= b1
+    m += tmp
+    np.multiply(g, g, out=tmp)
+    tmp *= np.float32(1.0) - b2
+    v *= b2
+    v += tmp
+    np.divide(m, np.float32(1.0 - state.beta1 ** state.t), out=tmp)
+    tmp *= np.float32(state.lr)
+    np.divide(v, np.float32(1.0 - state.beta2 ** state.t), out=g)
+    np.sqrt(g, out=g)
+    g += np.float32(state.eps)
+    tmp /= g
+    param.value -= tmp
     param.zero_grad()
 
 

@@ -233,17 +233,22 @@ def leave_one_out(interactions) -> SplitDataset:
 
 
 def sample_negatives(user, n: int, vocab_size: int, positives, rng: np.random.Generator) -> list:
-    """n distinct uniform draws from the items outside the user's positive set."""
-    positives = set(positives)
-    eligible = vocab_size - len(positives)
+    """n distinct uniform draws from the items outside the user's positive set.
+
+    Rejection sampling in bulk rounds: each round draws as many values as
+    items are still missing and scans them in order.  A draw accepts at most
+    one item, so no round draws past the value where one-at-a-time sampling
+    would stop; the result and the generator's final state equal those of n
+    accepted scalar ``rng.integers(0, vocab_size)`` calls.
+    """
+    seen = set(positives)
+    eligible = vocab_size - len(seen)
     if eligible < n:
         raise DataError(f"user {user!r}: only {eligible} non-positive items, need {n}")
     chosen = []
-    seen = set(positives)
     while len(chosen) < n:
-        draw = int(rng.integers(0, vocab_size))
-        if draw in seen:
-            continue
-        seen.add(draw)
-        chosen.append(draw)
+        for draw in rng.integers(0, vocab_size, size=n - len(chosen)).tolist():
+            if draw not in seen:
+                seen.add(draw)
+                chosen.append(draw)
     return chosen

@@ -212,18 +212,25 @@ def _batches(n: int, batch_size: int, order: np.ndarray):
 
 def _bpr_negatives(users: np.ndarray, positives_by_user: dict, n_items: int,
                    gen: np.random.Generator) -> np.ndarray:
-    out = np.empty(users.shape[0], dtype=np.int64)
-    for row, user in enumerate(users):
-        pos = positives_by_user.get(int(user), set())
-        if len(pos) >= n_items:
-            raise DataError(f"user index {int(user)} is positive on all {n_items} items; "
-                            "no negative item can be sampled")
-        while True:
-            cand = int(gen.integers(0, n_items))
-            if cand not in pos:
-                out[row] = cand
-                break
-    return out
+    """One uniform non-positive item per row, drawn in bulk rounds.
+
+    Row r takes the first draw, after row r-1's accepted one, outside its
+    user's positive set.  Each round draws one value per row still open and a
+    draw accepts at most one row, so the draws and the generator's final state
+    equal those of scalar ``gen.integers(0, n_items)`` calls row by row.
+    """
+    users = users.tolist()
+    pos_sets = [positives_by_user.get(user, ()) for user in users]
+    stop = next((row for row, pos in enumerate(pos_sets) if len(pos) >= n_items), len(users))
+    chosen = []
+    while len(chosen) < stop:
+        for cand in gen.integers(0, n_items, size=stop - len(chosen)).tolist():
+            if cand not in pos_sets[len(chosen)]:
+                chosen.append(cand)
+    if stop < len(users):
+        raise DataError(f"user index {users[stop]} is positive on all {n_items} items; "
+                        "no negative item can be sampled")
+    return np.array(chosen, dtype=np.int64)
 
 
 def _check_eval_negatives(ds: InteractionData, n_negatives: int):
@@ -238,7 +245,7 @@ def _check_eval_negatives(ds: InteractionData, n_negatives: int):
 
 
 def _train_interactions(cfg: TrainConfig, model, ds: InteractionData, result: TrainResult,
-                        rng: SeededRng, log_lines: list):
+                        rng: SeededRng, log_fh):
     shuffle_gen = rng.stream("shuffle")
     neg_gen = rng.stream("negative-sampling")
     positives = np.array([(u, i) for u, i, lbl in ds.train if lbl is None or lbl == 1], dtype=np.int64)
@@ -275,11 +282,11 @@ def _train_interactions(cfg: TrainConfig, model, ds: InteractionData, result: Tr
                 _check_finite(loss, epoch, step)
                 epoch_losses.append(loss)
                 result.step_losses.append(loss)
-        _finish_epoch(cfg, model, ds, result, rng, log_lines, epoch, epoch_losses)
+        _finish_epoch(cfg, model, ds, result, log_fh, epoch, epoch_losses)
 
 
 def _train_lists(cfg: TrainConfig, model: SeqModel, ds: ListData, result: TrainResult,
-                 rng: SeededRng, log_lines: list):
+                 rng: SeededRng, log_fh):
     shuffle_gen = rng.stream("shuffle")
     # one training example per target item
     examples = [(prefix, target_item) for prefix, targets in ds.train_pairs for target_item in targets]
@@ -294,7 +301,7 @@ def _train_lists(cfg: TrainConfig, model: SeqModel, ds: ListData, result: TrainR
             _check_finite(loss, epoch, step)
             epoch_losses.append(loss)
             result.step_losses.append(loss)
-        _finish_epoch(cfg, model, ds, result, rng, log_lines, epoch, epoch_losses)
+        _finish_epoch(cfg, model, ds, result, log_fh, epoch, epoch_losses)
 
 
 def _validate(cfg: TrainConfig, model, ds, rng_name: str, seed: int) -> MetricReport | None:
@@ -309,15 +316,24 @@ def _validate(cfg: TrainConfig, model, ds, rng_name: str, seed: int) -> MetricRe
                             eval_rng.stream(rng_name), positives_by_user=ds.positives_by_user)
 
 
-def _finish_epoch(cfg, model, ds, result, rng, log_lines, epoch, epoch_losses):
+def _write_log(log_fh, lines):
+    """Append JSON lines to the run's train_log.jsonl (if any) and flush them to disk."""
+    if log_fh is None:
+        return
+    log_fh.write("".join(json.dumps(line, sort_keys=True) + "\n" for line in lines))
+    log_fh.flush()
+
+
+def _finish_epoch(cfg, model, ds, result, log_fh, epoch, epoch_losses):
     mean_loss = float(np.mean([l["l_total"] for l in epoch_losses])) if epoch_losses else 0.0
-    log_lines.append({"epoch": epoch, "split": "train", "metric": "loss", "value": mean_loss})
+    log_lines = [{"epoch": epoch, "split": "train", "metric": "loss", "value": mean_loss}]
     eval_seed = cfg.eval.seed if cfg.eval.seed is not None else cfg.model.seed
     report = _validate(cfg, model, ds, f"eval/epoch{epoch}", eval_seed)
     if report is not None:
         result.epoch_metrics.append(report)
         for name, value in sorted(report.values.items()):
             log_lines.append({"epoch": epoch, "split": "val", "metric": name, "value": value})
+    _write_log(log_fh, log_lines)
     log.info("epoch %d: train loss %.6f%s", epoch, mean_loss,
              "" if report is None else " " + json.dumps(report.to_dict()["metrics"]))
 
@@ -334,24 +350,23 @@ def run_train(cfg: TrainConfig, out_dir: str | None = None) -> TrainResult:
         model = build_model(cfg, n_users=len(ds.user_vocab), n_items=len(ds.item_vocab))
 
     result = TrainResult(model=model, config=cfg, step_losses=[], epoch_metrics=[], dataset=ds)
-    log_lines = [{"config": cfg.to_dict()}]
-    if cfg.task == "list-completion":
-        _train_lists(cfg, model, ds, result, rng, log_lines)
-    else:
-        _train_interactions(cfg, model, ds, result, rng, log_lines)
+    train = _train_lists if cfg.task == "list-completion" else _train_interactions
+    if out_dir is None:
+        train(cfg, model, ds, result, rng, None)
+        return result
 
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        ckpt_path = os.path.join(out_dir, "model.ckpt")
-        log_path = os.path.join(out_dir, "train_log.jsonl")
-        tensors = {name: p.value for name, p in model.named_parameters().items()}
-        save_checkpoint(ckpt_path, cfg.to_dict(), cfg.model.epochs, {"seed": cfg.model.seed},
-                        tensors, vocab=_raw_ids(ds))
-        with open(log_path, "w", encoding="utf-8") as fh:
-            for line in log_lines:
-                fh.write(json.dumps(line, sort_keys=True) + "\n")
-        result.checkpoint_path = ckpt_path
-        result.log_path = log_path
+    # the log is written as the run goes, so a diverged run leaves its finished epochs
+    os.makedirs(out_dir, exist_ok=True)
+    log_path = os.path.join(out_dir, "train_log.jsonl")
+    with open(log_path, "w", encoding="utf-8") as log_fh:
+        _write_log(log_fh, [{"config": cfg.to_dict()}])
+        train(cfg, model, ds, result, rng, log_fh)
+    ckpt_path = os.path.join(out_dir, "model.ckpt")
+    tensors = {name: p.value for name, p in model.named_parameters().items()}
+    save_checkpoint(ckpt_path, cfg.to_dict(), cfg.model.epochs, {"seed": cfg.model.seed},
+                    tensors, vocab=_raw_ids(ds))
+    result.checkpoint_path = ckpt_path
+    result.log_path = log_path
     return result
 
 

@@ -154,6 +154,22 @@ def _rewrite_meta(path, edit):
     path.write_bytes(blob[:12] + struct.pack("<Q", len(new_meta)) + new_meta + blob[20 + meta_len:])
 
 
+@pytest.mark.parametrize("vocab", [[1, 2], "items", {"items": 5}, {"items": [1, 2]},
+                                   {"items": ["a"], "labels": ["x"]}])
+def test_malformed_vocab_rejected(tmp_path, vocab):
+    p = tmp_path / "m.ckpt"
+    _save(p, _tensors(), vocab={"items": ["a", "b"]})
+    _rewrite_meta(p, lambda meta: meta.update(vocab=vocab))
+    with pytest.raises(CorruptPayloadError, match="vocab"):
+        load_checkpoint(p)
+
+
+def test_users_and_items_vocab_accepted(tmp_path):
+    p = tmp_path / "m.ckpt"
+    _save(p, _tensors(), vocab={"users": ["u"], "items": []})
+    assert load_checkpoint(p).vocab == {"users": ["u"], "items": []}
+
+
 class TestIncompleteMetadata:
     def test_duplicate_tensor_names_rejected(self, tmp_path):
         p = tmp_path / "m.ckpt"

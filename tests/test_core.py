@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,83 @@ class TestAdam:
         p.grad[...] = 3.0
         adam_step(p, s)
         assert not p.grad.any()
+
+
+def reference_adam_step(param, state):
+    """The whole-array Adam expression that the in-place update must reproduce bit for bit."""
+    g = param.grad
+    if not np.all(np.isfinite(g)):
+        raise DivergenceError(f"non-finite gradient in parameter '{param.name}'")
+    state.t += 1
+    if not g.any():
+        return
+    b1, b2 = np.float32(state.beta1), np.float32(state.beta2)
+    state.m[...] = b1 * state.m + (np.float32(1.0) - b1) * g
+    state.v[...] = b2 * state.v + (np.float32(1.0) - b2) * (g * g)
+    m_hat = state.m / np.float32(1.0 - state.beta1 ** state.t)
+    v_hat = state.v / np.float32(1.0 - state.beta2 ** state.t)
+    param.value[...] = param.value - np.float32(state.lr) * m_hat / (np.sqrt(v_hat) + np.float32(state.eps))
+    param.zero_grad()
+
+
+class TestAdamOracle:
+    @pytest.mark.parametrize("lr, eps", [(0.01, 1e-8), (0.3, 1e-3)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_equal_to_reference_over_five_steps(self, lr, eps, seed):
+        gen = np.random.default_rng(seed)
+        value = gen.normal(0.0, 0.1, size=(300, 16)).astype(np.float32)
+        got, want = Parameter(value.copy(), name="p"), Parameter(value.copy(), name="p")
+        got_state = AdamState.for_param(got, lr=lr, eps=eps)
+        want_state = AdamState.for_param(want, lr=lr, eps=eps)
+        for step in range(5):
+            grad = np.zeros_like(value)
+            if step != 2:  # step 2 is an all-zero gradient
+                rows = gen.choice(300, size=int(gen.integers(1, 40)), replace=False)
+                grad[rows] = gen.normal(0.0, 10.0 ** gen.integers(-6, 2), size=(rows.size, 16))
+            got.grad[...] = grad
+            want.grad[...] = grad
+            adam_step(got, got_state)
+            reference_adam_step(want, want_state)
+            assert got.value.tobytes() == want.value.tobytes()
+            assert got_state.m.tobytes() == want_state.m.tobytes()
+            assert got_state.v.tobytes() == want_state.v.tobytes()
+            assert got_state.t == want_state.t == step + 1
+            assert not got.grad.any()
+
+    def test_one_step_peaks_under_two_parameters(self):
+        p = Parameter(np.random.default_rng(0).normal(size=(3000, 64)).astype(np.float32), name="p")
+        s = AdamState.for_param(p, lr=0.01)
+        p.grad[...] = np.random.default_rng(1).normal(size=p.value.shape)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            adam_step(p, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * p.value.nbytes, peak
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_gradient_leaves_state_alone(self, bad):
+        p = Parameter(np.ones((4, 3), dtype=np.float32), name="w")
+        s = AdamState.for_param(p, lr=0.01)
+        p.grad[...] = np.float32(3.0e38)  # finite, and its float32 sum would overflow
+        p.grad[2, 1] = bad
+        with pytest.raises(DivergenceError, match="'w'"):
+            adam_step(p, s)
+        assert s.t == 0 and not s.m.any() and np.array_equal(p.value, np.ones((4, 3), dtype=np.float32))
+
+    def test_large_finite_gradient_is_accepted(self):
+        params = [Parameter(np.ones((4, 3), dtype=np.float32), name="w") for _ in range(2)]
+        states = [AdamState.for_param(p, lr=0.01) for p in params]
+        for p in params:
+            p.grad[...] = np.float32(3.0e38)
+        with np.errstate(over="ignore"):  # g*g overflows to inf in both
+            adam_step(params[0], states[0])
+            reference_adam_step(params[1], states[1])
+        assert states[0].t == 1
+        assert params[0].value.tobytes() == params[1].value.tobytes()
+        assert states[0].v.tobytes() == states[1].v.tobytes()
 
 
 class TestMlp:

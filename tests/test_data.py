@@ -222,3 +222,85 @@ class TestVocabulary:
 def test_sample_negatives_shortage_is_data_error():
     with pytest.raises(DataError, match="only 2 non-positive items, need 3"):
         sample_negatives(0, 3, 5, {0, 1, 2}, np.random.default_rng(0))
+
+
+def scalar_sample_negatives(user, n, vocab_size, positives, rng):
+    """One scalar draw per iteration: the loop bulk sampling must reproduce."""
+    positives = set(positives)
+    eligible = vocab_size - len(positives)
+    if eligible < n:
+        raise DataError(f"user {user!r}: only {eligible} non-positive items, need {n}")
+    chosen = []
+    seen = set(positives)
+    while len(chosen) < n:
+        draw = int(rng.integers(0, vocab_size))
+        if draw in seen:
+            continue
+        seen.add(draw)
+        chosen.append(draw)
+    return chosen
+
+
+def _sampler_cases(seed):
+    """(n, vocab_size, positives) cases drawn from one seed."""
+    gen = np.random.default_rng(10_000 + seed)
+    heavy = set(gen.choice(200, size=180, replace=False).tolist())
+    exact = set(gen.choice(30, size=20, replace=False).tolist())
+    return [
+        (1, 50, set(range(10))),                                # n = 1
+        (10, 30, exact),                                        # eligible == n
+        (15, 200, heavy),                                       # heavy positive set
+        (20, 200, heavy),                                       # heavy and eligible == n
+        (2, 3, {1}),                                            # tiny vocabulary
+        (1, 2, set()),
+        (99, 3000, set(gen.choice(3000, size=40, replace=False).tolist())),
+        (99, 2**32, {0, 2**32 - 1}),                            # full 32-bit range
+        (99, 2**32 + 1, {2**32}),
+        (99, 2**33 + 5, {0, 7, 2**33 + 4}),                     # vocab_size > 2**32
+        (0, 10, {1}),
+    ]
+
+
+class TestBulkSamplingOracle:
+    """sample_negatives draws in bulk; the values and the generator state stay those of the scalar loop."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_each_case_matches_scalar_loop(self, seed):
+        for n, vocab_size, positives in _sampler_cases(seed):
+            got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_negatives("u", n, vocab_size, positives, got_gen)
+            want = scalar_sample_negatives("u", n, vocab_size, positives, want_gen)
+            assert got == want, (n, vocab_size)
+            assert got_gen.bit_generator.state == want_gen.bit_generator.state, (n, vocab_size)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_consecutive_calls_share_one_generator(self, seed):
+        got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        for case, (n, vocab_size, positives) in enumerate(_sampler_cases(seed) * 2):
+            got = sample_negatives("u", n, vocab_size, positives, got_gen)
+            want = scalar_sample_negatives("u", n, vocab_size, positives, want_gen)
+            assert got == want
+            if case % 3 == 0:  # other consumers draw from the same generator in between
+                assert got_gen.integers(0, 7) == want_gen.integers(0, 7)
+                assert got_gen.random() == want_gen.random()
+        assert got_gen.bit_generator.state == want_gen.bit_generator.state
+
+    def test_project_stream_matches_scalar_loop(self):
+        got_gen, want_gen = SeededRng(5).stream("eval-negatives"), SeededRng(5).stream("eval-negatives")
+        for user in range(50):
+            positives = set(range(user, 3000, 97))
+            assert (sample_negatives(user, 99, 3000, positives, got_gen)
+                    == scalar_sample_negatives(user, 99, 3000, positives, want_gen))
+        assert got_gen.bit_generator.state == want_gen.bit_generator.state
+
+    def test_shortage_draws_nothing(self):
+        gen = np.random.default_rng(0)
+        before = gen.bit_generator.state
+        with pytest.raises(DataError):
+            sample_negatives("u", 3, 5, {0, 1, 2}, gen)
+        assert gen.bit_generator.state == before
+
+    def test_positive_set_not_mutated(self):
+        positives = {0, 1}
+        sample_negatives("u", 3, 6, positives, np.random.default_rng(0))
+        assert positives == {0, 1}

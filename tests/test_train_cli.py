@@ -6,7 +6,8 @@ import pytest
 from treequant.checkpoint import load_checkpoint
 from treequant.cli import main
 from treequant.config import config_from_dict
-from treequant.errors import ConfigError, DataError
+from treequant import train
+from treequant.errors import ConfigError, DataError, DivergenceError
 from treequant.train import _bpr_negatives, model_from_checkpoint, run_evaluate, run_train
 
 from test_checkpoint import _rewrite_meta
@@ -135,6 +136,58 @@ class TestRunTrain:
         assert result.epoch_metrics
 
 
+class TestStreamedLog:
+    def _diverge_in_epoch_2(self, monkeypatch):
+        """Make every step after the first finished epoch report a NaN loss."""
+        finished = []
+        finish_epoch, step = train._finish_epoch, train.cf_bpr_step
+
+        def counting_finish(*args, **kwargs):
+            finish_epoch(*args, **kwargs)
+            finished.append(True)
+
+        def nan_after_epoch_1(*args, **kwargs):
+            loss = step(*args, **kwargs)
+            return {**loss, "l_total": float("nan")} if finished else loss
+
+        monkeypatch.setattr(train, "_finish_epoch", counting_finish)
+        monkeypatch.setattr(train, "cf_bpr_step", nan_after_epoch_1)
+
+    def test_divergence_leaves_config_and_finished_epochs(self, tmp_path, monkeypatch):
+        data = tmp_path / "d.tsv"
+        _write_interactions(data)
+        cfg = _cfg(data, epochs=3, seed=4)
+        full = run_train(cfg, out_dir=str(tmp_path / "full"))
+        full_lines = open(full.log_path, encoding="utf-8").read().splitlines(keepends=True)
+
+        self._diverge_in_epoch_2(monkeypatch)
+        with pytest.raises(DivergenceError, match="epoch 2"):
+            run_train(cfg, out_dir=str(tmp_path / "diverged"))
+        lines = (tmp_path / "diverged" / "train_log.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert [json.loads(l).get("epoch") for l in lines] == [None] + [1] * (len(lines) - 1)
+        assert len(lines) > 2  # the train loss and the val metrics of epoch 1
+        assert lines == full_lines[:len(lines)]
+        assert json.loads(full_lines[len(lines)])["epoch"] == 2
+        assert not (tmp_path / "diverged" / "model.ckpt").exists()
+
+    def test_lines_reach_disk_when_the_epoch_finishes(self, tmp_path, monkeypatch):
+        data = tmp_path / "d.tsv"
+        _write_interactions(data)
+        log_path = tmp_path / "run" / "train_log.jsonl"
+        seen = []
+        finish_epoch = train._finish_epoch
+
+        def spying_finish(*args, **kwargs):
+            finish_epoch(*args, **kwargs)
+            seen.append(len(log_path.read_text(encoding="utf-8").splitlines()))
+
+        monkeypatch.setattr(train, "_finish_epoch", spying_finish)
+        result = run_train(_cfg(data, epochs=2), out_dir=str(tmp_path / "run"))
+        total = len(open(result.log_path, encoding="utf-8").read().splitlines())
+        per_epoch = (total - 1) // 2
+        assert seen == [1 + per_epoch, 1 + 2 * per_epoch]
+
+
 class TestRunEvaluate:
     def test_val_split_reproduces_final_logged_numbers(self, tmp_path):
         data = tmp_path / "d.tsv"
@@ -251,10 +304,10 @@ class _CountingGen:
         self.draws = 0
         self.limit = limit
 
-    def integers(self, low, high):
-        self.draws += 1
+    def integers(self, low, high, size=None):
+        self.draws += 1 if size is None else size
         assert self.draws <= self.limit, "negative sampling does not terminate"
-        return np.int64(high - 1)
+        return np.int64(high - 1) if size is None else np.full(size, high - 1, dtype=np.int64)
 
 
 class TestBprNegatives:
@@ -286,6 +339,75 @@ class TestBprNegatives:
         rc = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
         assert rc == 2
         assert "positive on all 3 items" in capsys.readouterr().err
+
+
+def scalar_bpr_negatives(users, positives_by_user, n_items, gen):
+    """One scalar draw per attempt, row by row: the loop bulk sampling must reproduce."""
+    out = np.empty(users.shape[0], dtype=np.int64)
+    for row, user in enumerate(users):
+        pos = positives_by_user.get(int(user), set())
+        if len(pos) >= n_items:
+            raise DataError(f"user index {int(user)} is positive on all {n_items} items; "
+                            "no negative item can be sampled")
+        while True:
+            cand = int(gen.integers(0, n_items))
+            if cand not in pos:
+                out[row] = cand
+                break
+    return out
+
+
+def _bpr_cases(seed):
+    """(users, positives_by_user, n_items) cases drawn from one seed."""
+    gen = np.random.default_rng(20_000 + seed)
+    heavy = {u: set(gen.choice(40, size=int(gen.integers(30, 40)), replace=False).tolist())
+             for u in range(6)}
+    sparse = {u: set(gen.choice(3000, size=30, replace=False).tolist()) for u in range(50)}
+    return [
+        (np.array([3]), heavy, 40),                                   # one row
+        (gen.integers(0, 6, size=300), heavy, 40),                    # heavy positive sets
+        (gen.integers(0, 4, size=200), {0: {0}, 1: {1}, 2: set()}, 2),  # tiny catalogue; user 3 has none
+        (gen.integers(0, 50, size=1000), sparse, 3000),
+        (gen.integers(0, 3, size=100), {0: {0, 2**32}, 1: {5}}, 2**32 + 3),  # n_items > 2**32
+        (np.array([], dtype=np.int64), heavy, 40),
+    ]
+
+
+class TestBulkBprNegativesOracle:
+    """_bpr_negatives draws in bulk; the values and the generator state stay those of the scalar loop."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_each_case_matches_scalar_loop(self, seed):
+        for users, positives, n_items in _bpr_cases(seed):
+            got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _bpr_negatives(users, positives, n_items, got_gen)
+            want = scalar_bpr_negatives(users, positives, n_items, want_gen)
+            assert got.dtype == np.int64 and got.tolist() == want.tolist(), n_items
+            assert got_gen.bit_generator.state == want_gen.bit_generator.state, n_items
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_consecutive_calls_share_one_generator(self, seed):
+        got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        for case, (users, positives, n_items) in enumerate(_bpr_cases(seed) * 2):
+            got = _bpr_negatives(users, positives, n_items, got_gen)
+            want = scalar_bpr_negatives(users, positives, n_items, want_gen)
+            assert got.tolist() == want.tolist()
+            if case % 2 == 0:  # the shuffle and other consumers may share a generator
+                assert got_gen.permutation(5).tolist() == want_gen.permutation(5).tolist()
+        assert got_gen.bit_generator.state == want_gen.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_saturated_user_raises_after_the_same_draws(self, seed):
+        positives = {0: {0, 1}, 1: {0, 1, 2, 3}, 2: set()}
+        users = np.random.default_rng(seed).integers(0, 3, size=50)
+        users[30] = 1
+        got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        with pytest.raises(DataError) as got:
+            _bpr_negatives(users, positives, 4, got_gen)
+        with pytest.raises(DataError) as want:
+            scalar_bpr_negatives(users, positives, 4, want_gen)
+        assert str(got.value) == str(want.value)
+        assert got_gen.bit_generator.state == want_gen.bit_generator.state
 
 
 def _move_line_to_front(path, lineno):
@@ -332,6 +454,31 @@ class TestEvaluateVocabulary:
         result = run_train(_cfg(data, epochs=1), out_dir=str(tmp_path / "run"))
         assert run_evaluate(result.checkpoint_path, split="val").values == \
             result.epoch_metrics[-1].values
+
+
+_MALFORMED_VOCABS = [[1, 2], "items", {"items": 5}, {"items": [1, 2]}, {"users": [], "labels": []}]
+
+
+class TestMalformedVocab:
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        return TestCli()._train(tmp_path)
+
+    @pytest.mark.parametrize("vocab", _MALFORMED_VOCABS)
+    def test_evaluate_is_typed_error(self, ckpt, vocab, capsys):
+        _rewrite_meta(ckpt, lambda meta: meta.update(vocab=vocab))
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--split", "val"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "vocab must map" in err
+
+    @pytest.mark.parametrize("vocab", _MALFORMED_VOCABS)
+    def test_inspect_codes_labels_is_typed_error(self, ckpt, vocab, tmp_path, capsys):
+        _rewrite_meta(ckpt, lambda meta: meta.update(vocab=vocab))
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("i1\tcat0\n")
+        assert main(["inspect-codes", "--checkpoint", str(ckpt), "--labels", str(labels)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "vocab must map" in err
 
 
 class TestCliTypedErrors:
