@@ -18,7 +18,7 @@ from .data import (InteractionRecord, ListRecord, SplitDataset, Vocabulary,
 from .metrics import (MetricReport, RankedResult, evaluate_completion,
                       evaluate_ranking, hr_at_k, ndcg_at_k)
 from .models import (CfModel, CtrModel, EmbeddingTable, SeqModel, cf_bpr_step,
-                     ctr_step, predict_completion, predict_topk, seq_step)
+                     ctr_step, seq_step)
 from .quantizer import (CascadedQuantizer, CategoryTree, Codebook,
                         QuantizationTrace, cage_loss, code_purity,
                         codebook_utilization, extract_tree, fuse_codes,

@@ -9,10 +9,9 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .checkpoint import load_checkpoint
 from .config import load_config
+from .data import read_lines
 from .errors import (CheckpointError, ConfigError, DataError, DimensionError,
                      DivergenceError)
 from .quantizer import code_purity, codebook_utilization, extract_tree, quantize_batch
@@ -90,21 +89,20 @@ def cmd_inspect_codes(args) -> int:
         id_to_row = {raw: row for row, raw in enumerate(raw_ids)}
         level1 = trace.indices[0]
         codes, labels, skipped = [], [], 0
-        with open(args.labels, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\r\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ConfigError(f"{args.labels}: line {lineno}: expected 'id<TAB>category'")
-                raw, category = parts
-                if raw not in id_to_row:
-                    skipped += 1
-                    log.warning("label line %d: unknown entity %r, skipped", lineno, raw)
-                    continue
-                codes.append(int(level1[id_to_row[raw]]))
-                labels.append(category)
+        for lineno, line in read_lines(args.labels, ConfigError):
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ConfigError(f"{args.labels}: line {lineno}: expected 'id<TAB>category'")
+            raw, category = parts
+            if raw not in id_to_row:
+                skipped += 1
+                log.warning("label line %d: unknown entity %r, skipped", lineno, raw)
+                continue
+            codes.append(int(level1[id_to_row[raw]]))
+            labels.append(category)
         if skipped:
             print(f"skipped {skipped} label(s) for unknown entities")
         report = code_purity(codes, labels)

@@ -89,6 +89,8 @@ class TrainConfig:
             raise ConfigError("model.dim must be >= 1")
         if self.model.seed is None:
             raise ConfigError("model.seed is required")
+        if self.model.seed < 0 or (self.eval.seed is not None and self.eval.seed < 0):
+            raise ConfigError("model.seed and eval.seed must be >= 0")
         if self.model.epochs < 0 or self.model.batch_size < 1:
             raise ConfigError("invalid schedule")
         if self.model.lr <= 0 or self.model.init_std <= 0:

@@ -185,14 +185,8 @@ def cross_entropy_with_logits(logits: np.ndarray, true_class: int):
         raise DimensionError("need at least 2 classes")
     if not (0 <= true_class < n):
         raise IndexError(f"true_class {true_class} out of range for {n} classes")
-    z = logits.astype(np.float64)
-    z = z - z.max()
-    lse = np.log(np.exp(z).sum())
-    loss = float(lse - z[true_class])
-    p = np.exp(z - lse)
-    grad = p.astype(np.float32)
-    grad[true_class] -= 1.0
-    return loss, grad
+    losses, grads = softmax_xent_batch(logits[None, :], np.array([true_class]))
+    return float(losses[0]), grads[0]
 
 
 def softmax_xent_batch(logits: np.ndarray, targets: np.ndarray):
@@ -209,18 +203,17 @@ def softmax_xent_batch(logits: np.ndarray, targets: np.ndarray):
 
 def bce_with_logit(logit: float, label: int):
     """Stable binary cross entropy from a logit; returns (loss, grad_logit)."""
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label}")
-    x = float(logit)
-    # max(x,0) - x*y + log(1 + exp(-|x|))
-    loss = max(x, 0.0) - x * label + np.log1p(np.exp(-abs(x)))
-    sig = 1.0 / (1.0 + np.exp(-x)) if x >= 0 else np.exp(x) / (1.0 + np.exp(x))
-    return float(loss), float(sig - label)
+    losses, grads = bce_with_logits_batch(np.array([logit]), np.array([label]))
+    return float(losses[0]), float(grads[0])
 
 
 def bce_with_logits_batch(logits: np.ndarray, labels: np.ndarray):
+    """Row-wise stable binary cross entropy; returns (float64 losses, float32 logit grads)."""
     x = logits.astype(np.float64).reshape(-1)
     y = labels.astype(np.float64).reshape(-1)
+    bad = (y != 0.0) & (y != 1.0)
+    if bad.any():
+        raise ValueError(f"label must be 0 or 1, got {y[bad][0]:g}")
     losses = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
     sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
     return losses, (sig - y).astype(np.float32)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,14 +38,14 @@ class Vocabulary:
     def __init__(self, ids=()):
         self._to_index = {}
         self._to_id = []
+        self._frozen = False
         for raw in ids:
             self.add(raw)
-        self._frozen = False
 
     def add(self, raw: str) -> int:
         if raw in self._to_index:
             return self._to_index[raw]
-        if getattr(self, "_frozen", False):
+        if self._frozen:
             raise KeyError(f"vocabulary is frozen; unknown id {raw!r}")
         idx = len(self._to_id)
         self._to_index[raw] = idx
@@ -73,14 +74,25 @@ class SplitDataset:
     train: list
     validation: list
     test: list
-    vocabulary: Vocabulary | None = None
-    user_vocabulary: Vocabulary | None = None
     descriptor: str = ""
 
 
 # ---------------------------------------------------------------------------
 # Loading
 # ---------------------------------------------------------------------------
+
+
+def read_lines(path, error=DataError):
+    """(line number, line) for each line of a UTF-8 text file, split as open(newline="") splits.
+
+    Bytes that are not UTF-8 raise ``error`` naming the file and the line.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            # surrogateescape decodes each byte that is not UTF-8 to U+DC80..U+DCFF, never ASCII
+            if not line.isascii() and re.search("[\udc80-\udcff]", line):
+                raise error(f"{path}: line {lineno}: not valid UTF-8")
+            yield lineno, line
 
 
 def load_interactions(path, fmt: str = GENERIC_TSV) -> list:
@@ -93,37 +105,36 @@ def load_interactions(path, fmt: str = GENERIC_TSV) -> list:
     if fmt not in (GENERIC_TSV, MOVIELENS_100K):
         raise DataError(f"unknown interaction format {fmt!r}")
     records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            try:
-                if fmt == GENERIC_TSV:
-                    if not 2 <= len(fields) <= 4:
-                        raise ValueError(f"expected 2-4 tab-separated fields, got {len(fields)}")
-                    user, item = fields[0], fields[1]
-                    label = None
-                    ts = None
-                    if len(fields) >= 3 and fields[2] != "":
-                        label = int(fields[2])
-                        if label not in (0, 1):
-                            raise ValueError(f"label must be 0 or 1, got {label}")
-                    if len(fields) == 4 and fields[3] != "":
-                        ts = int(fields[3])
-                else:
-                    if len(fields) != 4:
-                        raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
-                    user, item = fields[0], fields[1]
-                    rating = int(fields[2])
-                    label = 1 if rating >= MOVIELENS_POSITIVE_THRESHOLD else 0
+    for lineno, line in read_lines(path):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        try:
+            if fmt == GENERIC_TSV:
+                if not 2 <= len(fields) <= 4:
+                    raise ValueError(f"expected 2-4 tab-separated fields, got {len(fields)}")
+                user, item = fields[0], fields[1]
+                label = None
+                ts = None
+                if len(fields) >= 3 and fields[2] != "":
+                    label = int(fields[2])
+                    if label not in (0, 1):
+                        raise ValueError(f"label must be 0 or 1, got {label}")
+                if len(fields) == 4 and fields[3] != "":
                     ts = int(fields[3])
-                if not user or not item:
-                    raise ValueError("empty user or item id")
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
-            records.append(InteractionRecord(user=user, item=item, label=label, timestamp=ts))
+            else:
+                if len(fields) != 4:
+                    raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
+                user, item = fields[0], fields[1]
+                rating = int(fields[2])
+                label = 1 if rating >= MOVIELENS_POSITIVE_THRESHOLD else 0
+                ts = int(fields[3])
+            if not user or not item:
+                raise ValueError("empty user or item id")
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from exc
+        records.append(InteractionRecord(user=user, item=item, label=label, timestamp=ts))
     if not records:
         raise DataError(f"{path}: no interaction records")
     return records
@@ -133,13 +144,12 @@ def load_lists(path) -> list:
     """One whitespace-separated item list per line; empty lines are skipped."""
     lists = []
     skipped = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line in fh:
-            items = line.split()
-            if not items:
-                skipped += 1
-                continue
-            lists.append(ListRecord(items=items))
+    for _, line in read_lines(path):
+        items = line.split()
+        if not items:
+            skipped += 1
+            continue
+        lists.append(ListRecord(items=items))
     if skipped:
         log.warning("%s: skipped %d empty line(s)", path, skipped)
     return lists

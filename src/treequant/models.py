@@ -45,13 +45,6 @@ def _check_indices(idx: np.ndarray, limit: int, what: str):
     return idx.astype(np.int64).reshape(-1)
 
 
-def _fused(cage: CascadedQuantizer | None, emb: np.ndarray):
-    if cage is None:
-        return emb, None
-    trace = quantize_batch(cage, emb)
-    return trace.fused, trace
-
-
 def _frozen_rows(cage: CascadedQuantizer, full: BatchTrace, idx: np.ndarray):
     """Rows idx of a whole-table trace, fused exactly as quantize_batch fuses them.
 
@@ -63,6 +56,35 @@ def _frozen_rows(cage: CascadedQuantizer, full: BatchTrace, idx: np.ndarray):
                        codes=full.codes[:, idx], sq_dists=full.sq_dists[:, idx])
     _fuse_batch(trace, cage)
     return trace.fused, trace
+
+
+def _check_topk(candidates, n_items: int, k: int) -> np.ndarray:
+    candidates = _check_indices(np.asarray(candidates), n_items, "item")
+    if candidates.size == 0:
+        raise ValueError("candidates must be nonempty")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return candidates
+
+
+def _route(cage: CascadedQuantizer | None, table: EmbeddingTable, idx: np.ndarray,
+           trace: BatchTrace | None, grad_z: np.ndarray, scale: float) -> float:
+    """Scatter one side's gradient into its parameters; returns the side's summed l_cage.
+
+    With a quantizer, grad_z is first routed by ste_backward_batch, its
+    penalties weighted by scale.  Every gradient scatter of a step is here.
+    """
+    if cage is None:
+        np.add.at(table.rows.grad, idx, grad_z)
+        return 0.0
+    grad_e, code_grads, grad_proj = ste_backward_batch(cage, trace, grad_z, weight_cage=scale)
+    np.add.at(table.rows.grad, idx, grad_e)
+    if grad_proj is not None:
+        cage.projection.grad += grad_proj
+    if scale != 0.0:
+        for cb, rows, grad in zip(cage.codebooks, trace.indices, code_grads):
+            np.add.at(cb.entries.grad, rows, grad)
+    return batch_cage_loss_sum(trace, cage.beta)
 
 
 def _rank(candidates: np.ndarray, scores: np.ndarray, k: int):
@@ -92,8 +114,11 @@ class _Model:
 
     def _fused_rows(self, cage: CascadedQuantizer | None, table: EmbeddingTable, idx):
         idx = np.asarray(idx)
-        if cage is None or self._frozen is None:
-            return _fused(cage, table.rows.value[idx])
+        if cage is None:
+            return table.rows.value[idx], None
+        if self._frozen is None:
+            trace = quantize_batch(cage, table.rows.value[idx])
+            return trace.fused, trace
         if table.role not in self._frozen:
             self._frozen[table.role] = quantize_batch(cage, table.rows.value)
         return _frozen_rows(cage, self._frozen[table.role], idx)
@@ -145,11 +170,7 @@ class CfModel(_Model):
         return self._fused_rows(self.item_cage, self.items, item_idx)
 
     def predict_topk(self, user: int, candidates, k: int):
-        candidates = _check_indices(np.asarray(candidates), self.n_items, "item")
-        if candidates.size == 0:
-            raise ValueError("candidates must be nonempty")
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        candidates = _check_topk(candidates, self.n_items, k)
         z_u, _ = self.fused_user([user])
         z_c, _ = self.fused_item(candidates)
         scores = z_c @ z_u[0]
@@ -180,20 +201,10 @@ def cf_bpr_step(model: CfModel, users, pos_items, neg_items) -> dict:
     grad_zp = dm * z_u
     grad_zn = -dm * z_u
 
-    l_cage = 0.0
     scale = model.omega_q / batch
-    for cage, trace, grad_z, table, idx in (
-        (model.user_cage, tr_u, grad_zu, model.users, u),
-        (model.item_cage, tr_p, grad_zp, model.items, p),
-        (model.item_cage, tr_n, grad_zn, model.items, n),
-    ):
-        if cage is None:
-            np.add.at(table.rows.grad, idx, grad_z)
-        else:
-            l_cage += batch_cage_loss_sum(trace, cage.beta)
-            grad_e = ste_backward_batch(cage, trace, grad_z, weight_cage=scale)
-            np.add.at(table.rows.grad, idx, grad_e)
-    l_cage /= batch
+    l_cage = (_route(model.user_cage, model.users, u, tr_u, grad_zu, scale)
+              + _route(model.item_cage, model.items, p, tr_p, grad_zp, scale)
+              + _route(model.item_cage, model.items, n, tr_n, grad_zn, scale)) / batch
 
     model.optimizer.step()
     return {"l_rec": l_rec, "l_cage": l_cage, "l_total": l_rec + model.omega_q * l_cage}
@@ -244,11 +255,7 @@ class CtrModel(_Model):
         return logits[:, 0], tr_u, tr_i, tape
 
     def predict_topk(self, user: int, candidates, k: int):
-        candidates = _check_indices(np.asarray(candidates), self.n_items, "item")
-        if candidates.size == 0:
-            raise ValueError("candidates must be nonempty")
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        candidates = _check_topk(candidates, self.n_items, k)
         users = np.full(candidates.shape, user, dtype=np.int64)
         scores, _, _, _ = self.score(users, candidates)
         return _rank(candidates, scores, k)
@@ -275,19 +282,9 @@ def ctr_step(model: CtrModel, users, items, labels) -> dict:
     d = model.items.dim
     grad_zu, grad_zi = grad_x[:, :d], grad_x[:, d:]
 
-    l_cage = 0.0
     scale = model.omega_q / batch
-    for cage, trace, grad_z, table, idx in (
-        (model.user_cage, tr_u, grad_zu, model.users, u),
-        (model.item_cage, tr_i, grad_zi, model.items, i),
-    ):
-        if cage is None:
-            np.add.at(table.rows.grad, idx, grad_z)
-        else:
-            l_cage += batch_cage_loss_sum(trace, cage.beta)
-            grad_e = ste_backward_batch(cage, trace, grad_z, weight_cage=scale)
-            np.add.at(table.rows.grad, idx, grad_e)
-    l_cage /= batch
+    l_cage = (_route(model.user_cage, model.users, u, tr_u, grad_zu, scale)
+              + _route(model.item_cage, model.items, i, tr_i, grad_zi, scale)) / batch
 
     model.optimizer.step()
     return {"l_rec": l_rec, "l_cage": l_cage, "l_total": l_rec + model.omega_q * l_cage}
@@ -407,19 +404,11 @@ def seq_step(model: SeqModel, prefixes, targets) -> dict:
         b.grad += gb
 
     grad_pref = np.repeat(grad_x / lens[:, None].astype(np.float32), lens, axis=0)
-    l_cage = 0.0
     scale = model.omega_q / batch
-    if model.item_cage is None:
-        np.add.at(model.items.rows.grad, flat, grad_pref)
-    else:
-        cage = model.item_cage
-        l_cage += batch_cage_loss_sum(trace_pref, cage.beta)
-        grad_e = ste_backward_batch(cage, trace_pref, grad_pref, weight_cage=scale)
-        np.add.at(model.items.rows.grad, flat, grad_e)
+    l_cage = _route(model.item_cage, model.items, flat, trace_pref, grad_pref, scale)
+    if model.item_cage is not None:
         # target trace: quantizer penalties only, no task gradient
-        l_cage += batch_cage_loss_sum(trace_t, cage.beta)
-        grad_e_t = ste_backward_batch(cage, trace_t, np.zeros_like(trace_t.input), weight_cage=scale)
-        np.add.at(model.items.rows.grad, t, grad_e_t)
+        l_cage += _route(model.item_cage, model.items, t, trace_t, np.zeros_like(trace_t.input), scale)
     l_cage /= batch
 
     model.optimizer.step()
@@ -455,11 +444,3 @@ def make_mlp_params(rng: SeededRng, sizes, name: str) -> list:
         (Parameter(w, name=f"{name}.layer{i}.weight"), Parameter(b, name=f"{name}.layer{i}.bias"))
         for i, (w, b) in enumerate(layers)
     ]
-
-
-def predict_topk(model, user: int, candidates, k: int):
-    return model.predict_topk(user, candidates, k)
-
-
-def predict_completion(model: SeqModel, prefix, k: int, exclude=()):
-    return model.predict_completion(prefix, k, exclude)

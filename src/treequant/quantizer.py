@@ -248,20 +248,21 @@ def _fuse_batch(trace: BatchTrace, q: CascadedQuantizer) -> None:
         trace.fused = trace.input + np.float32(q.alpha) * (concat @ q.projection.value)
 
 
-def fuse_codes(trace: QuantizationTrace, q: CascadedQuantizer) -> np.ndarray:
-    """Combine the multi-level codes and add them residually to the input."""
+def _one_row(trace: QuantizationTrace, q: CascadedQuantizer) -> BatchTrace:
+    """A QuantizationTrace as a 1-row BatchTrace, for the single-row views."""
     if len(trace.codes) != q.depth:
         raise DimensionError("trace is incomplete for this quantizer")
-    pooled = np.mean(np.stack(trace.codes), axis=0)
-    trace.pooled = pooled.astype(np.float32)
-    if q.fusion_mode == AVERAGE:
-        z = trace.input + np.float32(q.alpha) * trace.pooled
-    else:
-        if q.projection is None:
-            raise ConfigError("concat-project fusion requires a projection parameter")
-        concat = np.concatenate(trace.codes)
-        z = trace.input + np.float32(q.alpha) * (concat @ q.projection.value)
-    trace.fused = z.astype(np.float32)
+    return BatchTrace(input=np.asarray(trace.input, dtype=np.float32)[None, :],
+                      indices=np.asarray(trace.indices, dtype=np.int64)[:, None],
+                      codes=np.stack(trace.codes).astype(np.float32)[:, None, :],
+                      sq_dists=np.asarray(trace.sq_dists, dtype=np.float64)[:, None])
+
+
+def fuse_codes(trace: QuantizationTrace, q: CascadedQuantizer) -> np.ndarray:
+    """Combine the multi-level codes and add them residually to the input."""
+    batch = _one_row(trace, q)
+    _fuse_batch(batch, q)
+    trace.pooled, trace.fused = batch.pooled[0], batch.fused[0]
     return trace.fused
 
 
@@ -306,10 +307,25 @@ def batch_cage_loss_sum(trace: BatchTrace, beta: float) -> float:
 
 def ste_backward(trace: QuantizationTrace, q: CascadedQuantizer, grad_z: np.ndarray,
                  weight_cage: float = 1.0):
-    """Gradient routing for one trace.
+    """Gradient routing for one trace: ste_backward_batch on a 1-row batch.
 
     Returns (grad_e, code_grads, grad_projection) where code_grads maps
-    (level, row index) to the gradient for that codebook row.  Routing:
+    (level, row index) to the gradient for that codebook row.
+    """
+    grad_z = np.asarray(grad_z, dtype=np.float32).reshape(-1)
+    if grad_z.shape[0] != q.dim:
+        raise DimensionError("grad_z dim mismatch")
+    grad_e, code_grads, grad_proj = ste_backward_batch(q, _one_row(trace, q), grad_z[None, :], weight_cage)
+    return grad_e[0], {(i + 1, int(j)): code_grads[i, 0] for i, j in enumerate(trace.indices)}, grad_proj
+
+
+def ste_backward_batch(q: CascadedQuantizer, trace: BatchTrace, grad_z: np.ndarray,
+                       weight_cage: float = 1.0):
+    """Straight-through routing for a batch; pure, the caller scatters the results.
+
+    Returns (grad_e (n, d), code_grads (H, n, d), grad_projection or None):
+    the input gradient, each selected codebook row's gradient per level and
+    row, and in concat-project mode the projection's gradient.  Routing:
 
     * task path: the residual plus the straight-through pass of every code
       term reaches the input; codebook rows get nothing from it.  In
@@ -320,64 +336,29 @@ def ste_backward(trace: QuantizationTrace, q: CascadedQuantizer, grad_z: np.ndar
       toward its (detached) code, and that pull rides the straight-through
       chain down to the input embedding.
     """
-    grad_z = np.asarray(grad_z, dtype=np.float32).reshape(-1)
-    if grad_z.shape[0] != q.dim:
-        raise DimensionError("grad_z dim mismatch")
-    h = q.depth
+    grad_z = np.asarray(grad_z, dtype=np.float32)
+    n, h = trace.input.shape[0], q.depth
     alpha = np.float32(q.alpha)
-    code_grads = {}
     grad_proj = None
 
     if q.fusion_mode == AVERAGE:
         grad_e = (np.float32(1.0) + alpha) * grad_z
     else:
-        concat = np.concatenate(trace.codes)
-        grad_proj = alpha * np.outer(concat, grad_z).astype(np.float32)
-        chunks = (alpha * (q.projection.value @ grad_z)).reshape(h, q.dim)
-        grad_e = grad_z + chunks.sum(axis=0)
-
-    w = np.float32(weight_cage)
-    wb = np.float32(weight_cage * q.beta)
-    prev = trace.input
-    for i in range(h):
-        c = trace.codes[i]
-        key = (i + 1, trace.indices[i])
-        g = w * np.float32(2.0) * (c - prev)
-        code_grads[key] = code_grads.get(key, 0.0) + g
-        grad_e = grad_e + wb * np.float32(2.0) * (prev - c)
-        prev = c
-    return grad_e, code_grads, grad_proj
-
-
-def ste_backward_batch(q: CascadedQuantizer, trace: BatchTrace, grad_z: np.ndarray,
-                       weight_cage: float = 1.0, accumulate: bool = True) -> np.ndarray:
-    """Batched routing; accumulates codebook/projection grads in place.
-
-    Returns the gradient w.r.t. the input embeddings, shape (n, d).
-    """
-    grad_z = np.asarray(grad_z, dtype=np.float32)
-    n, h = trace.input.shape[0], q.depth
-    alpha = np.float32(q.alpha)
-
-    if q.fusion_mode == AVERAGE:
-        grad_e = (np.float32(1.0) + alpha) * grad_z
-    else:
         concat = trace.codes.transpose(1, 0, 2).reshape(n, -1)
-        if accumulate:
-            q.projection.grad += alpha * (concat.T @ grad_z)
+        grad_proj = alpha * (concat.T @ grad_z)
         chunks = (alpha * (grad_z @ q.projection.value.T)).reshape(n, h, q.dim)
         grad_e = grad_z + chunks.sum(axis=1)
 
     w = np.float32(weight_cage)
     wb = np.float32(weight_cage * q.beta)
+    code_grads = np.empty_like(trace.codes)
     prev = trace.input
-    for i, cb in enumerate(q.codebooks):
+    for i in range(h):
         c = trace.codes[i]
-        if accumulate and weight_cage != 0.0:
-            np.add.at(cb.entries.grad, trace.indices[i], w * np.float32(2.0) * (c - prev))
+        code_grads[i] = w * np.float32(2.0) * (c - prev)
         grad_e = grad_e + wb * np.float32(2.0) * (prev - c)
         prev = c
-    return grad_e
+    return grad_e, code_grads, grad_proj
 
 
 # ---------------------------------------------------------------------------
@@ -417,17 +398,11 @@ def extract_tree(q: CascadedQuantizer, embeddings: np.ndarray, keep_codes: bool 
     return CategoryTree(level_sizes=q.level_sizes, paths=paths, parents=parents, codes=codes)
 
 
-def codebook_utilization(traces, q: CascadedQuantizer) -> list:
+def codebook_utilization(trace: BatchTrace, q: CascadedQuantizer) -> list:
     """Per level, the fraction of codes selected at least once in the batch."""
-    if isinstance(traces, BatchTrace):
-        per_level = [np.unique(traces.indices[i]).size for i in range(q.depth)]
-        if traces.indices.shape[1] == 0:
-            raise ValueError("empty batch")
-    else:
-        traces = list(traces)
-        if not traces:
-            raise ValueError("empty batch")
-        per_level = [len({t.indices[i] for t in traces}) for i in range(q.depth)]
+    if trace.indices.shape[1] == 0:
+        raise ValueError("empty batch")
+    per_level = [np.unique(trace.indices[i]).size for i in range(q.depth)]
     return [used / cb.size for used, cb in zip(per_level, q.codebooks)]
 
 

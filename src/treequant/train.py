@@ -143,12 +143,12 @@ def build_model(cfg: TrainConfig, n_users: int, n_items: int):
 def model_from_checkpoint(ckpt: Checkpoint):
     """Rebuild the model purely from the checkpoint (no data files needed)."""
     cfg = config_from_dict(ckpt.config)
-    if cfg.task == "list-completion":
-        n_items = ckpt.tensors["item_table"].shape[0]
-        n_users = 1
-    else:
-        n_users = ckpt.tensors["user_table"].shape[0]
-        n_items = ckpt.tensors["item_table"].shape[0]
+    tables = ["item_table"] if cfg.task == "list-completion" else ["user_table", "item_table"]
+    for name in tables:
+        if name not in ckpt.tensors:
+            raise ConfigError(f"checkpoint is missing tensor '{name}'")
+    n_items = ckpt.tensors["item_table"].shape[0]
+    n_users = ckpt.tensors["user_table"].shape[0] if "user_table" in tables else 1
     model = build_model(cfg, n_users, n_items)
     named = model.named_parameters()
     for name, param in named.items():
@@ -205,9 +205,15 @@ def _check_finite(loss: dict, epoch: int, step: int):
             raise DivergenceError(f"non-finite {key} at epoch {epoch}, batch {step}")
 
 
-def _batches(n: int, batch_size: int, order: np.ndarray):
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
+def _run_batches(cfg: TrainConfig, result: TrainResult, epoch: int, order: np.ndarray, step) -> list:
+    """step(batch indices) over each batch of order; returns the epoch's loss dicts."""
+    epoch_losses = []
+    for i, start in enumerate(range(0, len(order), cfg.model.batch_size)):
+        loss = step(order[start:start + cfg.model.batch_size])
+        _check_finite(loss, epoch, i)
+        epoch_losses.append(loss)
+        result.step_losses.append(loss)
+    return epoch_losses
 
 
 def _bpr_negatives(users: np.ndarray, positives_by_user: dict, n_items: int,
@@ -252,18 +258,14 @@ def _train_interactions(cfg: TrainConfig, model, ds: InteractionData, result: Tr
     explicit_neg = np.array([(u, i) for u, i, lbl in ds.train if lbl == 0], dtype=np.int64)
     implicit = all(lbl is None for _, _, lbl in ds.train)
 
+    def cf_step(batch_idx):
+        users = positives[batch_idx, 0]
+        neg = _bpr_negatives(users, ds.positives_by_user, model.n_items, neg_gen)
+        return cf_bpr_step(model, users, positives[batch_idx, 1], neg)
+
     for epoch in range(1, cfg.model.epochs + 1):
         if cfg.task == "cf":
-            order = shuffle_gen.permutation(positives.shape[0])
-            epoch_losses = []
-            for step, batch_idx in enumerate(_batches(len(order), cfg.model.batch_size, order)):
-                users = positives[batch_idx, 0]
-                pos = positives[batch_idx, 1]
-                neg = _bpr_negatives(users, ds.positives_by_user, model.n_items, neg_gen)
-                loss = cf_bpr_step(model, users, pos, neg)
-                _check_finite(loss, epoch, step)
-                epoch_losses.append(loss)
-                result.step_losses.append(loss)
+            epoch_losses = _run_batches(cfg, result, epoch, shuffle_gen.permutation(positives.shape[0]), cf_step)
         else:  # ctr
             if implicit:
                 neg_items = _bpr_negatives(positives[:, 0], ds.positives_by_user, model.n_items, neg_gen)
@@ -274,14 +276,9 @@ def _train_interactions(cfg: TrainConfig, model, ds: InteractionData, result: Tr
                 np.column_stack([positives, np.ones(len(positives), dtype=np.int64)]),
                 np.column_stack([neg_rows, np.zeros(len(neg_rows), dtype=np.int64)]),
             ]) if len(neg_rows) else np.column_stack([positives, np.ones(len(positives), dtype=np.int64)])
-            order = shuffle_gen.permutation(samples.shape[0])
-            epoch_losses = []
-            for step, batch_idx in enumerate(_batches(len(order), cfg.model.batch_size, order)):
-                rows = samples[batch_idx]
-                loss = ctr_step(model, rows[:, 0], rows[:, 1], rows[:, 2])
-                _check_finite(loss, epoch, step)
-                epoch_losses.append(loss)
-                result.step_losses.append(loss)
+            epoch_losses = _run_batches(
+                cfg, result, epoch, shuffle_gen.permutation(samples.shape[0]),
+                lambda b: ctr_step(model, samples[b, 0], samples[b, 1], samples[b, 2]))
         _finish_epoch(cfg, model, ds, result, log_fh, epoch, epoch_losses)
 
 
@@ -290,30 +287,23 @@ def _train_lists(cfg: TrainConfig, model: SeqModel, ds: ListData, result: TrainR
     shuffle_gen = rng.stream("shuffle")
     # one training example per target item
     examples = [(prefix, target_item) for prefix, targets in ds.train_pairs for target_item in targets]
+
+    def step(batch_idx):
+        batch = [examples[i] for i in batch_idx]
+        return seq_step(model, [b[0] for b in batch], np.array([b[1] for b in batch], dtype=np.int64))
+
     for epoch in range(1, cfg.model.epochs + 1):
-        order = shuffle_gen.permutation(len(examples))
-        epoch_losses = []
-        for step, batch_idx in enumerate(_batches(len(order), cfg.model.batch_size, order)):
-            batch = [examples[i] for i in batch_idx]
-            prefixes = [b[0] for b in batch]
-            targets = np.array([b[1] for b in batch], dtype=np.int64)
-            loss = seq_step(model, prefixes, targets)
-            _check_finite(loss, epoch, step)
-            epoch_losses.append(loss)
-            result.step_losses.append(loss)
+        epoch_losses = _run_batches(cfg, result, epoch, shuffle_gen.permutation(len(examples)), step)
         _finish_epoch(cfg, model, ds, result, log_fh, epoch, epoch_losses)
 
 
-def _validate(cfg: TrainConfig, model, ds, rng_name: str, seed: int) -> MetricReport | None:
-    eval_rng = SeededRng(seed)
+def _evaluate(cfg: TrainConfig, model, ds, pairs, stream: str) -> MetricReport:
+    """Whole-vocabulary completion metrics, or ranking against negatives drawn from the eval stream."""
     if isinstance(ds, ListData):
-        if not ds.val_pairs:
-            return None
-        return evaluate_completion(model, ds.val_pairs, cfg.eval.ks)
-    if not ds.val_pairs:
-        return None
-    return evaluate_ranking(model, ds.val_pairs, cfg.eval.n_negatives, cfg.eval.ks,
-                            eval_rng.stream(rng_name), positives_by_user=ds.positives_by_user)
+        return evaluate_completion(model, pairs, cfg.eval.ks)
+    seed = cfg.eval.seed if cfg.eval.seed is not None else cfg.model.seed
+    return evaluate_ranking(model, pairs, cfg.eval.n_negatives, cfg.eval.ks,
+                            SeededRng(seed).stream(stream), positives_by_user=ds.positives_by_user)
 
 
 def _write_log(log_fh, lines):
@@ -327,8 +317,7 @@ def _write_log(log_fh, lines):
 def _finish_epoch(cfg, model, ds, result, log_fh, epoch, epoch_losses):
     mean_loss = float(np.mean([l["l_total"] for l in epoch_losses])) if epoch_losses else 0.0
     log_lines = [{"epoch": epoch, "split": "train", "metric": "loss", "value": mean_loss}]
-    eval_seed = cfg.eval.seed if cfg.eval.seed is not None else cfg.model.seed
-    report = _validate(cfg, model, ds, f"eval/epoch{epoch}", eval_seed)
+    report = _evaluate(cfg, model, ds, ds.val_pairs, f"eval/epoch{epoch}") if ds.val_pairs else None
     if report is not None:
         result.epoch_metrics.append(report)
         for name, value in sorted(report.values.items()):
@@ -391,8 +380,6 @@ def run_evaluate(checkpoint_path, split: str = "test", overrides: dict | None = 
             setattr(cfg.eval, key, value)
         cfg.validate()
 
-    eval_seed = cfg.eval.seed if cfg.eval.seed is not None else cfg.model.seed
-    eval_rng = SeededRng(eval_seed)
     if cfg.task == "list-completion":
         ds = prepare_lists(cfg, SeededRng(cfg.model.seed))
     else:
@@ -401,8 +388,5 @@ def run_evaluate(checkpoint_path, split: str = "test", overrides: dict | None = 
     pairs = ds.val_pairs if split == "val" else ds.test_pairs
     if not pairs:
         raise ConfigError(f"{split} split is empty")
-    if cfg.task == "list-completion":
-        return evaluate_completion(model, pairs, cfg.eval.ks)
     stream = "eval/final" if split == "test" else f"eval/epoch{cfg.model.epochs}"
-    return evaluate_ranking(model, pairs, cfg.eval.n_negatives, cfg.eval.ks,
-                            eval_rng.stream(stream), positives_by_user=ds.positives_by_user)
+    return _evaluate(cfg, model, ds, pairs, stream)

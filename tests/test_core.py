@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from treequant.core import (Adam, AdamState, Parameter, adam_step,
-                            bce_with_logit, cross_entropy_with_logits,
+                            bce_with_logit, bce_with_logits_batch,
+                            cross_entropy_with_logits,
                             finite_diff_gradient, mlp_apply, mlp_backward,
                             mlp_init, softmax)
 from treequant.errors import DimensionError, DivergenceError, OracleError
@@ -271,6 +272,10 @@ class TestBce:
     def test_label_domain(self):
         with pytest.raises(ValueError):
             bce_with_logit(0.0, 2)
+
+    def test_batch_label_domain(self):
+        with pytest.raises(ValueError, match="label must be 0 or 1, got 2"):
+            bce_with_logits_batch(np.zeros(3), np.array([0, 2, 1]))
 
     @pytest.mark.parametrize("trial", range(50))
     def test_gradient_matches_finite_differences(self, trial):

@@ -49,6 +49,13 @@ class TestLoadInteractions:
         with pytest.raises(DataError, match="line 1"):
             load_interactions(p, "generic-tsv")
 
+    def test_non_utf8_names_file_and_line(self, tmp_path):
+        # the bad byte sits past the text layer's first 8 KiB decode chunk
+        p = tmp_path / "latin1.tsv"
+        p.write_bytes(b"u1\ti1\n" * 3000 + b"u2\ti\xe92\n" + b"u3\ti3\n")
+        with pytest.raises(DataError, match=r"latin1\.tsv: line 3001: not valid UTF-8"):
+            load_interactions(p, "generic-tsv")
+
 
 class TestLoadLists:
     def test_single_line(self, tmp_path):
@@ -68,6 +75,12 @@ class TestLoadLists:
         p.write_text("a b\n\n c d \n")
         lists = load_lists(p)
         assert [l.items for l in lists] == [["a", "b"], ["c", "d"]]
+
+    def test_non_utf8_names_file_and_line(self, tmp_path):
+        p = tmp_path / "l.txt"
+        p.write_bytes(b"a b\r\nc d\rx \xff y\n")
+        with pytest.raises(DataError, match=r"l\.txt: line 3: not valid UTF-8"):
+            load_lists(p)
 
     def test_round_trip(self, tmp_path):
         gen = np.random.default_rng(3)

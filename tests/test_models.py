@@ -99,6 +99,35 @@ class TestCfModel:
         denom = np.maximum(np.abs(fd), 1e-2)
         assert np.max(np.abs(grads["user"] - fd) / denom) < 1e-3
 
+    def test_projection_gradient_matches_finite_differences(self):
+        # concat-project fusion: the projection gets l_rec's gradient from both item sides
+        rng = SeededRng(4)
+        users, items = _tables(rng, std=0.5)
+        cage = make_quantizer(rng, 4, [4, 2], alpha=0.8, fusion_mode="concat-project",
+                              name="item_cage", init_std=0.5)
+        model = CfModel(users, items, item_cage=cage, omega_q=0.0, lr=0.0)
+        u, p, n = [0, 1, 2], [2, 3, 3], [4, 5, 6]
+        z_u = users.rows.value[np.array(u)].astype(np.float64)
+        sides = [quantize_batch(cage, items.rows.value[np.array(idx)]) for idx in (p, n)]
+
+        def fused(trace, proj):
+            concat = trace.codes.transpose(1, 0, 2).reshape(len(u), -1).astype(np.float64)
+            return trace.input.astype(np.float64) + 0.8 * concat @ proj
+
+        def f(proj):
+            z_p, z_n = fused(sides[0], proj), fused(sides[1], proj)
+            margin = (z_u * z_p).sum(axis=1) - (z_u * z_n).sum(axis=1)
+            return float(np.mean(np.logaddexp(0.0, -margin)))
+
+        fd = finite_diff_gradient(f, cage.projection.value.astype(np.float64), h=1e-3)
+        grads = {}
+        original = model.optimizer.step
+        model.optimizer.step = lambda: grads.update(proj=cage.projection.grad.copy()) or original()
+        cf_bpr_step(model, u, p, n)
+        denom = np.maximum(np.abs(fd), 1e-2)
+        assert np.abs(fd).max() > 1e-2
+        assert np.max(np.abs(grads["proj"] - fd) / denom) < 1e-3
+
 
 class TestCfAblation:
     def test_disabled_cage_bit_identical_to_plain(self):
@@ -187,6 +216,14 @@ class TestCtrModel:
         model = _ctr(with_cage=True)
         losses = ctr_step(model, [0, 1], [2, 3], [1, 0])
         assert losses["l_rec"] >= 0.0 and losses["l_cage"] >= 0.0
+
+    def test_label_outside_0_1_rejected_before_any_update(self):
+        model = _ctr(with_cage=True)
+        before = {name: p.value.copy() for name, p in model.named_parameters().items()}
+        with pytest.raises(ValueError, match="label must be 0 or 1"):
+            ctr_step(model, [0, 1], [0, 1], [2, 1])
+        for name, p in model.named_parameters().items():
+            assert np.array_equal(p.value, before[name]) and not p.grad.any()
 
 
 def _seq(seed=0, n_items=12, dim=4, with_cage=True, sizes=(4, 2),

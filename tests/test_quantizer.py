@@ -6,6 +6,7 @@ import pytest
 
 from treequant.core import Parameter, finite_diff_gradient
 from treequant.errors import ConfigError, DimensionError
+from treequant.models import EmbeddingTable, _route
 from treequant.quantizer import (_BLOCK, AVERAGE, CONCAT_PROJECT, CascadedQuantizer,
                                  Codebook, cage_loss, code_purity,
                                  codebook_utilization, extract_tree,
@@ -333,6 +334,32 @@ def commit_surrogate(trace, weight):
     return f
 
 
+def reference_ste_backward(trace, q, grad_z, weight_cage):
+    """The single-row routing loop: (grad_e, {(level, row): code grad}, grad_projection)."""
+    grad_z = np.asarray(grad_z, dtype=np.float32).reshape(-1)
+    h = q.depth
+    alpha = np.float32(q.alpha)
+    code_grads = {}
+    grad_proj = None
+    if q.fusion_mode == AVERAGE:
+        grad_e = (np.float32(1.0) + alpha) * grad_z
+    else:
+        concat = np.concatenate(trace.codes)
+        grad_proj = alpha * np.outer(concat, grad_z).astype(np.float32)
+        chunks = (alpha * (q.projection.value @ grad_z)).reshape(h, q.dim)
+        grad_e = grad_z + chunks.sum(axis=0)
+    w = np.float32(weight_cage)
+    wb = np.float32(weight_cage * q.beta)
+    prev = trace.input
+    for i in range(h):
+        c = trace.codes[i]
+        key = (i + 1, trace.indices[i])
+        code_grads[key] = code_grads.get(key, 0.0) + w * np.float32(2.0) * (c - prev)
+        grad_e = grad_e + wb * np.float32(2.0) * (prev - c)
+        prev = c
+    return grad_e, code_grads, grad_proj
+
+
 class TestSteBackward:
     def test_task_path_identity_average(self):
         q = quantizer([[[0.0, 0.0], [3.0, 3.0]]], alpha=1.0, beta=0.0)
@@ -418,7 +445,8 @@ class TestSteBackward:
         gen = np.random.default_rng(11)
         x = gen.normal(size=(16, 4)).astype(np.float32)
         bt = quantize_batch(q, x)
-        ste_backward_batch(q, bt, gen.normal(size=(16, 4)).astype(np.float32), weight_cage=1.0)
+        table = EmbeddingTable(count=16, dim=4, rows=Parameter(x, name="item_table"), role="item")
+        _route(q, table, np.arange(16), bt, gen.normal(size=(16, 4)).astype(np.float32), 1.0)
         for level, cb in enumerate(q.codebooks):
             selected = set(int(j) for j in bt.indices[level])
             for row in range(cb.size):
@@ -426,15 +454,25 @@ class TestSteBackward:
                     assert not cb.entries.grad[row].any()
 
     def test_batch_routing_matches_single(self):
-        q = make_quantizer(SeededRng(12), 4, [6, 2], alpha=0.9, beta=0.7)
-        gen = np.random.default_rng(12)
-        x = gen.normal(size=(5, 4)).astype(np.float32)
-        gz = gen.normal(size=(5, 4)).astype(np.float32)
-        bt = quantize_batch(q, x)
-        grad_e_batch = ste_backward_batch(q, bt, gz, weight_cage=0.4, accumulate=False)
-        for i in range(5):
-            single, _, _ = ste_backward(bt.row(i), q, gz[i], weight_cage=0.4)
-            assert np.allclose(grad_e_batch[i], single, atol=1e-6)
+        for fusion_mode in (AVERAGE, CONCAT_PROJECT):
+            q = make_quantizer(SeededRng(12), 4, [6, 2], alpha=0.9, beta=0.7, fusion_mode=fusion_mode)
+            gen = np.random.default_rng(12)
+            x = gen.normal(size=(5, 4)).astype(np.float32)
+            gz = gen.normal(size=(5, 4)).astype(np.float32)
+            bt = quantize_batch(q, x)
+            grad_e_batch, code_grads, grad_proj = ste_backward_batch(q, bt, gz, weight_cage=0.4)
+            proj_sum = 0.0
+            for i in range(5):
+                single, single_codes, single_proj = reference_ste_backward(bt.row(i), q, gz[i], 0.4)
+                assert np.allclose(grad_e_batch[i], single, atol=1e-6)
+                for level in range(q.depth):
+                    key = (level + 1, int(bt.indices[level, i]))
+                    assert np.allclose(code_grads[level, i], single_codes[key], atol=1e-6)
+                if single_proj is not None:
+                    proj_sum = proj_sum + single_proj
+            assert (grad_proj is None) == (fusion_mode == AVERAGE)
+            if grad_proj is not None:
+                assert np.allclose(grad_proj, proj_sum, atol=1e-6)
 
     def test_concat_projection_gradient(self):
         d, h = 3, 2
@@ -518,8 +556,8 @@ class TestDiagnostics:
 
     def test_single_trace(self):
         q = quantizer([[[0.0, 0.0], [5.0, 5.0]]])
-        t = quantize_cascade(q, np.array([0.1, 0.1], dtype=np.float32))
-        assert codebook_utilization([t], q) == [0.5]
+        t = quantize_batch(q, np.array([[0.1, 0.1]], dtype=np.float32))
+        assert codebook_utilization(t, q) == [0.5]
 
     def test_purity_perfect_alignment(self):
         report = code_purity([0, 0, 1, 1], ["A", "A", "B", "B"])

@@ -554,3 +554,39 @@ class TestCliIncompleteCheckpoint:
         assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "epoch" in err
+
+
+class TestCliNegativeSeed:
+    def test_eval_seed_override(self, tmp_path, capsys):
+        ckpt = TestCli()._train(tmp_path)
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--eval-seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "eval.seed must be >= 0" in err
+
+    @pytest.mark.parametrize("section", ["model", "eval"])
+    def test_stored_seed(self, tmp_path, capsys, section):
+        ckpt = TestCli()._train(tmp_path)
+        _rewrite_meta(ckpt, lambda meta: meta["config"][section].update(seed=-1))
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
+        assert capsys.readouterr().err.startswith("error: model.seed and eval.seed must be >= 0")
+
+
+class TestCliMissingTable:
+    @pytest.mark.parametrize("task, table", [("cf", "user_table"), ("cf", "item_table"),
+                                             ("list-completion", "item_table")])
+    def test_evaluate_names_the_table(self, tmp_path, capsys, task, table):
+        ckpt = TestCli()._train(tmp_path, task=task)
+
+        def rename(meta):
+            next(t for t in meta["tensors"] if t["name"] == table)["name"] = "renamed"
+        _rewrite_meta(ckpt, rename)
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
+        assert capsys.readouterr().err == f"error: checkpoint is missing tensor '{table}'\n"
+
+
+def test_inspect_codes_non_utf8_labels(tmp_path, capsys):
+    ckpt = TestCli()._train(tmp_path)
+    labels = tmp_path / "labels.tsv"
+    labels.write_bytes(b"i1\tcat0\ni2\tcat\xe91\n")
+    assert main(["inspect-codes", "--checkpoint", str(ckpt), "--labels", str(labels)]) == 2
+    assert capsys.readouterr().err == f"error: {labels}: line 2: not valid UTF-8\n"
