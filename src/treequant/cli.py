@@ -150,7 +150,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, DataError, CheckpointError, DimensionError, DivergenceError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -71,8 +71,8 @@ class TrainConfig:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.data.format not in DATA_FORMATS:
             raise ConfigError(f"unknown data format {self.data.format!r}")
-        if not self.data.path:
-            raise ConfigError("data.path is required")
+        if not isinstance(self.data.path, str) or not self.data.path:
+            raise ConfigError(f"data.path must be a non-empty string, got {self.data.path!r}")
         levels = self.cage.levels
         if (self.cage.user_enabled or self.cage.item_enabled) and not levels:
             raise ConfigError("cage.levels is required when a quantizer is enabled")

@@ -45,15 +45,18 @@ def _check_indices(idx: np.ndarray, limit: int, what: str):
     return idx.astype(np.int64).reshape(-1)
 
 
-def _frozen_rows(cage: CascadedQuantizer, full: BatchTrace, idx: np.ndarray):
-    """Rows idx of a whole-table trace, fused exactly as quantize_batch fuses them.
+def _gather_rows(cage: CascadedQuantizer, full: BatchTrace, idx: np.ndarray):
+    """Rows idx of a trace, fused exactly as quantize_batch fuses them.
 
-    The search is row-independent, so its results can be sliced.  Fusion is
-    redone on the slice because concat-project fusion is a GEMM whose last
-    bits depend on the number of rows.
+    The search is row-independent, so its results can be gathered from a pass
+    over any superset of the rows.  Fusion is redone on the gathered rows
+    because concat-project fusion is a GEMM whose last bits depend on the
+    number of rows.
     """
-    trace = BatchTrace(input=full.input[idx], indices=full.indices[:, idx],
-                       codes=full.codes[:, idx], sq_dists=full.sq_dists[:, idx])
+    # np.take keeps the C layout that whole-trace reductions such as
+    # batch_cage_loss_sum sum in; full.sq_dists[:, idx] would come out F-ordered
+    trace = BatchTrace(input=full.input[idx], indices=np.take(full.indices, idx, axis=1),
+                       codes=np.take(full.codes, idx, axis=1), sq_dists=np.take(full.sq_dists, idx, axis=1))
     _fuse_batch(trace, cage)
     return trace.fused, trace
 
@@ -67,23 +70,46 @@ def _check_topk(candidates, n_items: int, k: int) -> np.ndarray:
     return candidates
 
 
+_SCATTER_ROWS = 256  # rows per flat scatter chunk; bounds the flat index array
+
+
+def _scatter_rows(grad: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
+    """grad[idx[r]] += values[r] for every r in order, repeats included.
+
+    A 1-D np.add.at on flat element indices, _SCATTER_ROWS rows at a time.
+    Each element receives its contributions in the same row order as the 2-D
+    np.add.at(grad, idx, values), so the sums are bit-identical.
+    """
+    if not grad.flags.c_contiguous:
+        raise ValueError("gradient buffer must be C-contiguous")  # else reshape would copy
+    d = grad.shape[1]
+    flat = grad.reshape(-1)
+    cols = np.arange(d, dtype=np.int64)
+    for start in range(0, idx.shape[0], _SCATTER_ROWS):
+        rows = idx[start:start + _SCATTER_ROWS]
+        np.add.at(flat, (rows[:, None] * d + cols).reshape(-1),
+                  values[start:start + _SCATTER_ROWS].reshape(-1))
+
+
 def _route(cage: CascadedQuantizer | None, table: EmbeddingTable, idx: np.ndarray,
            trace: BatchTrace | None, grad_z: np.ndarray, scale: float) -> float:
     """Scatter one side's gradient into its parameters; returns the side's summed l_cage.
 
     With a quantizer, grad_z is first routed by ste_backward_batch, its
-    penalties weighted by scale.  Every gradient scatter of a step is here.
+    penalties weighted by scale.  trace holds one row per occurrence in idx,
+    so each occurrence contributes once, in order.  Every gradient scatter of
+    a step is here.
     """
     if cage is None:
-        np.add.at(table.rows.grad, idx, grad_z)
+        _scatter_rows(table.rows.grad, idx, grad_z)
         return 0.0
     grad_e, code_grads, grad_proj = ste_backward_batch(cage, trace, grad_z, weight_cage=scale)
-    np.add.at(table.rows.grad, idx, grad_e)
+    _scatter_rows(table.rows.grad, idx, grad_e)
     if grad_proj is not None:
         cage.projection.grad += grad_proj
     if scale != 0.0:
         for cb, rows, grad in zip(cage.codebooks, trace.indices, code_grads):
-            np.add.at(cb.entries.grad, rows, grad)
+            _scatter_rows(cb.entries.grad, rows, grad)
     return batch_cage_loss_sum(trace, cage.beta)
 
 
@@ -112,16 +138,29 @@ class _Model:
         finally:
             self._frozen = None
 
-    def _fused_rows(self, cage: CascadedQuantizer | None, table: EmbeddingTable, idx):
-        idx = np.asarray(idx)
+    def _fused_parts(self, cage: CascadedQuantizer | None, table: EmbeddingTable, parts):
+        """(fused rows, trace) of table for each index array in parts.
+
+        One cascade serves every part: inside frozen() a whole-table pass,
+        outside it a pass over the distinct indices of all the parts.  Each
+        part is gathered from it, one trace row per index, and fused at its
+        own row count.
+        """
+        parts = [np.asarray(idx) for idx in parts]
         if cage is None:
-            return table.rows.value[idx], None
+            return [(table.rows.value[idx], None) for idx in parts]
         if self._frozen is None:
-            trace = quantize_batch(cage, table.rows.value[idx])
-            return trace.fused, trace
-        if table.role not in self._frozen:
-            self._frozen[table.role] = quantize_batch(cage, table.rows.value)
-        return _frozen_rows(cage, self._frozen[table.role], idx)
+            uniq, inv = np.unique(np.concatenate(parts), return_inverse=True)
+            full = quantize_batch(cage, table.rows.value[uniq])
+            parts = np.split(inv, np.cumsum([idx.size for idx in parts])[:-1])
+        else:
+            if table.role not in self._frozen:
+                self._frozen[table.role] = quantize_batch(cage, table.rows.value)
+            full = self._frozen[table.role]
+        return [_gather_rows(cage, full, idx) for idx in parts]
+
+    def _fused_rows(self, cage: CascadedQuantizer | None, table: EmbeddingTable, idx):
+        return self._fused_parts(cage, table, [idx])[0]
 
     def parameters(self) -> list:
         raise NotImplementedError
@@ -189,8 +228,7 @@ def cf_bpr_step(model: CfModel, users, pos_items, neg_items) -> dict:
     batch = u.shape[0]
 
     z_u, tr_u = model.fused_user(u)
-    z_p, tr_p = model.fused_item(p)
-    z_n, tr_n = model.fused_item(n)
+    (z_p, tr_p), (z_n, tr_n) = model._fused_parts(model.item_cage, model.items, [p, n])
 
     margin = ((z_u * z_p).sum(axis=1) - (z_u * z_n).sum(axis=1)).astype(np.float64)
     l_rec = float(np.mean(np.logaddexp(0.0, -margin)))
@@ -384,7 +422,7 @@ def seq_step(model: SeqModel, prefixes, targets) -> dict:
     l_tree = 0.0
     trace_t = None
     if model.item_cage is not None:
-        trace_t = quantize_batch(model.item_cage, table[t])
+        _, trace_t = model._fused_rows(model.item_cage, model.items, t)
         h = model.item_cage.depth
         head_scale = np.float32(model.omega_c / (h * batch))
         tree_total = 0.0

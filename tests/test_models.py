@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import math
 
 import numpy as np
@@ -489,3 +490,177 @@ class TestFrozenScope:
         assert model.predict_topk(0, candidates, k=40) == want
         with model.frozen():
             assert model.predict_topk(0, candidates, k=40) == want
+
+
+# ---------------------------------------------------------------------------
+# Training steps: one cascade per distinct row, exact flat scatters
+# ---------------------------------------------------------------------------
+
+
+def _per_occurrence(model):
+    """The model with one cascade per index occurrence, fused per call: the oracle."""
+
+    def fused_parts(cage, table, parts):
+        out = []
+        for idx in parts:
+            rows = table.rows.value[np.asarray(idx)]
+            if cage is None:
+                out.append((rows, None))
+            else:
+                trace = quantize_batch(cage, rows)
+                out.append((trace.fused, trace))
+        return out
+
+    model._fused_parts = fused_parts
+    return model
+
+
+def _record_grads(model):
+    """Keep a copy of every gradient as the optimizer sees it, before it zeroes them."""
+    seen = []
+    step = model.optimizer.step
+
+    def recording_step():
+        seen.append({p.name: p.grad.copy() for p in model.parameters()})
+        step()
+
+    model.optimizer.step = recording_step
+    return seen
+
+
+def _dup_batches(task, n_steps=4, batch=48, seed=5):
+    """Batches drawn from a few users and items, so most indices repeat."""
+    gen = np.random.default_rng(seed)
+    for _ in range(n_steps):
+        users = gen.integers(0, 5, size=batch)
+        items = gen.integers(0, 9, size=batch)
+        if task == "cf":
+            yield users, items, (items + gen.integers(1, 9, size=batch)) % 9
+        elif task == "ctr":
+            yield users, items, gen.integers(0, 2, size=batch).astype(np.float32)
+        else:
+            prefixes = [gen.integers(0, 9, size=int(gen.integers(1, 9))).tolist() for _ in range(batch)]
+            yield prefixes, items
+
+
+def _distinct_rows(task, args):
+    if task == "cf":
+        users, pos, neg = args
+        return [np.unique(users).size, np.unique(np.concatenate([pos, neg])).size]
+    if task == "ctr":
+        users, items, _ = args
+        return [np.unique(users).size, np.unique(items).size]
+    prefixes, targets = args
+    return [np.unique(np.concatenate(prefixes)).size, np.unique(targets).size]
+
+
+_STEPS = {"cf": cf_bpr_step, "ctr": ctr_step, "seq": seq_step}
+
+
+def _assert_steps_match_oracle(model, task, count_quantize, monkeypatch):
+    import treequant.models as models_module
+
+    oracle = _per_occurrence(copy.deepcopy(model))
+    got_grads, want_grads = _record_grads(model), _record_grads(oracle)
+    step = _STEPS[task]
+    for args in _dup_batches(task):
+        del count_quantize[:]
+        got = step(model, *args)
+        want_rows = _distinct_rows(task, args)
+        if getattr(model, "user_cage", True) is None:  # no user-side call (SeqModel has no user side)
+            want_rows = want_rows[1:]
+        assert count_quantize == want_rows
+        with monkeypatch.context() as m:
+            m.setattr(models_module, "_scatter_rows", np.add.at)  # the 2-D scatter
+            want = step(oracle, *args)
+        assert got == want
+    for got_step, want_step in zip(got_grads, want_grads, strict=True):
+        assert got_step.keys() == want_step.keys()
+        for name in got_step:
+            assert np.array_equal(got_step[name], want_step[name]), name
+    for (p, s), (q, r) in zip(model.optimizer.slots, oracle.optimizer.slots, strict=True):
+        assert p.name == q.name
+        for a, b in ((p.value, q.value), (s.m, r.m), (s.v, r.v)):
+            assert np.array_equal(a, b), p.name
+        assert s.t == r.t
+
+
+class TestStepEqualsPerOccurrence:
+    @pytest.mark.parametrize("omega_q", [0.0, 0.7])
+    @pytest.mark.parametrize("fusion_mode", FUSION_MODES)
+    @pytest.mark.parametrize("task", ["cf", "ctr", "seq"])
+    def test_bit_identical_to_oracle(self, task, fusion_mode, omega_q, count_quantize, monkeypatch):
+        model = _frozen_model(task, fusion_mode)
+        model.omega_q = omega_q
+        _assert_steps_match_oracle(model, task, count_quantize, monkeypatch)
+
+    @pytest.mark.parametrize("task", ["cf", "ctr"])
+    def test_quantizer_free_side(self, task, count_quantize, monkeypatch):
+        model = _frozen_model(task, "average")
+        model.omega_q = 0.7
+        model.user_cage = None  # the user side scatters grad_z straight into its table
+        _assert_steps_match_oracle(model, task, count_quantize, monkeypatch)
+
+    def test_duplicates_share_one_cascade_row(self, count_quantize):
+        model = _frozen_model("cf", "average")
+        cf_bpr_step(model, [3, 3, 3, 3], [1, 2, 1, 2], [2, 1, 2, 1])
+        assert count_quantize == [1, 2]
+
+
+class TestScatterRows:
+    """The flat chunked scatter adds exactly what the 2-D np.add.at adds."""
+
+    @staticmethod
+    def _check(n_rows, idx, values):
+        from treequant.models import _scatter_rows
+
+        gen = np.random.default_rng(n_rows + idx.size)
+        base = (gen.standard_normal((n_rows, values.shape[1])) * 10.0 ** gen.integers(-6, 7, size=(n_rows, 1))).astype(np.float32)
+        got, want = base.copy(), base.copy()
+        _scatter_rows(got, idx, values)
+        np.add.at(want, idx, values)
+        assert np.array_equal(got.view(np.int32), want.view(np.int32))  # -0.0 and +0.0 differ here
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 2049])
+    def test_chunk_boundaries(self, n):
+        gen = np.random.default_rng(n)
+        idx = gen.integers(0, 37, size=n).astype(np.int64)
+        mags = 10.0 ** gen.integers(-6, 7, size=(n, 1))
+        self._check(37, idx, (gen.standard_normal((n, 8)) * mags).astype(np.float32))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_repeats_signed_zeros_and_wide_magnitudes(self, seed):
+        gen = np.random.default_rng(seed)
+        n = 600
+        idx = np.repeat(gen.integers(0, 5, size=n // 20), 20).astype(np.int64)
+        gen.shuffle(idx)
+        values = (gen.standard_normal((n, 6)) * 10.0 ** gen.integers(-6, 7, size=(n, 6))).astype(np.float32)
+        values[gen.random((n, 6)) < 0.1] = -0.0
+        values[gen.random((n, 6)) < 0.1] = 0.0
+        self._check(5, idx, values)
+
+    def test_negative_zero_into_negative_zero(self):
+        from treequant.models import _scatter_rows
+
+        got = np.full((2, 3), -0.0, dtype=np.float32)
+        want = got.copy()
+        idx = np.array([1, 1, 0], dtype=np.int64)
+        values = np.full((3, 3), -0.0, dtype=np.float32)
+        _scatter_rows(got, idx, values)
+        np.add.at(want, idx, values)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_non_contiguous_values(self):
+        gen = np.random.default_rng(9)
+        grad_x = gen.standard_normal((300, 16)).astype(np.float32)
+        idx = gen.integers(0, 11, size=300).astype(np.int64)
+        for values in (grad_x[:, :8], grad_x[:, 8:]):  # ctr_step's user and item halves
+            assert not values.flags.c_contiguous
+            self._check(11, idx, values)
+
+    def test_non_contiguous_gradient_rejected(self):
+        from treequant.models import _scatter_rows
+
+        grad = np.zeros((4, 6), dtype=np.float32).T
+        with pytest.raises(ValueError):
+            _scatter_rows(grad, np.array([0], dtype=np.int64), np.ones((1, 4), dtype=np.float32))

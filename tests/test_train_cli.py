@@ -590,3 +590,36 @@ def test_inspect_codes_non_utf8_labels(tmp_path, capsys):
     labels.write_bytes(b"i1\tcat0\ni2\tcat\xe91\n")
     assert main(["inspect-codes", "--checkpoint", str(ckpt), "--labels", str(labels)]) == 2
     assert capsys.readouterr().err == f"error: {labels}: line 2: not valid UTF-8\n"
+
+
+class TestCliPathErrors:
+    """A path that cannot be used is a typed error with exit code 2, never a traceback."""
+
+    @pytest.mark.parametrize("path", [1, -1, 0, None, "", ["d.tsv"]])
+    def test_non_string_data_path(self, tmp_path, capsys, path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"task": "cf", "data": {"path": path}, "model": {"seed": 0}}))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error: data.path must be a non-empty string")
+
+    def test_directory_as_config(self, tmp_path, capsys):
+        assert main(["train", "--config", str(tmp_path), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_directory_as_data_path(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_cfg(tmp_path).to_dict()))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", [["evaluate"], ["export-tree", "--json", "t.json", "--dot", "t.dot"]])
+    def test_directory_as_checkpoint(self, tmp_path, capsys, command):
+        argv = [command[0], "--checkpoint", str(tmp_path), *command[1:]]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_directory_as_labels(self, tmp_path, capsys):
+        ckpt = TestCli()._train(tmp_path)
+        capsys.readouterr()
+        assert main(["inspect-codes", "--checkpoint", str(ckpt), "--labels", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
