@@ -30,9 +30,6 @@ class Checkpoint:
     tensors: dict          # name -> float32 ndarray
     vocab: dict = None     # optional raw-id lists, e.g. {"items": [...], "users": [...]}
 
-    def tensor(self, name: str) -> np.ndarray:
-        return self.tensors[name]
-
 
 def save_checkpoint(path, config: dict, epoch: int, seed_state: dict, tensors: dict,
                     vocab: dict | None = None) -> None:

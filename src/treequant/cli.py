@@ -28,11 +28,7 @@ def _setup_logging():
 
 
 def _quantizer_side(model, side: str | None):
-    sides = {}
-    if getattr(model, "item_cage", None) is not None:
-        sides["item"] = (model.item_cage, model.items.rows.value)
-    if getattr(model, "user_cage", None) is not None:
-        sides["user"] = (model.user_cage, model.users.rows.value)
+    sides = {table.role: (cage, table.rows.value) for table, cage in model.sides if cage is not None}
     if not sides:
         raise ConfigError("checkpoint contains no quantizer")
     if side is None:

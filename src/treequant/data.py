@@ -62,9 +62,6 @@ class Vocabulary:
     def raw(self, idx: int) -> str:
         return self._to_id[idx]
 
-    def __contains__(self, raw) -> bool:
-        return raw in self._to_index
-
     def __len__(self) -> int:
         return len(self._to_id)
 
@@ -74,7 +71,6 @@ class SplitDataset:
     train: list
     validation: list
     test: list
-    descriptor: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +191,7 @@ def split_list(items) -> tuple:
     return items[:cut], items[cut:]
 
 
-def partition_lists(records, rng, ratios=(8, 1, 1), descriptor: str = "8:1:1 shuffle") -> SplitDataset:
+def partition_lists(records, rng) -> SplitDataset:
     """Seeded shuffle then a contiguous 80/10/10 cut (floor for val/test)."""
     records = list(records)
     if not records:
@@ -203,15 +199,12 @@ def partition_lists(records, rng, ratios=(8, 1, 1), descriptor: str = "8:1:1 shu
     gen = rng.stream("partition") if hasattr(rng, "stream") else rng
     order = gen.permutation(len(records))
     shuffled = [records[i] for i in order]
-    denom = sum(ratios)
-    n_val = len(records) * ratios[1] // denom
-    n_test = len(records) * ratios[2] // denom
+    n_val = n_test = len(records) // 10
     n_train = len(records) - n_val - n_test
     return SplitDataset(
         train=shuffled[:n_train],
         validation=shuffled[n_train:n_train + n_val],
         test=shuffled[n_train + n_val:],
-        descriptor=descriptor,
     )
 
 
@@ -239,7 +232,7 @@ def leave_one_out(interactions) -> SplitDataset:
         train.extend(r for _, r in positives[:-2])
         val.append(positives[-2][1])
         test.append(positives[-1][1])
-    return SplitDataset(train=train, validation=val, test=test, descriptor="leave-one-out")
+    return SplitDataset(train=train, validation=val, test=test)
 
 
 def sample_negatives(user, n: int, vocab_size: int, positives, rng: np.random.Generator) -> list:

@@ -67,6 +67,22 @@ def _frozen(model):
     return getattr(model, "frozen", contextlib.nullcontext)()
 
 
+def _evaluate(model, split, ks, rank_unit, hr_mode: str) -> MetricReport:
+    """Mean NDCG@k and HR@k over the units of split, each ranked by rank_unit(*unit)."""
+    split = list(split)
+    if not split:
+        raise ValueError("empty evaluation split")
+    sums = {f"{m}@{k}": 0.0 for m in ("ndcg", "hr") for k in ks}
+    with _frozen(model):
+        for unit in split:
+            result = rank_unit(*unit)
+            for k in ks:
+                sums[f"ndcg@{k}"] += ndcg_at_k(result, k)
+                sums[f"hr@{k}"] += hr_at_k(result, k, mode=hr_mode)
+    n = len(split)
+    return MetricReport(values={name: s / n for name, s in sums.items()}, count=n)
+
+
 def evaluate_ranking(model, split, n_negatives: int, ks, rng, positives_by_user=None) -> MetricReport:
     """Sampled-candidates protocol: each held-out positive is ranked against
     n_negatives sampled non-positives of the same user.
@@ -75,24 +91,15 @@ def evaluate_ranking(model, split, n_negatives: int, ks, rng, positives_by_user=
     positives_by_user maps user index -> full positive set (all splits), used
     to keep held-out items out of the negative pool.
     """
-    split = list(split)
-    if not split:
-        raise ValueError("empty evaluation split")
     gen = rng.stream("eval-negatives") if hasattr(rng, "stream") else rng
-    vocab_size = model.n_items
-    sums = {f"{m}@{k}": 0.0 for m in ("ndcg", "hr") for k in ks}
-    with _frozen(model):
-        for user, pos_item in split:
-            positives = positives_by_user.get(user, {pos_item}) if positives_by_user else {pos_item}
-            negs = sample_negatives(user, n_negatives, vocab_size, positives, gen)
-            candidates = [pos_item] + negs
-            ranking = model.predict_topk(user, candidates, k=len(candidates))
-            result = RankedResult(ranking=list(ranking), relevant={pos_item})
-            for k in ks:
-                sums[f"ndcg@{k}"] += ndcg_at_k(result, k)
-                sums[f"hr@{k}"] += hr_at_k(result, k, mode="single")
-    n = len(split)
-    return MetricReport(values={name: s / n for name, s in sums.items()}, count=n)
+
+    def rank(user, pos_item):
+        positives = positives_by_user.get(user, {pos_item}) if positives_by_user else {pos_item}
+        candidates = [pos_item] + sample_negatives(user, n_negatives, model.n_items, positives, gen)
+        ranking = model.predict_topk(user, candidates, k=len(candidates))
+        return RankedResult(ranking=list(ranking), relevant={pos_item})
+
+    return _evaluate(model, split, ks, rank, "single")
 
 
 def evaluate_completion(model, split, ks) -> MetricReport:
@@ -102,17 +109,8 @@ def evaluate_completion(model, split, ks) -> MetricReport:
     input items are excluded from the candidate pool and the targets form the
     relevant set (multi-relevant HR).
     """
-    split = list(split)
-    if not split:
-        raise ValueError("empty evaluation split")
-    kmax = max(ks)
-    sums = {f"{m}@{k}": 0.0 for m in ("ndcg", "hr") for k in ks}
-    with _frozen(model):
-        for prefix, targets in split:
-            ranking = model.predict_completion(prefix, k=kmax, exclude=set(prefix))
-            result = RankedResult(ranking=list(ranking), relevant=set(targets))
-            for k in ks:
-                sums[f"ndcg@{k}"] += ndcg_at_k(result, k)
-                sums[f"hr@{k}"] += hr_at_k(result, k, mode="multi")
-    n = len(split)
-    return MetricReport(values={name: s / n for name, s in sums.items()}, count=n)
+    def rank(prefix, targets):
+        ranking = model.predict_completion(prefix, k=max(ks), exclude=set(prefix))
+        return RankedResult(ranking=list(ranking), relevant=set(targets))
+
+    return _evaluate(model, split, ks, rank, "multi")

@@ -113,6 +113,11 @@ def _route(cage: CascadedQuantizer | None, table: EmbeddingTable, idx: np.ndarra
     return batch_cage_loss_sum(trace, cage.beta)
 
 
+def _values(layers) -> list:
+    """(weight, bias) arrays of (weight, bias) Parameter pairs, as mlp_apply takes them."""
+    return [(w.value, b.value) for w, b in layers]
+
+
 def _rank(candidates: np.ndarray, scores: np.ndarray, k: int):
     """Descending score, ties by ascending candidate index."""
     order = np.lexsort((candidates, -scores.astype(np.float64)))
@@ -120,9 +125,48 @@ def _rank(candidates: np.ndarray, scores: np.ndarray, k: int):
 
 
 class _Model:
-    """Shared parameter bookkeeping and the frozen-weight evaluation scope."""
+    """ID tables, each with an optional quantizer, plus the backbone's own layers.
+
+    A subclass sets its tables and quantizers, then calls this constructor,
+    which checks them and builds the Adam optimizer over parameters().
+    """
 
     _frozen = None  # table role -> whole-table BatchTrace, only inside frozen()
+
+    def __init__(self, omega_q: float, lr: float):
+        if omega_q < 0:
+            raise ValueError("omega_q must be >= 0")
+        for table, cage in self.sides:
+            if cage is not None and cage.dim != table.dim:
+                raise DimensionError("quantizer dim does not match embedding dim")
+        self.omega_q = float(omega_q)
+        self.optimizer = Adam(self.parameters(), lr=lr)
+
+    @property
+    def sides(self) -> list:
+        """(table, quantizer or None) for each ID table, users before items."""
+        return [(self.users, self.user_cage), (self.items, self.item_cage)]
+
+    def _layer_params(self) -> list:
+        """(weight, bias) Parameter pairs of the backbone's own layers."""
+        return []
+
+    @property
+    def n_items(self) -> int:
+        return self.items.count
+
+    def parameters(self) -> list:
+        """Table rows, then the layers, then each quantizer's: the checkpoint payload order."""
+        params = [table.rows for table, _ in self.sides]
+        for w, b in self._layer_params():
+            params.extend([w, b])
+        for _, cage in self.sides:
+            if cage is not None:
+                params.extend(cage.parameters())
+        return params
+
+    def named_parameters(self) -> dict:
+        return {p.name: p for p in self.parameters()}
 
     @contextlib.contextmanager
     def frozen(self):
@@ -162,11 +206,21 @@ class _Model:
     def _fused_rows(self, cage: CascadedQuantizer | None, table: EmbeddingTable, idx):
         return self._fused_parts(cage, table, [idx])[0]
 
-    def parameters(self) -> list:
-        raise NotImplementedError
+    def _update(self, routes, batch: int, layer_grads=()) -> float:
+        """The tail of every step: apply the gradients and take one Adam step.
 
-    def named_parameters(self) -> dict:
-        return {p.name: p for p in self.parameters()}
+        layer_grads pairs each (weight, bias) of a layer with its gradients.
+        routes holds one (quantizer, table, indices, trace, grad_z) per index
+        array to route, in scatter order.  Returns the step's l_cage: the
+        summed quantizer penalty divided by batch.
+        """
+        for (w, b), (gw, gb) in layer_grads:
+            w.grad += gw
+            b.grad += gb
+        scale = self.omega_q / batch
+        l_cage = sum(_route(*route, scale) for route in routes) / batch
+        self.optimizer.step()
+        return l_cage
 
 
 # ---------------------------------------------------------------------------
@@ -179,28 +233,11 @@ class CfModel(_Model):
                  user_cage: CascadedQuantizer | None = None,
                  item_cage: CascadedQuantizer | None = None,
                  omega_q: float = 1.0, lr: float = 0.01):
-        if omega_q < 0:
-            raise ValueError("omega_q must be >= 0")
-        for cage in (user_cage, item_cage):
-            if cage is not None and cage.dim != items.dim:
-                raise DimensionError("quantizer dim does not match embedding dim")
         self.users = users
         self.items = items
         self.user_cage = user_cage
         self.item_cage = item_cage
-        self.omega_q = float(omega_q)
-        self.optimizer = Adam(self.parameters(), lr=lr)
-
-    @property
-    def n_items(self) -> int:
-        return self.items.count
-
-    def parameters(self) -> list:
-        params = [self.users.rows, self.items.rows]
-        for cage in (self.user_cage, self.item_cage):
-            if cage is not None:
-                params.extend(cage.parameters())
-        return params
+        super().__init__(omega_q, lr)
 
     def fused_user(self, user_idx):
         return self._fused_rows(self.user_cage, self.users, user_idx)
@@ -234,17 +271,9 @@ def cf_bpr_step(model: CfModel, users, pos_items, neg_items) -> dict:
     l_rec = float(np.mean(np.logaddexp(0.0, -margin)))
     # d l_rec / d margin, including the 1/B of the mean
     dm = ((1.0 / (1.0 + np.exp(-margin)) - 1.0) / batch).astype(np.float32)[:, None]
-
-    grad_zu = dm * (z_p - z_n)
-    grad_zp = dm * z_u
-    grad_zn = -dm * z_u
-
-    scale = model.omega_q / batch
-    l_cage = (_route(model.user_cage, model.users, u, tr_u, grad_zu, scale)
-              + _route(model.item_cage, model.items, p, tr_p, grad_zp, scale)
-              + _route(model.item_cage, model.items, n, tr_n, grad_zn, scale)) / batch
-
-    model.optimizer.step()
+    l_cage = model._update([(model.user_cage, model.users, u, tr_u, dm * (z_p - z_n)),
+                            (model.item_cage, model.items, p, tr_p, dm * z_u),
+                            (model.item_cage, model.items, n, tr_n, -dm * z_u)], batch)
     return {"l_rec": l_rec, "l_cage": l_cage, "l_total": l_rec + model.omega_q * l_cage}
 
 
@@ -265,31 +294,17 @@ class CtrModel(_Model):
         self.mlp_params = mlp_params  # list of (Parameter W, Parameter b)
         self.user_cage = user_cage
         self.item_cage = item_cage
-        self.omega_q = float(omega_q)
-        self.optimizer = Adam(self.parameters(), lr=lr)
+        super().__init__(omega_q, lr)
 
-    @property
-    def n_items(self) -> int:
-        return self.items.count
-
-    def parameters(self) -> list:
-        params = [self.users.rows, self.items.rows]
-        for w, b in self.mlp_params:
-            params.extend([w, b])
-        for cage in (self.user_cage, self.item_cage):
-            if cage is not None:
-                params.extend(cage.parameters())
-        return params
-
-    def _mlp_layers(self):
-        return [(w.value, b.value) for w, b in self.mlp_params]
+    def _layer_params(self) -> list:
+        return self.mlp_params
 
     def score(self, user_idx, item_idx):
         """Logits for aligned (user, item) index arrays, plus traces and tape."""
         z_u, tr_u = self._fused_rows(self.user_cage, self.users, user_idx)
         z_i, tr_i = self._fused_rows(self.item_cage, self.items, item_idx)
         x = np.concatenate([z_u, z_i], axis=1)
-        logits, tape = mlp_apply(self._mlp_layers(), x)
+        logits, tape = mlp_apply(_values(self.mlp_params), x)
         return logits[:, 0], tr_u, tr_i, tape
 
     def predict_topk(self, user: int, candidates, k: int):
@@ -314,17 +329,10 @@ def ctr_step(model: CtrModel, users, items, labels) -> dict:
     grad_out = (grad_logit / batch)[:, None]
 
     param_grads, grad_x = mlp_backward(tape, grad_out)
-    for (w, b), (gw, gb) in zip(model.mlp_params, param_grads):
-        w.grad += gw
-        b.grad += gb
     d = model.items.dim
-    grad_zu, grad_zi = grad_x[:, :d], grad_x[:, d:]
-
-    scale = model.omega_q / batch
-    l_cage = (_route(model.user_cage, model.users, u, tr_u, grad_zu, scale)
-              + _route(model.item_cage, model.items, i, tr_i, grad_zi, scale)) / batch
-
-    model.optimizer.step()
+    l_cage = model._update([(model.user_cage, model.users, u, tr_u, grad_x[:, :d]),
+                            (model.item_cage, model.items, i, tr_i, grad_x[:, d:])],
+                           batch, zip(model.mlp_params, param_grads))
     return {"l_rec": l_rec, "l_cage": l_cage, "l_total": l_rec + model.omega_q * l_cage}
 
 
@@ -349,25 +357,14 @@ class SeqModel(_Model):
                 if w.value.shape != (items.dim, size):
                     raise DimensionError(f"tree head width {w.value.shape[1]} != codebook size {size}")
         self.omega_c = float(omega_c)
-        self.omega_q = float(omega_q)
-        self.optimizer = Adam(self.parameters(), lr=lr)
+        super().__init__(omega_q, lr)
 
     @property
-    def n_items(self) -> int:
-        return self.items.count
+    def sides(self) -> list:
+        return [(self.items, self.item_cage)]
 
-    def parameters(self) -> list:
-        params = [self.items.rows]
-        for w, b in self.encoder_params:
-            params.extend([w, b])
-        for w, b in self.tree_heads:
-            params.extend([w, b])
-        if self.item_cage is not None:
-            params.extend(self.item_cage.parameters())
-        return params
-
-    def _encoder_layers(self):
-        return [(w.value, b.value) for w, b in self.encoder_params]
+    def _layer_params(self) -> list:
+        return self.encoder_params + self.tree_heads
 
     def encode(self, prefixes):
         """Mean-pooled fused prefix embeddings through the encoder MLP.
@@ -382,7 +379,7 @@ class SeqModel(_Model):
         z_all, trace = self._fused_rows(self.item_cage, self.items, flat)
         starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
         pooled = np.add.reduceat(z_all.astype(np.float64), starts, axis=0) / lens[:, None]
-        z_bar, tape = mlp_apply(self._encoder_layers(), pooled.astype(np.float32))
+        z_bar, tape = mlp_apply(_values(self.encoder_params), pooled.astype(np.float32))
         return z_bar, flat, lens, trace, tape
 
     def predict_completion(self, prefix, k: int, exclude=()):
@@ -437,27 +434,15 @@ def seq_step(model: SeqModel, prefixes, targets) -> dict:
         l_tree = tree_total / (h * batch)
 
     param_grads, grad_x = mlp_backward(tape, grad_zbar)
-    for (w, b), (gw, gb) in zip(model.encoder_params, param_grads):
-        w.grad += gw
-        b.grad += gb
-
     grad_pref = np.repeat(grad_x / lens[:, None].astype(np.float32), lens, axis=0)
-    scale = model.omega_q / batch
-    l_cage = _route(model.item_cage, model.items, flat, trace_pref, grad_pref, scale)
+    routes = [(model.item_cage, model.items, flat, trace_pref, grad_pref)]
     if model.item_cage is not None:
         # target trace: quantizer penalties only, no task gradient
-        l_cage += _route(model.item_cage, model.items, t, trace_t, np.zeros_like(trace_t.input), scale)
-    l_cage /= batch
-
-    model.optimizer.step()
+        routes.append((model.item_cage, model.items, t, trace_t, np.zeros_like(trace_t.input)))
+    l_cage = model._update(routes, batch, zip(model.encoder_params, param_grads))
     l_rec = l_item + model.omega_c * l_tree
-    return {
-        "l_item": l_item,
-        "l_tree": l_tree,
-        "l_rec": l_rec,
-        "l_cage": l_cage,
-        "l_total": l_rec + model.omega_q * l_cage,
-    }
+    return {"l_item": l_item, "l_tree": l_tree, "l_rec": l_rec, "l_cage": l_cage,
+            "l_total": l_rec + model.omega_q * l_cage}
 
 
 # ---------------------------------------------------------------------------

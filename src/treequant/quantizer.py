@@ -384,7 +384,7 @@ class CategoryTree:
         return self.paths.shape[0]
 
 
-def extract_tree(q: CascadedQuantizer, embeddings: np.ndarray, keep_codes: bool = True) -> CategoryTree:
+def extract_tree(q: CascadedQuantizer, embeddings: np.ndarray) -> CategoryTree:
     """Freeze the current nearest-code assignments into a tree."""
     embeddings = np.asarray(embeddings, dtype=np.float32)
     if embeddings.ndim != 2 or embeddings.shape[0] == 0:
@@ -394,7 +394,7 @@ def extract_tree(q: CascadedQuantizer, embeddings: np.ndarray, keep_codes: bool 
     parents = []
     for i in range(q.depth - 1):
         parents.append(_nearest(q.codebooks[i + 1].entries.value, q.codebooks[i].entries.value)[0])
-    codes = [cb.entries.value.copy() for cb in q.codebooks] if keep_codes else None
+    codes = [cb.entries.value.copy() for cb in q.codebooks]
     return CategoryTree(level_sizes=q.level_sizes, paths=paths, parents=parents, codes=codes)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import data as D
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import TrainConfig, config_from_dict
+from .config import TASKS, TrainConfig, config_from_dict
 from .errors import ConfigError, DataError, DivergenceError
 from .metrics import MetricReport, evaluate_completion, evaluate_ranking
 from .models import (CfModel, CtrModel, EmbeddingTable, SeqModel, cf_bpr_step,
@@ -55,12 +55,8 @@ class ListData:
 
 def prepare_interactions(cfg: TrainConfig) -> InteractionData:
     records = D.load_interactions(cfg.data.path, cfg.data.format)
-    user_vocab, item_vocab = D.Vocabulary(), D.Vocabulary()
-    for rec in records:
-        user_vocab.add(rec.user)
-        item_vocab.add(rec.item)
-    user_vocab.freeze()
-    item_vocab.freeze()
+    user_vocab = D.Vocabulary(rec.user for rec in records).freeze()
+    item_vocab = D.Vocabulary(rec.item for rec in records).freeze()
     split = D.leave_one_out(records)
     to_triple = lambda r: (user_vocab.index(r.user), item_vocab.index(r.item), r.label)
     train = [to_triple(r) for r in split.train]
@@ -78,11 +74,7 @@ def prepare_lists(cfg: TrainConfig, rng: SeededRng) -> ListData:
     lists = D.preprocess_lists(lists, cfg.data.min_freq, max(cfg.data.min_len, 2), cfg.data.max_len)
     if not lists:
         raise ConfigError("preprocessing removed every list")
-    vocab = D.Vocabulary()
-    for rec in lists:
-        for it in rec.items:
-            vocab.add(it)
-    vocab.freeze()
+    vocab = D.Vocabulary(it for rec in lists for it in rec.items).freeze()
     pairs = []
     for rec in lists:
         prefix, target = D.split_list(rec)
@@ -107,48 +99,51 @@ def _maybe_quantizer(cfg: TrainConfig, rng: SeededRng, enabled: bool, name: str)
 
 
 def build_model(cfg: TrainConfig, n_users: int, n_items: int):
+    """The task's model; each initializer draws from its own named stream, so build order is free."""
+    if cfg.task not in TASKS:
+        raise ConfigError(f"unknown task {cfg.task!r}")
     rng = SeededRng(cfg.model.seed)
     m = cfg.model
-    if cfg.task == "cf":
-        return CfModel(
-            users=EmbeddingTable.create(rng, n_users, m.dim, "user", m.init_std),
-            items=EmbeddingTable.create(rng, n_items, m.dim, "item", m.init_std),
-            user_cage=_maybe_quantizer(cfg, rng, cfg.cage.user_enabled, "user_cage"),
-            item_cage=_maybe_quantizer(cfg, rng, cfg.cage.item_enabled, "item_cage"),
-            omega_q=cfg.cage.omega_q, lr=m.lr,
-        )
-    if cfg.task == "ctr":
-        sizes = [2 * m.dim] + [int(h) for h in m.hidden] + [1]
-        return CtrModel(
-            users=EmbeddingTable.create(rng, n_users, m.dim, "user", m.init_std),
-            items=EmbeddingTable.create(rng, n_items, m.dim, "item", m.init_std),
-            mlp_params=make_mlp_params(rng, sizes, "mlp"),
-            user_cage=_maybe_quantizer(cfg, rng, cfg.cage.user_enabled, "user_cage"),
-            item_cage=_maybe_quantizer(cfg, rng, cfg.cage.item_enabled, "item_cage"),
-            omega_q=cfg.cage.omega_q, lr=m.lr,
-        )
+    items = EmbeddingTable.create(rng, n_items, m.dim, "item", m.init_std)
+    item_cage = _maybe_quantizer(cfg, rng, cfg.cage.item_enabled, "item_cage")
     if cfg.task == "list-completion":
-        cage = _maybe_quantizer(cfg, rng, cfg.cage.item_enabled, "item_cage")
-        heads = make_tree_heads(rng, m.dim, cfg.cage.levels) if cage is not None else []
-        sizes = [m.dim] + [int(h) for h in m.hidden] + [m.dim]
-        return SeqModel(
-            items=EmbeddingTable.create(rng, n_items, m.dim, "item", m.init_std),
-            encoder_params=make_mlp_params(rng, sizes, "encoder"),
-            item_cage=cage, tree_heads=heads,
-            omega_c=cfg.cage.omega_c, omega_q=cfg.cage.omega_q, lr=m.lr,
-        )
-    raise ConfigError(f"unknown task {cfg.task!r}")
+        heads = make_tree_heads(rng, m.dim, cfg.cage.levels) if item_cage is not None else []
+        return SeqModel(items, make_mlp_params(rng, [m.dim, *map(int, m.hidden), m.dim], "encoder"),
+                        item_cage, heads, omega_c=cfg.cage.omega_c, omega_q=cfg.cage.omega_q, lr=m.lr)
+    users = EmbeddingTable.create(rng, n_users, m.dim, "user", m.init_std)
+    user_cage = _maybe_quantizer(cfg, rng, cfg.cage.user_enabled, "user_cage")
+    if cfg.task == "cf":
+        return CfModel(users, items, user_cage, item_cage, omega_q=cfg.cage.omega_q, lr=m.lr)
+    return CtrModel(users, items, make_mlp_params(rng, [2 * m.dim, *map(int, m.hidden), 1], "mlp"),
+                    user_cage, item_cage, omega_q=cfg.cage.omega_q, lr=m.lr)
+
+
+def _check_sizes(cfg: TrainConfig, tensors: dict):
+    """The config's sizes must give the stored shapes; checked before build_model allocates anything."""
+    d, seq = cfg.model.dim, cfg.task == "list-completion"
+    want = {name: None for name in (["item_table"] if seq else ["user_table", "item_table"])}
+    if cfg.task != "cf":
+        sizes = [d if seq else 2 * d, *cfg.model.hidden]
+        layers = "encoder" if seq else "mlp"
+        want.update({f"{layers}.layer{i}.weight": shape for i, shape in enumerate(zip(sizes, sizes[1:]))})
+    for cage, enabled in (("user_cage", cfg.cage.user_enabled), ("item_cage", cfg.cage.item_enabled)):
+        if enabled:
+            want.update({f"{cage}.codebook{i}": (v, d) for i, v in enumerate(cfg.cage.levels, start=1)})
+    for name, shape in want.items():
+        if name not in tensors:
+            raise ConfigError(f"checkpoint is missing tensor '{name}'")
+        got = tensors[name].shape
+        shape = shape or (*got[:1], d)  # a table may have any number of rows
+        if got != shape:
+            raise ConfigError(f"tensor '{name}' has shape {got}, but the config gives {shape}")
 
 
 def model_from_checkpoint(ckpt: Checkpoint):
     """Rebuild the model purely from the checkpoint (no data files needed)."""
     cfg = config_from_dict(ckpt.config)
-    tables = ["item_table"] if cfg.task == "list-completion" else ["user_table", "item_table"]
-    for name in tables:
-        if name not in ckpt.tensors:
-            raise ConfigError(f"checkpoint is missing tensor '{name}'")
+    _check_sizes(cfg, ckpt.tensors)
     n_items = ckpt.tensors["item_table"].shape[0]
-    n_users = ckpt.tensors["user_table"].shape[0] if "user_table" in tables else 1
+    n_users = ckpt.tensors["user_table"].shape[0] if cfg.task != "list-completion" else 1
     model = build_model(cfg, n_users, n_items)
     named = model.named_parameters()
     for name, param in named.items():
@@ -255,7 +250,7 @@ def _train_interactions(cfg: TrainConfig, model, ds: InteractionData, result: Tr
     shuffle_gen = rng.stream("shuffle")
     neg_gen = rng.stream("negative-sampling")
     positives = np.array([(u, i) for u, i, lbl in ds.train if lbl is None or lbl == 1], dtype=np.int64)
-    explicit_neg = np.array([(u, i) for u, i, lbl in ds.train if lbl == 0], dtype=np.int64)
+    explicit_neg = np.array([(u, i) for u, i, lbl in ds.train if lbl == 0], dtype=np.int64).reshape(-1, 2)
     implicit = all(lbl is None for _, _, lbl in ds.train)
 
     def cf_step(batch_idx):
@@ -275,7 +270,7 @@ def _train_interactions(cfg: TrainConfig, model, ds: InteractionData, result: Tr
             samples = np.concatenate([
                 np.column_stack([positives, np.ones(len(positives), dtype=np.int64)]),
                 np.column_stack([neg_rows, np.zeros(len(neg_rows), dtype=np.int64)]),
-            ]) if len(neg_rows) else np.column_stack([positives, np.ones(len(positives), dtype=np.int64)])
+            ])
             epoch_losses = _run_batches(
                 cfg, result, epoch, shuffle_gen.permutation(samples.shape[0]),
                 lambda b: ctr_step(model, samples[b, 0], samples[b, 1], samples[b, 2]))
@@ -327,16 +322,22 @@ def _finish_epoch(cfg, model, ds, result, log_fh, epoch, epoch_losses):
              "" if report is None else " " + json.dumps(report.to_dict()["metrics"]))
 
 
+def _prepare(cfg: TrainConfig):
+    """The run's dataset: list pairs for list-completion, interactions otherwise."""
+    if cfg.task == "list-completion":
+        return prepare_lists(cfg, SeededRng(cfg.model.seed))
+    return prepare_interactions(cfg)
+
+
 def run_train(cfg: TrainConfig, out_dir: str | None = None) -> TrainResult:
     cfg.validate()
     rng = SeededRng(cfg.model.seed)
-    if cfg.task == "list-completion":
-        ds = prepare_lists(cfg, rng)
-        model = build_model(cfg, n_users=1, n_items=len(ds.item_vocab))
-    else:
-        ds = prepare_interactions(cfg)
+    ds = _prepare(cfg)
+    n_users = 1
+    if isinstance(ds, InteractionData):
         _check_eval_negatives(ds, cfg.eval.n_negatives)
-        model = build_model(cfg, n_users=len(ds.user_vocab), n_items=len(ds.item_vocab))
+        n_users = len(ds.user_vocab)
+    model = build_model(cfg, n_users=n_users, n_items=len(ds.item_vocab))
 
     result = TrainResult(model=model, config=cfg, step_losses=[], epoch_metrics=[], dataset=ds)
     train = _train_lists if cfg.task == "list-completion" else _train_interactions
@@ -380,10 +381,7 @@ def run_evaluate(checkpoint_path, split: str = "test", overrides: dict | None = 
             setattr(cfg.eval, key, value)
         cfg.validate()
 
-    if cfg.task == "list-completion":
-        ds = prepare_lists(cfg, SeededRng(cfg.model.seed))
-    else:
-        ds = prepare_interactions(cfg)
+    ds = _prepare(cfg)
     _check_vocab(ckpt, ds, cfg.data.path)
     pairs = ds.val_pairs if split == "val" else ds.test_pairs
     if not pairs:

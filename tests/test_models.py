@@ -492,6 +492,48 @@ class TestFrozenScope:
             assert model.predict_topk(0, candidates, k=40) == want
 
 
+class TestSkeleton:
+    """The checks and the parameter order that the three models share."""
+
+    @pytest.mark.parametrize("make", [_cf, _ctr, _seq])
+    def test_negative_omega_q_rejected(self, make):
+        with pytest.raises(ValueError, match="omega_q must be >= 0"):
+            make(omega_q=-1.0)
+
+    @pytest.mark.parametrize("task, side", [("ctr", "user"), ("ctr", "item"), ("seq", "item")])
+    def test_quantizer_dim_mismatch_rejected(self, task, side):
+        rng = SeededRng(0)
+        users, items = _tables(rng, dim=4)
+        bad = {f"{side}_cage": make_quantizer(rng, 8, [3, 2], name=f"{side}_cage")}
+        with pytest.raises(DimensionError, match="quantizer dim"):
+            if task == "ctr":
+                CtrModel(users, items, make_mlp_params(rng, [8, 6, 1], name="mlp"), **bad)
+            else:
+                SeqModel(items, make_mlp_params(rng, [4, 6, 4], name="encoder"),
+                         tree_heads=make_tree_heads(rng, 4, [3, 2]), **bad)
+
+    @pytest.mark.parametrize("task, fusion_mode, names", [
+        ("cf", "concat-project",
+         ["user_table", "item_table",
+          "user_cage.codebook1", "user_cage.codebook2", "user_cage.projection",
+          "item_cage.codebook1", "item_cage.codebook2", "item_cage.projection"]),
+        ("ctr", "average",
+         ["user_table", "item_table",
+          "scorer.layer0.weight", "scorer.layer0.bias", "scorer.layer1.weight", "scorer.layer1.bias",
+          "user_cage.codebook1", "user_cage.codebook2", "item_cage.codebook1", "item_cage.codebook2"]),
+        ("seq", "average",
+         ["item_table",
+          "encoder.layer0.weight", "encoder.layer0.bias", "encoder.layer1.weight", "encoder.layer1.bias",
+          "tree_head1.weight", "tree_head1.bias", "tree_head2.weight", "tree_head2.bias",
+          "item_cage.codebook1", "item_cage.codebook2"]),
+    ])
+    def test_parameter_order(self, task, fusion_mode, names):
+        """Checkpoints store their tensors in this order, and Adam keeps one slot per name."""
+        model = _frozen_model(task, fusion_mode)
+        assert list(model.named_parameters()) == names
+        assert [p.name for p, _ in model.optimizer.slots] == names
+
+
 # ---------------------------------------------------------------------------
 # Training steps: one cascade per distinct row, exact flat scatters
 # ---------------------------------------------------------------------------

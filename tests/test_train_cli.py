@@ -584,6 +584,68 @@ class TestCliMissingTable:
         assert capsys.readouterr().err == f"error: checkpoint is missing tensor '{table}'\n"
 
 
+class TestCliQuantizerSide:
+    """export-tree and inspect-codes on a cf checkpoint with a quantizer on each side."""
+
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        data = tmp_path / "d.tsv"
+        _write_interactions(data)
+        cfg = _cfg(data, epochs=1)
+        cfg.cage.user_enabled = True
+        return run_train(cfg, out_dir=str(tmp_path / "run")).checkpoint_path
+
+    @pytest.mark.parametrize("side", [None, "item", "user"])
+    def test_export_tree(self, ckpt, tmp_path, capsys, side):
+        jp, dp = tmp_path / "tree.json", tmp_path / "tree.dot"
+        argv = ["export-tree", "--checkpoint", ckpt, "--json", str(jp), "--dot", str(dp)]
+        assert main(argv + (["--side", side] if side else [])) == 0
+        side = side or "item"
+        stored = load_checkpoint(ckpt)
+        doc = json.loads(jp.read_text())
+        assert len(doc["paths"]) == len(stored.vocab[f"{side}s"])
+        assert doc["codes"][0] == stored.tensors[f"{side}_cage.codebook1"].tolist()
+        assert capsys.readouterr().out.startswith(f"exported {side} tree: ")
+
+    @pytest.mark.parametrize("side, n_categories", [(None, 0), ("item", 0), ("user", 3)])
+    def test_inspect_codes_reads_the_side_labels(self, ckpt, tmp_path, capsys, side, n_categories):
+        users = load_checkpoint(ckpt).vocab["users"]
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("".join(f"{raw}\tcat{row % 3}\n" for row, raw in enumerate(users)))
+        argv = ["inspect-codes", "--checkpoint", ckpt, "--labels", str(labels)]
+        assert main(argv + (["--side", side] if side else [])) == 0
+        out = capsys.readouterr().out
+        assert (f"skipped {len(users)} label(s)" in out) == (n_categories == 0)
+        assert f"\n{n_categories} categories: " in out
+
+    @pytest.mark.parametrize("command", [["inspect-codes"], ["export-tree", "--json", "t.json", "--dot", "t.dot"]])
+    def test_side_without_quantizer(self, tmp_path, capsys, command):
+        ckpt = TestCli()._train(tmp_path)  # item-side quantizer only
+        argv = [command[0], "--checkpoint", str(ckpt), *command[1:], "--side", "user"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: checkpoint has no user-side quantizer\n"
+
+
+class TestCliCheckpointSizes:
+    """Sizes in a checkpoint's config are checked against its tensors before anything is allocated."""
+
+    @pytest.mark.parametrize("task, section, field, tensor", [
+        ("cf", "model", "dim", "user_table"),
+        ("cf", "cage", "levels", "item_cage.codebook1"),
+        ("ctr", "model", "hidden", "mlp.layer0.weight"),
+    ])
+    def test_huge_size_is_typed_error(self, tmp_path, capsys, task, section, field, tensor):
+        ckpt = TestCli()._train(tmp_path, task=task)
+
+        def enlarge(meta):
+            conf = meta["config"][section]
+            conf[field] = 2 ** 40 if field == "dim" else [2 ** 40, *conf[field][1:]]
+        _rewrite_meta(ckpt, enlarge)
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: tensor '{tensor}' has shape ") and "1099511627776" in err
+
+
 def test_inspect_codes_non_utf8_labels(tmp_path, capsys):
     ckpt = TestCli()._train(tmp_path)
     labels = tmp_path / "labels.tsv"
