@@ -102,9 +102,9 @@ class TrainConfig:
         if self.task in ("cf", "ctr") and self.data.format == "lists":
             raise ConfigError(f"task {self.task!r} reads interactions; "
                               "data.format 'lists' is for list-completion")
-        if self.task == "list-completion" and self.data.format == "movielens-100k":
-            raise ConfigError("list-completion reads item lists; "
-                              "data.format 'movielens-100k' holds interactions")
+        if self.task == "list-completion" and self.data.format != "lists":
+            raise ConfigError(f"list-completion reads item lists; set data.format to \"lists\", "
+                              f"not {self.data.format!r}")
         if self.task == "list-completion" and self.cage.user_enabled:
             raise ConfigError("list-completion uses an item-side quantizer only")
         return self

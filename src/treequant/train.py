@@ -7,6 +7,8 @@ bit-identical checkpoints, logs, and trees.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import logging
 import math
@@ -329,12 +331,33 @@ def _prepare(cfg: TrainConfig):
     return prepare_interactions(cfg)
 
 
+@functools.cache
+def _keep_freed_heap():
+    """Keep freed heap memory in the process (glibc only), once per process.
+
+    Each training step allocates megabytes of short-lived arrays.  By default
+    glibc gives the freed heap top back to the OS and the next step faults it
+    in again.  Fixing the mmap threshold at 8 MiB keeps those arrays on the
+    heap, and a 32 MiB trim threshold keeps the freed heap for the next step.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no C library handle
+        return
+    mallopt(-3, 8 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+
+
 def run_train(cfg: TrainConfig, out_dir: str | None = None) -> TrainResult:
+    _keep_freed_heap()
     cfg.validate()
     rng = SeededRng(cfg.model.seed)
     ds = _prepare(cfg)
     n_users = 1
     if isinstance(ds, InteractionData):
+        if not any(lbl is None or lbl == 1 for _, _, lbl in ds.train):
+            raise DataError(f"{cfg.data.path}: the training split has no positive interaction "
+                            "(label 1 or unlabelled)")
         _check_eval_negatives(ds, cfg.eval.n_negatives)
         n_users = len(ds.user_vocab)
     model = build_model(cfg, n_users=n_users, n_items=len(ds.item_vocab))
