@@ -85,8 +85,15 @@ class TrainConfig:
                 raise ConfigError(f"cage.{name} must be >= 0")
         if self.cage.fusion_mode not in FUSION_MODES:
             raise ConfigError(f"fusion_mode must be one of {FUSION_MODES}")
+        if self.data.min_freq < 1:
+            raise ConfigError(f"data.min_freq must be >= 1, got {self.data.min_freq}")
+        if self.task == "list-completion" and self.data.max_len < max(self.data.min_len, 2):
+            raise ConfigError(f"data.max_len must be >= max(data.min_len, 2) = {max(self.data.min_len, 2)}, "
+                              f"got {self.data.max_len}")
         if self.model.dim < 1:
             raise ConfigError("model.dim must be >= 1")
+        if any(width < 1 for width in self.model.hidden):
+            raise ConfigError(f"model.hidden widths must be >= 1, got {self.model.hidden}")
         if self.model.seed is None:
             raise ConfigError("model.seed is required")
         if self.model.seed < 0 or (self.eval.seed is not None and self.eval.seed < 0):

@@ -20,8 +20,8 @@ import numpy as np
 from .core import (Adam, Parameter, bce_with_logits_batch, mlp_apply,
                    mlp_backward, mlp_init, softmax_xent_batch)
 from .errors import DimensionError
-from .quantizer import (BatchTrace, CascadedQuantizer, _fuse_batch, batch_cage_loss_sum,
-                        quantize_batch, ste_backward_batch)
+from .quantizer import (BatchTrace, CascadedQuantizer, batch_cage_loss_sum, quantize_batch,
+                        ste_backward_batch)
 from .rng import SeededRng, rng_normal_init
 
 
@@ -45,19 +45,13 @@ def _check_indices(idx: np.ndarray, limit: int, what: str):
     return idx.astype(np.int64).reshape(-1)
 
 
-def _gather_rows(cage: CascadedQuantizer, full: BatchTrace, idx: np.ndarray):
-    """Rows idx of a trace, fused exactly as quantize_batch fuses them.
-
-    The search is row-independent, so its results can be gathered from a pass
-    over any superset of the rows.  Fusion is redone on the gathered rows
-    because concat-project fusion is a GEMM whose last bits depend on the
-    number of rows.
-    """
+def _gather_rows(full: BatchTrace, idx: np.ndarray):
+    """(fused rows, trace) of rows idx of a quantize_batch trace, one row per index in order."""
     # np.take keeps the C layout that whole-trace reductions such as
     # batch_cage_loss_sum sum in; full.sq_dists[:, idx] would come out F-ordered
     trace = BatchTrace(input=full.input[idx], indices=np.take(full.indices, idx, axis=1),
-                       codes=np.take(full.codes, idx, axis=1), sq_dists=np.take(full.sq_dists, idx, axis=1))
-    _fuse_batch(trace, cage)
+                       codes=np.take(full.codes, idx, axis=1), sq_dists=np.take(full.sq_dists, idx, axis=1),
+                       pooled=full.pooled[idx], fused=full.fused[idx])
     return trace.fused, trace
 
 
@@ -187,8 +181,7 @@ class _Model:
 
         One cascade serves every part: inside frozen() a whole-table pass,
         outside it a pass over the distinct indices of all the parts.  Each
-        part is gathered from it, one trace row per index, and fused at its
-        own row count.
+        part is gathered from it, one trace row per index.
         """
         parts = [np.asarray(idx) for idx in parts]
         if cage is None:
@@ -201,7 +194,7 @@ class _Model:
             if table.role not in self._frozen:
                 self._frozen[table.role] = quantize_batch(cage, table.rows.value)
             full = self._frozen[table.role]
-        return [_gather_rows(cage, full, idx) for idx in parts]
+        return [_gather_rows(full, idx) for idx in parts]
 
     def _fused_rows(self, cage: CascadedQuantizer | None, table: EmbeddingTable, idx):
         return self._fused_parts(cage, table, [idx])[0]

@@ -210,42 +210,52 @@ class BatchTrace:
         )
 
 
+def _code_paths(q: CascadedQuantizer):
+    """Per level-1 code: its path (H, k1), its level-2+ squared distances (H-1, k1), the parent maps.
+
+    Level i+1 searches with a row of codebook i, so all three are functions of the level-1 code.
+    """
+    k1, h = q.codebooks[0].size, q.depth
+    paths, dists, parents = np.empty((h, k1), dtype=np.int64), np.empty((h - 1, k1), dtype=np.float64), []
+    paths[0] = np.arange(k1)
+    for i in range(h - 1):
+        parent, d2 = _nearest(q.codebooks[i + 1].entries.value, q.codebooks[i].entries.value)
+        paths[i + 1], dists[i] = parent[paths[i]], d2[paths[i]]
+        parents.append(parent)
+    return paths, dists, parents
+
+
+def _fuse(q: CascadedQuantizer, codes: np.ndarray):
+    """(pooled, residual) of codes (H, n, d): fused = input + alpha * residual."""
+    pooled = codes.mean(axis=0)
+    if q.fusion_mode == AVERAGE:
+        return pooled, pooled
+    return pooled, codes.transpose(1, 0, 2).reshape(codes.shape[1], -1) @ q.projection.value
+
+
 def quantize_batch(q: CascadedQuantizer, x: np.ndarray) -> BatchTrace:
-    """Run the cascade for every row of x; level i>1 searches with the level-(i-1) code."""
+    """Run the cascade for every row of x; level i>1 searches with the level-(i-1) code.
+
+    Rows are searched at level 1; the rest is gathered from per-code tables,
+    so no row's result depends on the other rows of the call.
+    """
     x = np.asarray(x, dtype=np.float32)
     if x.ndim == 1:
         x = x[None, :]
     if x.shape[1] != q.dim:
         raise DimensionError(f"input dim {x.shape[1]} != quantizer dim {q.dim}")
-    n, h = x.shape[0], q.depth
-    indices = np.empty((h, n), dtype=np.int64)
-    codes = np.empty((h, n, q.dim), dtype=np.float32)
-    dists = np.empty((h, n), dtype=np.float64)
-    cur = x
-    for i, cb in enumerate(q.codebooks):
-        indices[i], dists[i] = _nearest(cb.entries.value, cur)
-        codes[i] = cb.entries.value[indices[i]]
-        cur = codes[i]
-    trace = BatchTrace(input=x, indices=indices, codes=codes, sq_dists=dists)
-    _fuse_batch(trace, q)
-    return trace
+    j1, d1 = _nearest(q.codebooks[0].entries.value, x)
+    paths, dists, _ = _code_paths(q)
+    codes = np.stack([cb.entries.value[row] for cb, row in zip(q.codebooks, paths)])  # (H, k1, d)
+    pooled, residual = _fuse(q, codes)
+    return BatchTrace(input=x, indices=np.take(paths, j1, axis=1), codes=np.take(codes, j1, axis=1),
+                      sq_dists=np.concatenate([d1[None, :], np.take(dists, j1, axis=1)]),
+                      pooled=pooled[j1], fused=x + np.float32(q.alpha) * residual[j1])
 
 
 def quantize_cascade(q: CascadedQuantizer, e: np.ndarray) -> QuantizationTrace:
     """Single-embedding cascade pass (including fusion)."""
     return quantize_batch(q, np.asarray(e, dtype=np.float32)[None, :]).row(0)
-
-
-def _fuse_batch(trace: BatchTrace, q: CascadedQuantizer) -> None:
-    trace.pooled = trace.codes.mean(axis=0)
-    if q.fusion_mode == AVERAGE:
-        trace.fused = trace.input + np.float32(q.alpha) * trace.pooled
-    else:
-        if q.projection is None:
-            raise ConfigError("concat-project fusion requires a projection parameter")
-        n = trace.input.shape[0]
-        concat = trace.codes.transpose(1, 0, 2).reshape(n, -1)  # (n, H*d)
-        trace.fused = trace.input + np.float32(q.alpha) * (concat @ q.projection.value)
 
 
 def _one_row(trace: QuantizationTrace, q: CascadedQuantizer) -> BatchTrace:
@@ -261,8 +271,8 @@ def _one_row(trace: QuantizationTrace, q: CascadedQuantizer) -> BatchTrace:
 def fuse_codes(trace: QuantizationTrace, q: CascadedQuantizer) -> np.ndarray:
     """Combine the multi-level codes and add them residually to the input."""
     batch = _one_row(trace, q)
-    _fuse_batch(batch, q)
-    trace.pooled, trace.fused = batch.pooled[0], batch.fused[0]
+    pooled, residual = _fuse(q, batch.codes)
+    trace.pooled, trace.fused = pooled[0], batch.input[0] + np.float32(q.alpha) * residual[0]
     return trace.fused
 
 
@@ -389,13 +399,9 @@ def extract_tree(q: CascadedQuantizer, embeddings: np.ndarray) -> CategoryTree:
     embeddings = np.asarray(embeddings, dtype=np.float32)
     if embeddings.ndim != 2 or embeddings.shape[0] == 0:
         raise ValueError("need a nonempty (n, d) embedding matrix")
-    trace = quantize_batch(q, embeddings)
-    paths = trace.indices.T.copy()
-    parents = []
-    for i in range(q.depth - 1):
-        parents.append(_nearest(q.codebooks[i + 1].entries.value, q.codebooks[i].entries.value)[0])
+    paths = quantize_batch(q, embeddings).indices.T.copy()
     codes = [cb.entries.value.copy() for cb in q.codebooks]
-    return CategoryTree(level_sizes=q.level_sizes, paths=paths, parents=parents, codes=codes)
+    return CategoryTree(level_sizes=q.level_sizes, paths=paths, parents=_code_paths(q)[2], codes=codes)
 
 
 def codebook_utilization(trace: BatchTrace, q: CascadedQuantizer) -> list:

@@ -236,15 +236,28 @@ def _bpr_negatives(users: np.ndarray, positives_by_user: dict, n_items: int,
     return np.array(chosen, dtype=np.int64)
 
 
-def _check_eval_negatives(ds: InteractionData, n_negatives: int):
-    """Every validated user needs n_negatives non-positive items; check before any training step."""
+def _check_eval_units(cfg: TrainConfig, ds, pairs, split: str):
+    """Every unit of pairs must be rankable as evaluation ranks it; checked before training or ranking.
+
+    A user needs eval.n_negatives non-positive items; a list needs max(eval.ks)
+    items outside its input.
+    """
     n_items = len(ds.item_vocab)
-    for user, _ in ds.val_pairs:
+    if isinstance(ds, ListData):
+        k = max(cfg.eval.ks)
+        for i, (prefix, _) in enumerate(pairs):
+            rankable = n_items - len(set(prefix))
+            if rankable < k:
+                raise DataError(f"{split} list {i}: only {rankable} of {n_items} items are outside "
+                                f"its input; eval.ks needs {k}")
+        return
+    for user, _ in pairs:
         n_pos = len(ds.positives_by_user.get(user, ()))
-        if n_items - n_pos < n_negatives:
+        if n_items - n_pos < cfg.eval.n_negatives:
             held = f"all {n_items}" if n_pos >= n_items else f"{n_pos} of {n_items}"
-            raise DataError(f"user index {user} is positive on {held} items; "
-                            f"evaluation needs {n_negatives} non-positive items")
+            raise DataError(f"user index {user} is positive on {held} items; evaluation needs "
+                            f"{cfg.eval.n_negatives} sampled negatives (only {n_items - n_pos} "
+                            f"non-positive items, need {cfg.eval.n_negatives})")
 
 
 def _train_interactions(cfg: TrainConfig, model, ds: InteractionData, result: TrainResult,
@@ -358,8 +371,8 @@ def run_train(cfg: TrainConfig, out_dir: str | None = None) -> TrainResult:
         if not any(lbl is None or lbl == 1 for _, _, lbl in ds.train):
             raise DataError(f"{cfg.data.path}: the training split has no positive interaction "
                             "(label 1 or unlabelled)")
-        _check_eval_negatives(ds, cfg.eval.n_negatives)
         n_users = len(ds.user_vocab)
+    _check_eval_units(cfg, ds, ds.val_pairs, "val")
     model = build_model(cfg, n_users=n_users, n_items=len(ds.item_vocab))
 
     result = TrainResult(model=model, config=cfg, step_losses=[], epoch_metrics=[], dataset=ds)
@@ -409,5 +422,6 @@ def run_evaluate(checkpoint_path, split: str = "test", overrides: dict | None = 
     pairs = ds.val_pairs if split == "val" else ds.test_pairs
     if not pairs:
         raise ConfigError(f"{split} split is empty")
+    _check_eval_units(cfg, ds, pairs, split)
     stream = "eval/final" if split == "test" else f"eval/epoch{cfg.model.epochs}"
     return _evaluate(cfg, model, ds, pairs, stream)

@@ -541,6 +541,65 @@ class TestExtractTree:
             extract_tree(q, np.zeros((0, 4), dtype=np.float32))
 
 
+def assert_tree_is_the_cascade(q, emb):
+    """Each parent map links consecutive path levels, and the paths are quantize_batch's."""
+    tree = extract_tree(q, emb)
+    assert np.array_equal(tree.paths, quantize_batch(q, emb).indices.T)
+    assert len(tree.parents) == q.depth - 1
+    for i, parent in enumerate(tree.parents):
+        assert np.array_equal(parent[tree.paths[:, i]], tree.paths[:, i + 1])
+    return tree
+
+
+class TestTreeIsTheCascade:
+    @pytest.mark.parametrize("fusion_mode", [AVERAGE, CONCAT_PROJECT])
+    def test_duplicated_codes(self, fusion_mode):
+        q = make_quantizer(SeededRng(34), 16, [64, 8, 2], fusion_mode=fusion_mode)
+        coarse, fine = q.codebooks[1].entries.value, q.codebooks[0].entries.value
+        coarse[5] = coarse[2]
+        fine[:6] = coarse[2]  # children on a duplicated parent: ties go to the lowest index
+        fine[10:13] = fine[9]  # duplicated level-1 codes
+        emb = np.random.default_rng(34).normal(size=(200, 16)).astype(np.float32) * 0.01
+        emb[:20] = fine[9]  # entities sitting exactly on a duplicated code
+        tree = assert_tree_is_the_cascade(q, emb)
+        assert np.all(tree.paths[:20, 0] == 9)
+        assert tree.parents[0][:6].tolist() == [2] * 6
+
+    @pytest.mark.parametrize("fusion_mode", [AVERAGE, CONCAT_PROJECT])
+    def test_single_level(self, fusion_mode):
+        q = make_quantizer(SeededRng(35), 8, [5], fusion_mode=fusion_mode)
+        emb = np.random.default_rng(35).normal(size=(30, 8)).astype(np.float32) * 0.01
+        assert assert_tree_is_the_cascade(q, emb).parents == []
+
+    @pytest.mark.parametrize("fusion_mode", [AVERAGE, CONCAT_PROJECT])
+    def test_random_codebooks(self, fusion_mode):
+        q = make_quantizer(SeededRng(36), 8, [12, 5, 2], fusion_mode=fusion_mode, init_std=0.5)
+        emb = np.random.default_rng(36).normal(size=(50, 8)).astype(np.float32)
+        assert_tree_is_the_cascade(q, emb)
+
+
+@pytest.fixture(scope="module")
+def concat_table():
+    q = make_quantizer(SeededRng(37), 64, [256, 32, 8], fusion_mode=CONCAT_PROJECT)
+    table = np.random.default_rng(37).normal(size=(3000, 64)).astype(np.float32) * 0.01
+    return q, table, quantize_batch(q, table)
+
+
+class TestRowCountIndependence:
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 100, 999])
+    def test_concat_project_rows_equal_the_whole_table_pass(self, concat_table, n):
+        q, table, full = concat_table
+        gen = np.random.default_rng(n)
+        for _ in range(7):
+            idx = gen.choice(table.shape[0], size=n, replace=False)
+            part = quantize_batch(q, table[idx])
+            assert np.array_equal(part.indices, full.indices[:, idx])
+            assert np.array_equal(part.sq_dists, full.sq_dists[:, idx])
+            assert np.array_equal(part.codes, full.codes[:, idx])
+            assert np.array_equal(part.pooled, full.pooled[idx])
+            assert np.array_equal(part.fused, full.fused[idx])
+
+
 class TestDiagnostics:
     def test_collapse_gives_one_over_v(self):
         q = quantizer([[[0.0, 0.0], [100.0, 100.0], [200.0, 200.0], [300.0, 300.0]]])

@@ -1,6 +1,7 @@
 import ctypes
 import json
 import resource
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from treequant import train
 from treequant.models import seq_step
 from treequant.errors import ConfigError, DataError, DivergenceError
 from treequant.train import _bpr_negatives, model_from_checkpoint, run_evaluate, run_train
+from treequant.rng import SeededRng
 
 from test_checkpoint import _rewrite_meta
 
@@ -103,7 +105,7 @@ class TestRunTrain:
         model, _ = model_from_checkpoint(ckpt)
         assert model.items.rows.value.shape[1] == 8
         # log has only the config header
-        lines = open(result.log_path).read().splitlines()
+        lines = Path(result.log_path).read_text().splitlines()
         assert len(lines) == 1 and "config" in json.loads(lines[0])
 
     def test_determinism_bit_identical_artifacts(self, tmp_path):
@@ -161,7 +163,7 @@ class TestStreamedLog:
         _write_interactions(data)
         cfg = _cfg(data, epochs=3, seed=4)
         full = run_train(cfg, out_dir=str(tmp_path / "full"))
-        full_lines = open(full.log_path, encoding="utf-8").read().splitlines(keepends=True)
+        full_lines = Path(full.log_path).read_text(encoding="utf-8").splitlines(keepends=True)
 
         self._diverge_in_epoch_2(monkeypatch)
         with pytest.raises(DivergenceError, match="epoch 2"):
@@ -186,7 +188,7 @@ class TestStreamedLog:
 
         monkeypatch.setattr(train, "_finish_epoch", spying_finish)
         result = run_train(_cfg(data, epochs=2), out_dir=str(tmp_path / "run"))
-        total = len(open(result.log_path, encoding="utf-8").read().splitlines())
+        total = len(Path(result.log_path).read_text(encoding="utf-8").splitlines())
         per_epoch = (total - 1) // 2
         assert seen == [1 + per_epoch, 1 + 2 * per_epoch]
 
@@ -761,3 +763,81 @@ class TestAllocatorPolicy:
         for _ in range(20):
             seq_step(model, prefixes, targets)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
+
+
+def _train_exit(tmp_path, doc) -> int:
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    return main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+
+
+class TestCliConfigRanges:
+    @pytest.mark.parametrize("task, section, values", [
+        ("list-completion", "data", {"min_freq": 0}),
+        ("cf", "data", {"min_freq": 0}),
+        ("list-completion", "data", {"max_len": 1}),
+        ("list-completion", "data", {"min_len": 30, "max_len": 20}),
+        ("ctr", "model", {"hidden": [-3]}),
+        ("ctr", "model", {"hidden": [0]}),
+        ("list-completion", "model", {"hidden": [8, 0]}),
+    ], ids=["lists-min_freq-0", "cf-min_freq-0", "max_len-1", "max_len-below-min_len", "hidden-negative",
+            "hidden-0", "lists-hidden-0"])
+    def test_out_of_range_is_typed_error(self, tmp_path, capsys, task, section, values):
+        data = tmp_path / "data.txt"
+        if task == "list-completion":
+            _write_lists(data)
+        else:
+            _write_interactions(data)
+        doc = _cfg(data, task=task, epochs=1).to_dict()
+        doc[section].update(values)
+        assert _train_exit(tmp_path, doc) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "run").exists()
+
+    def test_max_len_at_its_floor_trains(self, tmp_path):
+        data = tmp_path / "lists.txt"
+        _write_lists(data)
+        cfg = _cfg(data, task="list-completion", epochs=1)
+        cfg.data.min_len, cfg.data.max_len = 0, 2
+        assert run_train(cfg).epoch_metrics
+
+
+def _min_rankable(ds) -> int:
+    return min(len(ds.item_vocab) - len(set(prefix)) for prefix, _ in ds.val_pairs)
+
+
+class TestListEvalKsCheckedBeforeTraining:
+    def _data(self, tmp_path):
+        data = tmp_path / "lists.txt"
+        _write_lists(data, n_lists=60, n_items=15)
+        return data
+
+    def test_fails_before_any_step(self, tmp_path, monkeypatch):
+        cfg = _cfg(self._data(tmp_path), task="list-completion", epochs=1)
+        cfg.eval.ks = [100]
+        steps = []
+        monkeypatch.setattr("treequant.train.seq_step", lambda *args: steps.append(args))
+        with pytest.raises(DataError, match=r"val list \d+: only \d+ of \d+ items .* eval.ks needs 100"):
+            run_train(cfg, out_dir=str(tmp_path / "run"))
+        assert steps == []
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    def test_cli_exits_with_code_2(self, tmp_path, capsys):
+        doc = _cfg(self._data(tmp_path), task="list-completion", epochs=1).to_dict()
+        doc["eval"]["ks"] = [5, 100]
+        assert _train_exit(tmp_path, doc) == 2
+        assert capsys.readouterr().err.startswith("error: val list ")
+
+    def test_largest_rankable_k_trains(self, tmp_path):
+        cfg = _cfg(self._data(tmp_path), task="list-completion", epochs=1)
+        cfg.eval.ks = [_min_rankable(train.prepare_lists(cfg, SeededRng(cfg.model.seed)))]
+        assert run_train(cfg).epoch_metrics[-1].count > 0
+        cfg.eval.ks = [cfg.eval.ks[0] + 1]
+        with pytest.raises(DataError, match="eval.ks needs"):
+            run_train(cfg)
+
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_evaluate_checks_its_split(self, tmp_path, split):
+        ckpt = TestCli()._train(tmp_path, task="list-completion")
+        with pytest.raises(DataError, match=f"^{split} list "):
+            run_evaluate(ckpt, split=split, overrides={"ks": [100]})
