@@ -146,7 +146,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, DataError, CheckpointError, DimensionError, DivergenceError,
-            OSError) as exc:
+            OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -76,7 +76,7 @@ def _evaluate(model, split, ks, rank_unit, hr_mode: str) -> MetricReport:
     with _frozen(model):
         for unit in split:
             result = rank_unit(*unit)
-            for k in ks:
+            for k in dict.fromkeys(ks):  # a repeated k is counted once
                 sums[f"ndcg@{k}"] += ndcg_at_k(result, k)
                 sums[f"hr@{k}"] += hr_at_k(result, k, mode=hr_mode)
     n = len(split)

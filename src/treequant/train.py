@@ -94,7 +94,7 @@ def _maybe_quantizer(cfg: TrainConfig, rng: SeededRng, enabled: bool, name: str)
     if not enabled:
         return None
     return make_quantizer(
-        rng, cfg.model.dim, [int(v) for v in cfg.cage.levels],
+        rng, cfg.model.dim, cfg.cage.levels,
         alpha=cfg.cage.alpha, beta=cfg.cage.beta, fusion_mode=cfg.cage.fusion_mode,
         name=name, init_std=cfg.model.init_std,
     )
@@ -110,13 +110,13 @@ def build_model(cfg: TrainConfig, n_users: int, n_items: int):
     item_cage = _maybe_quantizer(cfg, rng, cfg.cage.item_enabled, "item_cage")
     if cfg.task == "list-completion":
         heads = make_tree_heads(rng, m.dim, cfg.cage.levels) if item_cage is not None else []
-        return SeqModel(items, make_mlp_params(rng, [m.dim, *map(int, m.hidden), m.dim], "encoder"),
+        return SeqModel(items, make_mlp_params(rng, [m.dim, *m.hidden, m.dim], "encoder"),
                         item_cage, heads, omega_c=cfg.cage.omega_c, omega_q=cfg.cage.omega_q, lr=m.lr)
     users = EmbeddingTable.create(rng, n_users, m.dim, "user", m.init_std)
     user_cage = _maybe_quantizer(cfg, rng, cfg.cage.user_enabled, "user_cage")
     if cfg.task == "cf":
         return CfModel(users, items, user_cage, item_cage, omega_q=cfg.cage.omega_q, lr=m.lr)
-    return CtrModel(users, items, make_mlp_params(rng, [2 * m.dim, *map(int, m.hidden), 1], "mlp"),
+    return CtrModel(users, items, make_mlp_params(rng, [2 * m.dim, *m.hidden, 1], "mlp"),
                     user_cage, item_cage, omega_q=cfg.cage.omega_q, lr=m.lr)
 
 
@@ -400,8 +400,6 @@ def run_train(cfg: TrainConfig, out_dir: str | None = None) -> TrainResult:
 # Evaluation from a checkpoint
 # ---------------------------------------------------------------------------
 
-_EVAL_OVERRIDES = {"ks", "n_negatives", "seed"}
-
 
 def run_evaluate(checkpoint_path, split: str = "test", overrides: dict | None = None) -> MetricReport:
     """Frozen-weight evaluation of a saved run on the validation or test split."""
@@ -410,12 +408,9 @@ def run_evaluate(checkpoint_path, split: str = "test", overrides: dict | None = 
     ckpt = load_checkpoint(checkpoint_path)
     model, cfg = model_from_checkpoint(ckpt)
     if overrides:
-        unknown = set(overrides) - _EVAL_OVERRIDES
-        if unknown:
-            raise ConfigError(f"only eval settings may be overridden, got {sorted(unknown)}")
-        for key, value in overrides.items():
-            setattr(cfg.eval, key, value)
-        cfg.validate()
+        doc = cfg.to_dict()
+        doc["eval"].update(overrides)
+        cfg = config_from_dict(doc)
 
     ds = _prepare(cfg)
     _check_vocab(ckpt, ds, cfg.data.path)

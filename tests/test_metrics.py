@@ -187,3 +187,22 @@ def test_metric_report_to_dict_sorted():
     d = r.to_dict()
     assert list(d["metrics"]) == ["hr@5", "ndcg@10"]
     assert d["count"] == 3
+
+
+class TestRepeatedK:
+    """A k listed twice in ks is one metric: the report equals the one for ks without the repeat."""
+
+    def test_ranking(self):
+        model = _RandomScorer(30, 60, seed=9)
+        split = [(u, 2 * u) for u in range(30)]
+        once = evaluate_ranking(model, split, 20, [2], SeededRng(4))
+        twice = evaluate_ranking(model, split, 20, [2, 2], SeededRng(4))
+        assert twice.to_dict() == once.to_dict()
+        assert 0.0 < once.values["hr@2"] <= 1.0
+
+    def test_completion(self):
+        model = _CompletionOracle(6, [5.0, 4.0, 3.0, 2.0, 1.0, 0.0])
+        split = [([0], [1, 4]), ([1], [2])]
+        once = evaluate_completion(model, split, ks=[2])
+        assert evaluate_completion(model, split, ks=[2, 2]).to_dict() == once.to_dict()
+        assert evaluate_completion(model, split, ks=[2, 5, 2]).values["hr@2"] == once.values["hr@2"]

@@ -1,6 +1,10 @@
+import copy
 import ctypes
 import json
+import random
 import resource
+import shutil
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -780,8 +784,27 @@ class TestCliConfigRanges:
         ("ctr", "model", {"hidden": [-3]}),
         ("ctr", "model", {"hidden": [0]}),
         ("list-completion", "model", {"hidden": [8, 0]}),
+        ("cf", "model", {"dim": "x"}),
+        ("cf", "model", {"dim": True}),
+        ("cf", "model", {"dim": 1.5}),
+        ("cf", "cage", {"alpha": "1"}),
+        ("cf", "", {"model": 5}),
+        ("cf", "", {"model": []}),
+        ("cf", "", {"cage": None}),
+        ("cf", "cage", {"item_enabled": "yes"}),
+        ("cf", "model", {"epochs": True}),
+        ("cf", "model", {"seed": True}),
+        ("cf", "eval", {"seed": 1.5}),
+        ("cf", "cage", {"levels": [8.7, 4]}),
+        ("cf", "model", {"batch_size": 2.5}),
+        ("ctr", "model", {"hidden": 5}),
+        ("cf", "eval", {"n_negatives": 2.0}),
+        ("list-completion", "data", {"min_freq": "a"}),
     ], ids=["lists-min_freq-0", "cf-min_freq-0", "max_len-1", "max_len-below-min_len", "hidden-negative",
-            "hidden-0", "lists-hidden-0"])
+            "hidden-0", "lists-hidden-0", "dim-string", "dim-bool", "dim-float", "alpha-string",
+            "model-number", "model-list", "cage-null", "item_enabled-string", "epochs-bool", "seed-bool",
+            "eval-seed-float", "levels-float", "batch_size-float", "hidden-number", "n_negatives-float",
+            "min_freq-string"])
     def test_out_of_range_is_typed_error(self, tmp_path, capsys, task, section, values):
         data = tmp_path / "data.txt"
         if task == "list-completion":
@@ -789,7 +812,7 @@ class TestCliConfigRanges:
         else:
             _write_interactions(data)
         doc = _cfg(data, task=task, epochs=1).to_dict()
-        doc[section].update(values)
+        (doc[section] if section else doc).update(values)  # section "" replaces whole sections
         assert _train_exit(tmp_path, doc) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "run").exists()
@@ -841,3 +864,117 @@ class TestListEvalKsCheckedBeforeTraining:
         ckpt = TestCli()._train(tmp_path, task="list-completion")
         with pytest.raises(DataError, match=f"^{split} list "):
             run_evaluate(ckpt, split=split, overrides={"ks": [100]})
+
+
+class TestCliStoredConfigTypes:
+    """A checkpoint's stored config passes the same checks as a config file."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.update(config=5),
+        lambda meta: meta.update(config=[{}]),
+        lambda meta: meta["config"]["model"].update(dim="8"),
+        lambda meta: meta["config"]["cage"].update(levels=[4.0, 2]),
+    ], ids=["config-number", "config-list", "dim-string", "levels-float"])
+    @pytest.mark.parametrize("command", ["evaluate", "export-tree"])
+    def test_is_typed_error(self, tmp_path, capsys, edit, command):
+        ckpt = TestCli()._train(tmp_path)
+        _rewrite_meta(ckpt, edit)
+        capsys.readouterr()
+        tree = ["--json", str(tmp_path / "t.json"), "--dot", str(tmp_path / "t.dot")]
+        assert main([command, "--checkpoint", str(ckpt), *(tree if command == "export-tree" else [])]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "t.json").exists()
+
+
+class TestCliConfigFile:
+    def test_not_utf8(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b'{"task": "cf\xff"}')
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg_path}: invalid JSON: ")
+
+    def test_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[" * 100_000)
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg_path}: invalid JSON: ")
+
+    # 2**44 rows or columns of a 20 x 8 model need over 2**50 bytes, more than any 47-bit address
+    # space holds, so numpy's allocation fails at once whatever the machine's overcommit policy
+    @pytest.mark.parametrize("task, section, field", [("cf", "model", "dim"), ("cf", "cage", "levels"),
+                                                      ("ctr", "model", "hidden")])
+    def test_unallocatable_size(self, tmp_path, capsys, task, section, field):
+        data = tmp_path / "d.tsv"
+        _write_interactions(data)
+        doc = _cfg(data, task=task, epochs=1).to_dict()
+        doc[section][field] = 2 ** 44 if field == "dim" else [2 ** 44, *doc[section][field][1:]]
+        assert _train_exit(tmp_path, doc) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "run").exists()
+
+
+_FUZZ_POOL = [None, True, False, 0, 1, -1, 1.5, float("nan"), float("inf"), "x", "",
+              [], [2], [4, 2], [2, 4], [1.5], ["x"], [[1]], [-1], {}, 2 ** 40]
+
+
+class _Hang(Exception):
+    pass
+
+
+class TestCliConfigFuzz:
+    """Seeded config mutations through train, and through evaluate as a checkpoint's stored config.
+
+    Each case must exit 0 or 2; a traceback or a hang fails the test.
+    """
+
+    def _raise_hang(self, signum, frame):
+        raise _Hang()
+
+    def _mutate(self, doc: dict, gen: random.Random) -> dict:
+        doc = copy.deepcopy(doc)
+        if gen.random() < 0.2:
+            doc[gen.choice(["data", "cage", "model", "eval"])] = gen.choice(_FUZZ_POOL)
+            return doc
+        fields = [("", "task")] + [(name, key) for name, section in doc.items() if isinstance(section, dict)
+                                   for key in section]
+        for name, key in gen.sample(fields, gen.randint(1, 2)):
+            value = gen.choice(_FUZZ_POOL)
+            if key == "epochs" and value == 2 ** 40:
+                value = 2  # a long valid run is not a defect
+            (doc[name] if name else doc)[key] = value
+        return doc
+
+    def test_exit_code_is_0_or_2(self, tmp_path):
+        # 20 items per data set: a 20 x 2**40 float64 table is past any 47-bit address space,
+        # so a dim of 2**40 fails to allocate at once whatever the machine's overcommit policy
+        bases = {}
+        for task in ("cf", "ctr", "list-completion"):
+            data = tmp_path / f"{task}.data"
+            if task == "list-completion":
+                _write_lists(data, n_items=20)
+            else:
+                _write_interactions(data)
+            cfg = _cfg(data, task=task, epochs=1)
+            bases[task] = (cfg.to_dict(), run_train(cfg, out_dir=str(tmp_path / task)).checkpoint_path)
+        gen = random.Random(1018)
+        cfg_path, ckpt = tmp_path / "cfg.json", tmp_path / "case.ckpt"
+        previous = signal.signal(signal.SIGALRM, self._raise_hang)
+        try:
+            for case in range(200):
+                doc, base_ckpt = bases[gen.choice(sorted(bases))]
+                doc = self._mutate(doc, gen)
+                cfg_path.write_text(json.dumps(doc))
+                shutil.copyfile(base_ckpt, ckpt)
+                _rewrite_meta(ckpt, lambda meta: meta.update(config=doc))
+                for argv in (["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")],
+                             ["evaluate", "--checkpoint", str(ckpt)]):
+                    signal.alarm(10)
+                    try:
+                        code = main(argv)
+                    except Exception as exc:
+                        pytest.fail(f"case {case}: {argv[0]} on {doc!r} raised {exc!r}")
+                    finally:
+                        signal.alarm(0)
+                    assert code in (0, 2), f"case {case}: {argv[0]} on {doc!r} returned {code}"
+        finally:
+            signal.signal(signal.SIGALRM, previous)
