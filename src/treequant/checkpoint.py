@@ -82,7 +82,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CorruptPayloadError(f"{path}: metadata extends past end of file")
     try:
         meta = json.loads(blob[header_end:header_end + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CorruptPayloadError(f"{path}: bad metadata: {exc}") from exc
     payload = blob[header_end + meta_len:]
 

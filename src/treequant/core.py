@@ -116,19 +116,18 @@ class MlpTape:
 def mlp_apply(layers, x: np.ndarray):
     """Forward through affine layers with ReLU between them (none after the last).
 
-    ``layers`` is a list of (weight, bias) arrays; weight is (fan_in, fan_out),
-    bias is (fan_out,) or (1, fan_out).  Returns (output, tape).
+    ``layers`` is a list of float32 (weight, bias) arrays; weight is
+    (fan_in, fan_out), bias is (fan_out,).  x is (n, fan_in).  Returns
+    (output, tape).
     """
     x = np.asarray(x, dtype=np.float32)
-    if x.ndim == 1:
-        x = x[None, :]
     inputs, pre_acts = [], []
     h = x
     for li, (w, b) in enumerate(layers):
         if h.shape[1] != w.shape[0]:
             raise DimensionError(f"layer {li}: input width {h.shape[1]} != weight fan-in {w.shape[0]}")
         inputs.append(h)
-        z = h @ w + np.ravel(b)[None, :].astype(np.float32)
+        z = h @ w + b
         pre_acts.append(z)
         h = np.maximum(z, 0.0) if li < len(layers) - 1 else z
     return h, MlpTape(inputs=inputs, pre_acts=pre_acts, layers=list(layers))
@@ -141,8 +140,6 @@ def mlp_backward(tape: MlpTape, grad_out: np.ndarray):
     aligned with the forward's layers.
     """
     grad = np.asarray(grad_out, dtype=np.float32)
-    if grad.ndim == 1:
-        grad = grad[None, :]
     param_grads = [None] * len(tape.layers)
     for li in range(len(tape.layers) - 1, -1, -1):
         w, _ = tape.layers[li]

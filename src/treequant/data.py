@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
+from .rng import SeededRng
 
 log = logging.getLogger(__name__)
 
@@ -33,28 +34,11 @@ class ListRecord:
 
 
 class Vocabulary:
-    """Bijective raw-id <-> contiguous-index map, first-seen order, frozen after build."""
+    """Bijective raw-id <-> contiguous-index map in first-seen order; an unknown id raises KeyError."""
 
     def __init__(self, ids=()):
-        self._to_index = {}
-        self._to_id = []
-        self._frozen = False
-        for raw in ids:
-            self.add(raw)
-
-    def add(self, raw: str) -> int:
-        if raw in self._to_index:
-            return self._to_index[raw]
-        if self._frozen:
-            raise KeyError(f"vocabulary is frozen; unknown id {raw!r}")
-        idx = len(self._to_id)
-        self._to_index[raw] = idx
-        self._to_id.append(raw)
-        return idx
-
-    def freeze(self):
-        self._frozen = True
-        return self
+        self._to_id = list(dict.fromkeys(ids))
+        self._to_index = {raw: idx for idx, raw in enumerate(self._to_id)}
 
     def index(self, raw: str) -> int:
         return self._to_index[raw]
@@ -191,13 +175,12 @@ def split_list(items) -> tuple:
     return items[:cut], items[cut:]
 
 
-def partition_lists(records, rng) -> SplitDataset:
+def partition_lists(records, rng: SeededRng) -> SplitDataset:
     """Seeded shuffle then a contiguous 80/10/10 cut (floor for val/test)."""
     records = list(records)
     if not records:
         raise ValueError("nothing to partition")
-    gen = rng.stream("partition") if hasattr(rng, "stream") else rng
-    order = gen.permutation(len(records))
+    order = rng.stream("partition").permutation(len(records))
     shuffled = [records[i] for i in order]
     n_val = n_test = len(records) // 10
     n_train = len(records) - n_val - n_test

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .data import sample_negatives
 
@@ -44,12 +42,11 @@ def ndcg_at_k(result: RankedResult, k: int) -> float:
     return dcg / ideal
 
 
-def hr_at_k(result: RankedResult, k: int, mode: str = "single", normalize: bool = True) -> float:
+def hr_at_k(result: RankedResult, k: int, mode: str = "single") -> float:
     """Hit ratio over the top-k.
 
     single mode: 1 if any relevant item appears in the top-k.
-    multi mode: hits / min(k, |relevant|), or the raw hit count when
-    normalize is False.
+    multi mode: hits / min(k, |relevant|).
     """
     _check(result, k)
     hits = sum(1 for item in result.ranking[:k] if item in result.relevant)
@@ -57,8 +54,6 @@ def hr_at_k(result: RankedResult, k: int, mode: str = "single", normalize: bool 
         return 1.0 if hits > 0 else 0.0
     if mode != "multi":
         raise ValueError(f"unknown HR mode {mode!r}")
-    if not normalize:
-        return float(hits)
     return hits / min(k, len(result.relevant))
 
 

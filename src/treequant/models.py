@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (Adam, Parameter, bce_with_logits_batch, mlp_apply,
                    mlp_backward, mlp_init, softmax_xent_batch)
-from .errors import DimensionError
+from .errors import DimensionError, DivergenceError
 from .quantizer import (BatchTrace, CascadedQuantizer, batch_cage_loss_sum, quantize_batch,
                         ste_backward_batch)
 from .rng import SeededRng, rng_normal_init
@@ -51,7 +51,7 @@ def _gather_rows(full: BatchTrace, idx: np.ndarray):
     # batch_cage_loss_sum sum in; full.sq_dists[:, idx] would come out F-ordered
     trace = BatchTrace(input=full.input[idx], indices=np.take(full.indices, idx, axis=1),
                        codes=np.take(full.codes, idx, axis=1), sq_dists=np.take(full.sq_dists, idx, axis=1),
-                       pooled=full.pooled[idx], fused=full.fused[idx])
+                       fused=full.fused[idx])
     return trace.fused, trace
 
 
@@ -64,25 +64,18 @@ def _check_topk(candidates, n_items: int, k: int) -> np.ndarray:
     return candidates
 
 
-_SCATTER_ROWS = 256  # rows per flat scatter chunk; bounds the flat index array
-
-
 def _scatter_rows(grad: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
     """grad[idx[r]] += values[r] for every r in order, repeats included.
 
-    A 1-D np.add.at on flat element indices, _SCATTER_ROWS rows at a time.
-    Each element receives its contributions in the same row order as the 2-D
-    np.add.at(grad, idx, values), so the sums are bit-identical.
+    One 1-D np.add.at on flat element indices.  Each element receives its
+    contributions in the same row order as the 2-D np.add.at(grad, idx,
+    values), so the sums are bit-identical.
     """
     if not grad.flags.c_contiguous:
         raise ValueError("gradient buffer must be C-contiguous")  # else reshape would copy
     d = grad.shape[1]
-    flat = grad.reshape(-1)
-    cols = np.arange(d, dtype=np.int64)
-    for start in range(0, idx.shape[0], _SCATTER_ROWS):
-        rows = idx[start:start + _SCATTER_ROWS]
-        np.add.at(flat, (rows[:, None] * d + cols).reshape(-1),
-                  values[start:start + _SCATTER_ROWS].reshape(-1))
+    flat_idx = (idx[:, None] * d + np.arange(d, dtype=np.int64)).reshape(-1)
+    np.add.at(grad.reshape(-1), flat_idx, values.reshape(-1))
 
 
 def _route(cage: CascadedQuantizer | None, table: EmbeddingTable, idx: np.ndarray,
@@ -113,7 +106,9 @@ def _values(layers) -> list:
 
 
 def _rank(candidates: np.ndarray, scores: np.ndarray, k: int):
-    """Descending score, ties by ascending candidate index."""
+    """Descending score, ties by ascending candidate index; a score that is not finite raises."""
+    if not np.isfinite(scores).all():
+        raise DivergenceError("non-finite ranking score; the model has diverged")
     order = np.lexsort((candidates, -scores.astype(np.float64)))
     return [int(c) for c in candidates[order[:k]]]
 
@@ -383,9 +378,9 @@ class SeqModel(_Model):
             raise ValueError(f"k={k} exceeds the {self.n_items - len(exclude)} rankable items")
         z_bar, _, _, _, _ = self.encode([list(prefix)])
         scores = (z_bar[0] @ self.items.rows.value.T).astype(np.float64)
-        if exclude:
-            scores[list(exclude)] = -np.inf
-        return _rank(np.arange(self.n_items, dtype=np.int64), scores, k)
+        # every item is ranked, so every score is checked; the excluded ones are dropped after
+        ranking = _rank(np.arange(self.n_items, dtype=np.int64), scores, k + len(exclude))
+        return [c for c in ranking if c not in exclude][:k]
 
 
 def seq_step(model: SeqModel, prefixes, targets) -> dict:

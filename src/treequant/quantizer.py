@@ -9,7 +9,7 @@ nearest-neighbour assignments form a category tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,7 +184,6 @@ class QuantizationTrace:
     indices: list               # chosen index per level
     codes: list                 # chosen code vector per level
     sq_dists: list              # squared distance per level
-    pooled: np.ndarray = None   # average of the chosen codes
     fused: np.ndarray = None    # z
 
 
@@ -196,7 +195,6 @@ class BatchTrace:
     indices: np.ndarray  # (H, n) int64
     codes: np.ndarray    # (H, n, d)
     sq_dists: np.ndarray  # (H, n) float64
-    pooled: np.ndarray = None
     fused: np.ndarray = None
 
     def row(self, i: int) -> QuantizationTrace:
@@ -205,8 +203,7 @@ class BatchTrace:
             indices=[int(j) for j in self.indices[:, i]],
             codes=[self.codes[h, i] for h in range(self.codes.shape[0])],
             sq_dists=[float(d) for d in self.sq_dists[:, i]],
-            pooled=None if self.pooled is None else self.pooled[i],
-            fused=None if self.fused is None else self.fused[i],
+            fused=self.fused[i],
         )
 
 
@@ -225,12 +222,11 @@ def _code_paths(q: CascadedQuantizer):
     return paths, dists, parents
 
 
-def _fuse(q: CascadedQuantizer, codes: np.ndarray):
-    """(pooled, residual) of codes (H, n, d): fused = input + alpha * residual."""
-    pooled = codes.mean(axis=0)
+def _fuse(q: CascadedQuantizer, codes: np.ndarray) -> np.ndarray:
+    """The residual of codes (H, n, d): fused = input + alpha * residual."""
     if q.fusion_mode == AVERAGE:
-        return pooled, pooled
-    return pooled, codes.transpose(1, 0, 2).reshape(codes.shape[1], -1) @ q.projection.value
+        return codes.mean(axis=0)
+    return codes.transpose(1, 0, 2).reshape(codes.shape[1], -1) @ q.projection.value
 
 
 def quantize_batch(q: CascadedQuantizer, x: np.ndarray) -> BatchTrace:
@@ -240,17 +236,14 @@ def quantize_batch(q: CascadedQuantizer, x: np.ndarray) -> BatchTrace:
     so no row's result depends on the other rows of the call.
     """
     x = np.asarray(x, dtype=np.float32)
-    if x.ndim == 1:
-        x = x[None, :]
     if x.shape[1] != q.dim:
         raise DimensionError(f"input dim {x.shape[1]} != quantizer dim {q.dim}")
     j1, d1 = _nearest(q.codebooks[0].entries.value, x)
     paths, dists, _ = _code_paths(q)
     codes = np.stack([cb.entries.value[row] for cb, row in zip(q.codebooks, paths)])  # (H, k1, d)
-    pooled, residual = _fuse(q, codes)
     return BatchTrace(input=x, indices=np.take(paths, j1, axis=1), codes=np.take(codes, j1, axis=1),
                       sq_dists=np.concatenate([d1[None, :], np.take(dists, j1, axis=1)]),
-                      pooled=pooled[j1], fused=x + np.float32(q.alpha) * residual[j1])
+                      fused=x + np.float32(q.alpha) * _fuse(q, codes)[j1])
 
 
 def quantize_cascade(q: CascadedQuantizer, e: np.ndarray) -> QuantizationTrace:
@@ -271,8 +264,7 @@ def _one_row(trace: QuantizationTrace, q: CascadedQuantizer) -> BatchTrace:
 def fuse_codes(trace: QuantizationTrace, q: CascadedQuantizer) -> np.ndarray:
     """Combine the multi-level codes and add them residually to the input."""
     batch = _one_row(trace, q)
-    pooled, residual = _fuse(q, batch.codes)
-    trace.pooled, trace.fused = pooled[0], batch.input[0] + np.float32(q.alpha) * residual[0]
+    trace.fused = batch.input[0] + np.float32(q.alpha) * _fuse(q, batch.codes)[0]
     return trace.fused
 
 

@@ -33,15 +33,10 @@ class SeededRng:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence([self.seed, tag])))
 
 
-def rng_normal_init(rng, rows: int, cols: int, std: float, name: str = "init") -> np.ndarray:
-    """Draw a rows x cols float32 matrix from N(0, std^2).
-
-    ``rng`` may be a SeededRng (a stream named ``name`` is used) or a plain
-    numpy Generator (drawn from directly).
-    """
+def rng_normal_init(rng: SeededRng, rows: int, cols: int, std: float, name: str = "init") -> np.ndarray:
+    """Draw a rows x cols float32 matrix from N(0, std^2) out of rng's stream ``name``."""
     if rows < 1 or cols < 1:
         raise DimensionError(f"matrix dimensions must be >= 1, got {rows}x{cols}")
     if std <= 0:
         raise ValueError(f"std must be > 0, got {std}")
-    gen = rng.stream(name) if isinstance(rng, SeededRng) else rng
-    return gen.normal(0.0, std, size=(rows, cols)).astype(np.float32)
+    return rng.stream(name).normal(0.0, std, size=(rows, cols)).astype(np.float32)

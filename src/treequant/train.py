@@ -13,7 +13,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,8 +57,8 @@ class ListData:
 
 def prepare_interactions(cfg: TrainConfig) -> InteractionData:
     records = D.load_interactions(cfg.data.path, cfg.data.format)
-    user_vocab = D.Vocabulary(rec.user for rec in records).freeze()
-    item_vocab = D.Vocabulary(rec.item for rec in records).freeze()
+    user_vocab = D.Vocabulary(rec.user for rec in records)
+    item_vocab = D.Vocabulary(rec.item for rec in records)
     split = D.leave_one_out(records)
     to_triple = lambda r: (user_vocab.index(r.user), item_vocab.index(r.item), r.label)
     train = [to_triple(r) for r in split.train]
@@ -76,7 +76,7 @@ def prepare_lists(cfg: TrainConfig, rng: SeededRng) -> ListData:
     lists = D.preprocess_lists(lists, cfg.data.min_freq, max(cfg.data.min_len, 2), cfg.data.max_len)
     if not lists:
         raise ConfigError("preprocessing removed every list")
-    vocab = D.Vocabulary(it for rec in lists for it in rec.items).freeze()
+    vocab = D.Vocabulary(it for rec in lists for it in rec.items)
     pairs = []
     for rec in lists:
         prefix, target = D.split_list(rec)

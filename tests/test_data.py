@@ -226,10 +226,10 @@ class TestVocabulary:
         v = Vocabulary(["z", "m", "a"])
         assert [v.raw(i) for i in range(3)] == ["z", "m", "a"]
 
-    def test_frozen_rejects_new_ids(self):
-        v = Vocabulary(["a"]).freeze()
+    def test_unknown_id_raises_key_error(self):
+        v = Vocabulary(["a"])
         with pytest.raises(KeyError):
-            v.add("b")
+            v.index("b")
 
 
 def test_sample_negatives_shortage_is_data_error():

@@ -73,10 +73,6 @@ class TestHr:
         r = RankedResult(ranking=[1, 2, 3, 4], relevant=set(range(1, 9)))
         assert hr_at_k(r, 4, mode="multi") == pytest.approx(1.0)
 
-    def test_multi_raw_count(self):
-        r = RankedResult(ranking=[1, 2, 3], relevant={1, 3, 9})
-        assert hr_at_k(r, 3, mode="multi", normalize=False) == 2.0
-
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             hr_at_k(RankedResult(ranking=[1], relevant={1}), 1, mode="triple")

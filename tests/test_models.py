@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from treequant.core import Parameter, finite_diff_gradient
-from treequant.errors import DimensionError
+from treequant.errors import DimensionError, DivergenceError
 from treequant.metrics import evaluate_completion, evaluate_ranking
 from treequant.models import (CfModel, CtrModel, EmbeddingTable, SeqModel,
                               cf_bpr_step, ctr_step, make_mlp_params,
@@ -338,6 +338,18 @@ class TestPredictCompletion:
         assert a == model.predict_completion([1, 2, 3], k=5)
 
 
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("kind", ["cf", "ctr", "seq"])
+    def test_nan_table_row_raises(self, kind):
+        model = {"cf": _cf, "ctr": _ctr, "seq": _seq}[kind](with_cage=True)
+        model.items.rows.value[5] = np.nan
+        with pytest.raises(DivergenceError, match="non-finite ranking score"):
+            if kind == "seq":
+                model.predict_completion([1, 2], k=3, exclude={1, 2, 5})  # an excluded item's score is checked too
+            else:
+                model.predict_topk(0, [2, 5, 7], k=2)
+
+
 class TestEmbeddingTable:
     def test_same_seed_same_rows(self):
         a = EmbeddingTable.create(SeededRng(1), 5, 3, "user")
@@ -446,7 +458,7 @@ class TestFrozenScope:
         model = _frozen_model("cf", fusion_mode)
         gen = np.random.default_rng(0)
         with model.frozen():
-            # a single row takes a different BLAS path than a block of rows
+            # the 1-row cases guard row-count independence: a row's result must not depend on its call's size
             for n in (1, 1, 1, 2, 3, 17, 40, 59):
                 for fused, cage, table in ((model.fused_user, model.user_cage, model.users),
                                            (model.fused_item, model.item_cage, model.items)):
@@ -650,7 +662,7 @@ class TestStepEqualsPerOccurrence:
 
 
 class TestScatterRows:
-    """The flat chunked scatter adds exactly what the 2-D np.add.at adds."""
+    """The single flat scatter adds exactly what the 2-D np.add.at adds."""
 
     @staticmethod
     def _check(n_rows, idx, values):

@@ -258,7 +258,6 @@ class TestFuseCodes:
         ], alpha=1.0)
         e = np.array([1.0, 1.0], dtype=np.float32)
         trace = quantize_cascade(q, e)
-        assert np.allclose(trace.pooled, [1.0, 1.0])
         assert np.allclose(trace.fused, [2.0, 2.0])
 
     def test_self_code_scaling(self):
@@ -596,7 +595,6 @@ class TestRowCountIndependence:
             assert np.array_equal(part.indices, full.indices[:, idx])
             assert np.array_equal(part.sq_dists, full.sq_dists[:, idx])
             assert np.array_equal(part.codes, full.codes[:, idx])
-            assert np.array_equal(part.pooled, full.pooled[idx])
             assert np.array_equal(part.fused, full.fused[idx])
 
 

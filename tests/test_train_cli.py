@@ -5,12 +5,13 @@ import random
 import resource
 import shutil
 import signal
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from treequant.checkpoint import load_checkpoint
+from treequant.checkpoint import MAGIC, VERSION, load_checkpoint
 from treequant.cli import main
 from treequant.config import config_from_dict
 from treequant import train
@@ -580,6 +581,31 @@ class TestNoTrainingPositives:
         assert err.startswith("error: ") and "no positive interaction" in err
         assert steps == []
         assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
+class TestCliNestedCheckpointMetadata:
+    @pytest.mark.parametrize("command", [["evaluate"], ["inspect-codes"],
+                                         ["export-tree", "--json", "t.json", "--dot", "t.dot"]])
+    def test_is_typed_error(self, tmp_path, capsys, command):
+        meta = b"[" * 100_000  # nests past the recursion limit
+        ckpt = tmp_path / "nested.ckpt"
+        ckpt.write_bytes(MAGIC + struct.pack("<IQ", VERSION, len(meta)) + meta)
+        assert main([command[0], "--checkpoint", str(ckpt), *command[1:]]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {ckpt}: bad metadata: ")
+
+
+class TestCliDivergedScores:
+    """Weights that overflow in the first step give non-finite scores at the epoch's evaluation."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("task", ["cf", "ctr"])
+    def test_is_typed_error(self, tmp_path, capsys, task):
+        data = tmp_path / "d.tsv"
+        _write_interactions(data, n_users=30, n_items=40, per_user=8)
+        doc = _cfg(data, task=task, epochs=1, cage=False, lr=3e38, batch_size=10000).to_dict()
+        doc["eval"]["n_negatives"] = 5
+        assert _train_exit(tmp_path, doc) == 2
+        assert capsys.readouterr().err.startswith("error: non-finite ranking score")
 
 
 class TestCliIncompleteCheckpoint:
