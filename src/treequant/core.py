@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, OracleError
+from .rng import normal_draw
 
 
 @dataclass
@@ -157,7 +158,7 @@ def mlp_init(rng_stream: np.random.Generator, sizes) -> list:
     layers = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         std = float(np.sqrt(2.0 / fan_in))
-        w = rng_stream.normal(0.0, std, size=(fan_in, fan_out)).astype(np.float32)
+        w = normal_draw(rng_stream, std, fan_in, fan_out)
         b = np.zeros(fan_out, dtype=np.float32)
         layers.append((w, b))
     return layers

@@ -28,11 +28,6 @@ class InteractionRecord:
     timestamp: int | None = None
 
 
-@dataclass
-class ListRecord:
-    items: list
-
-
 class Vocabulary:
     """Bijective raw-id <-> contiguous-index map in first-seen order; an unknown id raises KeyError."""
 
@@ -121,7 +116,7 @@ def load_interactions(path, fmt: str = GENERIC_TSV) -> list:
 
 
 def load_lists(path) -> list:
-    """One whitespace-separated item list per line; empty lines are skipped."""
+    """One whitespace-separated item list per line, as a list of raw ids; empty lines are skipped."""
     lists = []
     skipped = 0
     for _, line in read_lines(path):
@@ -129,7 +124,7 @@ def load_lists(path) -> list:
         if not items:
             skipped += 1
             continue
-        lists.append(ListRecord(items=items))
+        lists.append(items)
     if skipped:
         log.warning("%s: skipped %d empty line(s)", path, skipped)
     return lists
@@ -152,7 +147,7 @@ def preprocess_lists(lists, min_freq: int, min_len: int, max_len: int) -> list:
         raise ValueError("min_freq must be >= 1")
     if not 1 <= min_len <= max_len:
         raise ValueError("need 1 <= min_len <= max_len")
-    current = [list(rec.items) if isinstance(rec, ListRecord) else list(rec) for rec in lists]
+    current = [list(items) for items in lists]
     while True:
         freq = {}
         for items in current:
@@ -162,13 +157,12 @@ def preprocess_lists(lists, min_freq: int, min_len: int, max_len: int) -> list:
         trimmed = [items[:max_len] for items in filtered]
         kept = [items for items in trimmed if len(items) >= min_len]
         if kept == current:
-            return [ListRecord(items=items) for items in kept]
+            return kept
         current = kept
 
 
 def split_list(items) -> tuple:
     """Divide a list into (input, target) halves; the input gets the extra item."""
-    items = list(items.items) if isinstance(items, ListRecord) else list(items)
     if len(items) < 2:
         raise ValueError(f"cannot split a list of length {len(items)}")
     cut = (len(items) + 1) // 2

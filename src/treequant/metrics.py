@@ -84,13 +84,13 @@ def evaluate_ranking(model, split, n_negatives: int, ks, rng, positives_by_user=
 
     split is an iterable of (user index, positive item index) pairs.
     positives_by_user maps user index -> full positive set (all splits), used
-    to keep held-out items out of the negative pool.
+    to keep held-out items out of the negative pool.  rng is the
+    numpy Generator the negatives are drawn from.
     """
-    gen = rng.stream("eval-negatives") if hasattr(rng, "stream") else rng
 
     def rank(user, pos_item):
         positives = positives_by_user.get(user, {pos_item}) if positives_by_user else {pos_item}
-        candidates = [pos_item] + sample_negatives(user, n_negatives, model.n_items, positives, gen)
+        candidates = [pos_item] + sample_negatives(user, n_negatives, model.n_items, positives, rng)
         ranking = model.predict_topk(user, candidates, k=len(candidates))
         return RankedResult(ranking=list(ranking), relevant={pos_item})
 

@@ -22,7 +22,7 @@ from .core import (Adam, Parameter, bce_with_logits_batch, mlp_apply,
 from .errors import DimensionError, DivergenceError
 from .quantizer import (BatchTrace, CascadedQuantizer, batch_cage_loss_sum, quantize_batch,
                         ste_backward_batch)
-from .rng import SeededRng, rng_normal_init
+from .rng import SeededRng, normal_draw, rng_normal_init
 
 
 @dataclass
@@ -354,21 +354,23 @@ class SeqModel(_Model):
     def _layer_params(self) -> list:
         return self.encoder_params + self.tree_heads
 
-    def encode(self, prefixes):
-        """Mean-pooled fused prefix embeddings through the encoder MLP.
-
-        Returns (prediction vectors (B, d), flat item index array, segment
-        lengths, flat batch trace or None, encoder tape).
-        """
+    def _flatten(self, prefixes):
+        """(flat item index array, segment lengths) of a batch of nonempty prefixes."""
         if any(len(p) == 0 for p in prefixes):
             raise ValueError("prefixes must be nonempty")
         lens = np.array([len(p) for p in prefixes], dtype=np.int64)
-        flat = _check_indices(np.concatenate([np.asarray(p) for p in prefixes]), self.n_items, "item")
-        z_all, trace = self._fused_rows(self.item_cage, self.items, flat)
+        return _check_indices(np.concatenate([np.asarray(p) for p in prefixes]), self.n_items, "item"), lens
+
+    def _pool(self, z_all: np.ndarray, lens: np.ndarray):
+        """(prediction vectors (B, d), encoder tape): each prefix's mean fused row through the encoder MLP."""
         starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
         pooled = np.add.reduceat(z_all.astype(np.float64), starts, axis=0) / lens[:, None]
-        z_bar, tape = mlp_apply(_values(self.encoder_params), pooled.astype(np.float32))
-        return z_bar, flat, lens, trace, tape
+        return mlp_apply(_values(self.encoder_params), pooled.astype(np.float32))
+
+    def encode(self, prefixes):
+        """Prediction vectors (B, d) and encoder tape of a batch of prefixes."""
+        flat, lens = self._flatten(prefixes)
+        return self._pool(self._fused_rows(self.item_cage, self.items, flat)[0], lens)
 
     def predict_completion(self, prefix, k: int, exclude=()):
         if len(prefix) == 0:
@@ -376,7 +378,7 @@ class SeqModel(_Model):
         exclude = set(int(e) for e in exclude)
         if k > self.n_items - len(exclude):
             raise ValueError(f"k={k} exceeds the {self.n_items - len(exclude)} rankable items")
-        z_bar, _, _, _, _ = self.encode([list(prefix)])
+        z_bar, _ = self.encode([list(prefix)])
         scores = (z_bar[0] @ self.items.rows.value.T).astype(np.float64)
         # every item is ranked, so every score is checked; the excluded ones are dropped after
         ranking = _rank(np.arange(self.n_items, dtype=np.int64), scores, k + len(exclude))
@@ -387,14 +389,17 @@ def seq_step(model: SeqModel, prefixes, targets) -> dict:
     """One step of next-item prediction with auxiliary tree classification.
 
     The target's code indices (recomputed from its current raw embedding,
-    detached) act as per-level classification labels.
+    detached) act as per-level classification labels.  The prefix items and
+    the targets share one cascade.
     """
     t = _check_indices(targets, model.n_items, "item")
     if len(prefixes) != t.shape[0]:
         raise DimensionError("prefixes and targets must align")
     batch = t.shape[0]
 
-    z_bar, flat, lens, trace_pref, tape = model.encode(prefixes)
+    flat, lens = model._flatten(prefixes)
+    (z_all, trace_pref), (_, trace_t) = model._fused_parts(model.item_cage, model.items, [flat, t])
+    z_bar, tape = model._pool(z_all, lens)
     table = model.items.rows.value
 
     logits = z_bar @ table.T
@@ -405,9 +410,7 @@ def seq_step(model: SeqModel, prefixes, targets) -> dict:
     model.items.rows.grad += grad_logits.T @ z_bar  # tied output projection
 
     l_tree = 0.0
-    trace_t = None
     if model.item_cage is not None:
-        _, trace_t = model._fused_rows(model.item_cage, model.items, t)
         h = model.item_cage.depth
         head_scale = np.float32(model.omega_c / (h * batch))
         tree_total = 0.0
@@ -443,7 +446,7 @@ def make_tree_heads(rng: SeededRng, dim: int, sizes) -> list:
     gen = rng.stream("init/tree_heads")
     for i, v in enumerate(sizes, start=1):
         std = float(np.sqrt(2.0 / dim))
-        w = Parameter(gen.normal(0.0, std, size=(dim, v)).astype(np.float32), name=f"tree_head{i}.weight")
+        w = Parameter(normal_draw(gen, std, dim, v), name=f"tree_head{i}.weight")
         b = Parameter(np.zeros(v, dtype=np.float32), name=f"tree_head{i}.bias")
         heads.append((w, b))
     return heads

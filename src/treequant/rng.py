@@ -39,4 +39,12 @@ def rng_normal_init(rng: SeededRng, rows: int, cols: int, std: float, name: str 
         raise DimensionError(f"matrix dimensions must be >= 1, got {rows}x{cols}")
     if std <= 0:
         raise ValueError(f"std must be > 0, got {std}")
-    return rng.stream(name).normal(0.0, std, size=(rows, cols)).astype(np.float32)
+    return normal_draw(rng.stream(name), std, rows, cols)
+
+
+def normal_draw(gen: np.random.Generator, std: float, rows: int, cols: int) -> np.ndarray:
+    """rows x cols float32 N(0, std^2) draws; a shape numpy cannot describe raises DimensionError."""
+    try:
+        return gen.normal(0.0, std, size=(rows, cols)).astype(np.float32)
+    except ValueError as exc:
+        raise DimensionError(f"cannot draw a {rows} x {cols} matrix: {exc}") from None

@@ -76,10 +76,10 @@ def prepare_lists(cfg: TrainConfig, rng: SeededRng) -> ListData:
     lists = D.preprocess_lists(lists, cfg.data.min_freq, max(cfg.data.min_len, 2), cfg.data.max_len)
     if not lists:
         raise ConfigError("preprocessing removed every list")
-    vocab = D.Vocabulary(it for rec in lists for it in rec.items)
+    vocab = D.Vocabulary(it for items in lists for it in items)
     pairs = []
-    for rec in lists:
-        prefix, target = D.split_list(rec)
+    for items in lists:
+        prefix, target = D.split_list(items)
         pairs.append(([vocab.index(i) for i in prefix], [vocab.index(i) for i in target]))
     split = D.partition_lists(pairs, rng)
     return ListData(vocab, split.train, split.validation, split.test)
@@ -196,23 +196,6 @@ def _check_vocab(ckpt: Checkpoint, ds, path):
                             "was trained with (ids added, removed or reordered)")
 
 
-def _check_finite(loss: dict, epoch: int, step: int):
-    for key, value in loss.items():
-        if not math.isfinite(value):
-            raise DivergenceError(f"non-finite {key} at epoch {epoch}, batch {step}")
-
-
-def _run_batches(cfg: TrainConfig, result: TrainResult, epoch: int, order: np.ndarray, step) -> list:
-    """step(batch indices) over each batch of order; returns the epoch's loss dicts."""
-    epoch_losses = []
-    for i, start in enumerate(range(0, len(order), cfg.model.batch_size)):
-        loss = step(order[start:start + cfg.model.batch_size])
-        _check_finite(loss, epoch, i)
-        epoch_losses.append(loss)
-        result.step_losses.append(loss)
-    return epoch_losses
-
-
 def _bpr_negatives(users: np.ndarray, positives_by_user: dict, n_items: int,
                    gen: np.random.Generator) -> np.ndarray:
     """One uniform non-positive item per row, drawn in bulk rounds.
@@ -260,50 +243,57 @@ def _check_eval_units(cfg: TrainConfig, ds, pairs, split: str):
                             f"non-positive items, need {cfg.eval.n_negatives})")
 
 
-def _train_interactions(cfg: TrainConfig, model, ds: InteractionData, result: TrainResult,
-                        rng: SeededRng, log_fh):
-    shuffle_gen = rng.stream("shuffle")
+def _task_examples(cfg: TrainConfig, model, ds, rng: SeededRng):
+    """A function that, at the start of each epoch, gives its example count and step(batch indices).
+
+    cf: the positive pairs, each batch drawing its BPR negatives.  ctr: the
+    positives, then the file's label-0 rows or one negative sampled per
+    positive for the epoch.  list-completion: one example per target item.
+    """
+    if cfg.task == "list-completion":
+        prefixes = [prefix for prefix, targets in ds.train_pairs for _ in targets]
+        targets = np.array([t for _, targets in ds.train_pairs for t in targets], dtype=np.int64)
+
+        def seq(b):
+            return seq_step(model, [prefixes[i] for i in b], targets[b])
+        return lambda: (len(prefixes), seq)
     neg_gen = rng.stream("negative-sampling")
     positives = np.array([(u, i) for u, i, lbl in ds.train if lbl is None or lbl == 1], dtype=np.int64)
-    explicit_neg = np.array([(u, i) for u, i, lbl in ds.train if lbl == 0], dtype=np.int64).reshape(-1, 2)
+    if cfg.task == "cf":
+        def cf(b):
+            users = positives[b, 0]
+            neg = _bpr_negatives(users, ds.positives_by_user, model.n_items, neg_gen)
+            return cf_bpr_step(model, users, positives[b, 1], neg)
+        return lambda: (len(positives), cf)
+    pos_rows = np.column_stack([positives, np.ones(len(positives), dtype=np.int64)])
+    explicit_neg = np.array([(u, i, 0) for u, i, lbl in ds.train if lbl == 0], dtype=np.int64).reshape(-1, 3)
     implicit = all(lbl is None for _, _, lbl in ds.train)
 
-    def cf_step(batch_idx):
-        users = positives[batch_idx, 0]
-        neg = _bpr_negatives(users, ds.positives_by_user, model.n_items, neg_gen)
-        return cf_bpr_step(model, users, positives[batch_idx, 1], neg)
-
-    for epoch in range(1, cfg.model.epochs + 1):
-        if cfg.task == "cf":
-            epoch_losses = _run_batches(cfg, result, epoch, shuffle_gen.permutation(positives.shape[0]), cf_step)
-        else:  # ctr
-            if implicit:
-                neg_items = _bpr_negatives(positives[:, 0], ds.positives_by_user, model.n_items, neg_gen)
-                neg_rows = np.stack([positives[:, 0], neg_items], axis=1)
-            else:
-                neg_rows = explicit_neg
-            samples = np.concatenate([
-                np.column_stack([positives, np.ones(len(positives), dtype=np.int64)]),
-                np.column_stack([neg_rows, np.zeros(len(neg_rows), dtype=np.int64)]),
-            ])
-            epoch_losses = _run_batches(
-                cfg, result, epoch, shuffle_gen.permutation(samples.shape[0]),
-                lambda b: ctr_step(model, samples[b, 0], samples[b, 1], samples[b, 2]))
-        _finish_epoch(cfg, model, ds, result, log_fh, epoch, epoch_losses)
+    def ctr_epoch():
+        negatives = explicit_neg
+        if implicit:
+            neg_items = _bpr_negatives(positives[:, 0], ds.positives_by_user, model.n_items, neg_gen)
+            negatives = np.column_stack([positives[:, 0], neg_items, np.zeros_like(neg_items)])
+        samples = np.concatenate([pos_rows, negatives])
+        return len(samples), lambda b: ctr_step(model, samples[b, 0], samples[b, 1], samples[b, 2])
+    return ctr_epoch
 
 
-def _train_lists(cfg: TrainConfig, model: SeqModel, ds: ListData, result: TrainResult,
-                 rng: SeededRng, log_fh):
+def _train(cfg: TrainConfig, model, ds, result: TrainResult, rng: SeededRng, log_fh):
+    """Every task's epochs: shuffle the epoch's examples, run and check each batch, then validate."""
     shuffle_gen = rng.stream("shuffle")
-    # one training example per target item
-    examples = [(prefix, target_item) for prefix, targets in ds.train_pairs for target_item in targets]
-
-    def step(batch_idx):
-        batch = [examples[i] for i in batch_idx]
-        return seq_step(model, [b[0] for b in batch], np.array([b[1] for b in batch], dtype=np.int64))
-
+    epoch_examples = _task_examples(cfg, model, ds, rng)
     for epoch in range(1, cfg.model.epochs + 1):
-        epoch_losses = _run_batches(cfg, result, epoch, shuffle_gen.permutation(len(examples)), step)
+        n, step = epoch_examples()
+        order = shuffle_gen.permutation(n)
+        epoch_losses = []
+        for i, start in enumerate(range(0, n, cfg.model.batch_size)):
+            loss = step(order[start:start + cfg.model.batch_size])
+            for key, value in loss.items():
+                if not math.isfinite(value):
+                    raise DivergenceError(f"non-finite {key} at epoch {epoch}, batch {i}")
+            epoch_losses.append(loss)
+            result.step_losses.append(loss)
         _finish_epoch(cfg, model, ds, result, log_fh, epoch, epoch_losses)
 
 
@@ -376,9 +366,8 @@ def run_train(cfg: TrainConfig, out_dir: str | None = None) -> TrainResult:
     model = build_model(cfg, n_users=n_users, n_items=len(ds.item_vocab))
 
     result = TrainResult(model=model, config=cfg, step_losses=[], epoch_metrics=[], dataset=ds)
-    train = _train_lists if cfg.task == "list-completion" else _train_interactions
     if out_dir is None:
-        train(cfg, model, ds, result, rng, None)
+        _train(cfg, model, ds, result, rng, None)
         return result
 
     # the log is written as the run goes, so a diverged run leaves its finished epochs
@@ -386,7 +375,7 @@ def run_train(cfg: TrainConfig, out_dir: str | None = None) -> TrainResult:
     log_path = os.path.join(out_dir, "train_log.jsonl")
     with open(log_path, "w", encoding="utf-8") as log_fh:
         _write_log(log_fh, [{"config": cfg.to_dict()}])
-        train(cfg, model, ds, result, rng, log_fh)
+        _train(cfg, model, ds, result, rng, log_fh)
     ckpt_path = os.path.join(out_dir, "model.ckpt")
     tensors = {name: p.value for name, p in model.named_parameters().items()}
     save_checkpoint(ckpt_path, cfg.to_dict(), cfg.model.epochs, {"seed": cfg.model.seed},

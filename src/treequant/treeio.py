@@ -63,9 +63,10 @@ def tree_from_dict(doc: dict) -> CategoryTree:
 
 
 def write_tree_json(tree: CategoryTree, path) -> None:
+    """One json.dumps, then one write: json.dump to a file encodes chunk by chunk in Python."""
+    text = json.dumps(tree_to_dict(tree), sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tree_to_dict(tree), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_tree_json(path) -> CategoryTree:

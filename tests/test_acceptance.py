@@ -16,7 +16,7 @@ import pytest
 
 from treequant.config import config_from_dict
 from treequant.checkpoint import load_checkpoint, save_checkpoint
-from treequant.data import ListRecord, preprocess_lists
+from treequant.data import preprocess_lists
 from treequant.metrics import RankedResult, evaluate_ranking, ndcg_at_k
 from treequant.models import CfModel, CtrModel, EmbeddingTable, cf_bpr_step
 from treequant.quantizer import (Codebook, make_quantizer, nearest_code,
@@ -456,7 +456,7 @@ def test_criterion_8_metric_closed_forms():
         )
         gen = np.random.default_rng(8)
         split = [(u, int(gen.integers(0, n_items))) for u in range(n_units)]
-        report = evaluate_ranking(model, split, n_negatives=99, ks=[10], rng=SeededRng(9))
+        report = evaluate_ranking(model, split, n_negatives=99, ks=[10], rng=SeededRng(9).stream("eval-negatives"))
         hr = report.values["hr@10"]
         assert abs(hr - 0.1) <= 0.02, f"untrained HR@10 {hr:.4f} outside 0.1 +/- 0.02"
     except AssertionError as exc:
@@ -534,9 +534,8 @@ def test_criterion_10_preprocessing_fixed_point():
             min_freq = int(gen.integers(1, 5))
             max_len = int(gen.integers(2, 10))
             first = preprocess_lists(corpus, min_freq=min_freq, min_len=2, max_len=max_len)
-            again = preprocess_lists([l.items for l in first], min_freq=min_freq,
-                                     min_len=2, max_len=max_len)
-            assert [l.items for l in again] == [l.items for l in first], f"corpus {trial}"
+            again = preprocess_lists(first, min_freq=min_freq, min_len=2, max_len=max_len)
+            assert again == first, f"corpus {trial}"
     except AssertionError as exc:
         _report(10, "FAIL", str(exc))
         raise

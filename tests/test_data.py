@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treequant.data import (InteractionRecord, ListRecord, Vocabulary,
+from treequant.data import (InteractionRecord, Vocabulary,
                             leave_one_out, load_interactions, load_lists,
                             partition_lists, preprocess_lists,
                             sample_negatives, split_list)
@@ -62,19 +62,19 @@ class TestLoadLists:
         p = tmp_path / "l.txt"
         p.write_text("a b c\n")
         lists = load_lists(p)
-        assert lists == [ListRecord(items=["a", "b", "c"])]
+        assert lists == [["a", "b", "c"]]
 
     def test_order_preserved(self, tmp_path):
         p = tmp_path / "l.txt"
         p.write_text("x y\nz\n")
         lists = load_lists(p)
-        assert [l.items for l in lists] == [["x", "y"], ["z"]]
+        assert lists == [["x", "y"], ["z"]]
 
     def test_empty_lines_skipped(self, tmp_path):
         p = tmp_path / "l.txt"
         p.write_text("a b\n\n c d \n")
         lists = load_lists(p)
-        assert [l.items for l in lists] == [["a", "b"], ["c", "d"]]
+        assert lists == [["a", "b"], ["c", "d"]]
 
     def test_non_utf8_names_file_and_line(self, tmp_path):
         p = tmp_path / "l.txt"
@@ -87,14 +87,14 @@ class TestLoadLists:
         original = [[f"i{gen.integers(100)}" for _ in range(int(gen.integers(1, 8)))] for _ in range(10)]
         p = tmp_path / "rt.txt"
         p.write_text("".join(" ".join(items) + "\n" for items in original))
-        assert [l.items for l in load_lists(p)] == original
+        assert load_lists(p) == original
 
 
 class TestPreprocessLists:
     def test_noop_when_all_pass(self):
         lists = [["a", "b"], ["a", "c"], ["b", "c"]]
         out = preprocess_lists(lists, min_freq=1, min_len=2, max_len=10)
-        assert [l.items for l in out] == lists
+        assert out == lists
 
     def test_hand_traced_cascade_to_empty(self):
         lists = [["1", "2"], ["2", "3"], ["3"]]
@@ -107,13 +107,13 @@ class TestPreprocessLists:
             lists = [[str(gen.integers(12)) for _ in range(int(gen.integers(1, 15)))]
                      for _ in range(int(gen.integers(1, 30)))]
             out = preprocess_lists(lists, min_freq=3, min_len=2, max_len=6)
-            again = preprocess_lists([l.items for l in out], min_freq=3, min_len=2, max_len=6)
-            assert [l.items for l in again] == [l.items for l in out]
+            again = preprocess_lists(out, min_freq=3, min_len=2, max_len=6)
+            assert again == out
 
     def test_truncation_keeps_prefix(self):
         lists = [["a", "b", "c", "d"]] * 3
         out = preprocess_lists(lists, min_freq=1, min_len=1, max_len=2)
-        assert all(l.items == ["a", "b"] for l in out)
+        assert all(l == ["a", "b"] for l in out)
 
 
 class TestSplitList:

@@ -109,7 +109,7 @@ class TestEvaluateRanking:
         model = _RandomScorer(400, 500, seed=3)
         split = [(u, u % 500) for u in range(400)]
         report = evaluate_ranking(model, split, n_negatives=99, ks=[10],
-                                  rng=SeededRng(5))
+                                  rng=SeededRng(5).stream("eval-negatives"))
         assert report.count == 400
         assert report.values["hr@10"] == pytest.approx(0.1, abs=0.05)
 
@@ -117,15 +117,15 @@ class TestEvaluateRanking:
         model = _OracleScorer(50)
         split = [(0, 0)] * 20
         report = evaluate_ranking(model, split, n_negatives=10, ks=[1],
-                                  rng=SeededRng(1))
+                                  rng=SeededRng(1).stream("eval-negatives"))
         assert report.values["hr@1"] == 1.0
         assert report.values["ndcg@1"] == 1.0
 
     def test_deterministic_under_seed(self):
         model = _RandomScorer(30, 60, seed=9)
         split = [(u, 2 * u) for u in range(30)]
-        a = evaluate_ranking(model, split, 20, [5, 10], SeededRng(4))
-        b = evaluate_ranking(model, split, 20, [5, 10], SeededRng(4))
+        a = evaluate_ranking(model, split, 20, [5, 10], SeededRng(4).stream("eval-negatives"))
+        b = evaluate_ranking(model, split, 20, [5, 10], SeededRng(4).stream("eval-negatives"))
         assert a.values == b.values
 
     def test_held_out_positives_excluded_from_negatives(self):
@@ -135,13 +135,13 @@ class TestEvaluateRanking:
         # above item 5, so hr@1 must be exactly 1.
         split = [(0, 4)] * 10
         report = evaluate_ranking(model, split, n_negatives=1, ks=[1],
-                                  rng=SeededRng(0),
+                                  rng=SeededRng(0).stream("eval-negatives"),
                                   positives_by_user={0: {0, 1, 2, 3, 4}})
         assert report.values["hr@1"] == 1.0
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_ranking(_OracleScorer(5), [], 2, [1], SeededRng(0))
+            evaluate_ranking(_OracleScorer(5), [], 2, [1], SeededRng(0).stream("eval-negatives"))
 
 
 class _CompletionOracle:
@@ -191,8 +191,8 @@ class TestRepeatedK:
     def test_ranking(self):
         model = _RandomScorer(30, 60, seed=9)
         split = [(u, 2 * u) for u in range(30)]
-        once = evaluate_ranking(model, split, 20, [2], SeededRng(4))
-        twice = evaluate_ranking(model, split, 20, [2, 2], SeededRng(4))
+        once = evaluate_ranking(model, split, 20, [2], SeededRng(4).stream("eval-negatives"))
+        twice = evaluate_ranking(model, split, 20, [2, 2], SeededRng(4).stream("eval-negatives"))
         assert twice.to_dict() == once.to_dict()
         assert 0.0 < once.values["hr@2"] <= 1.0
 

@@ -436,9 +436,9 @@ class TestFrozenScope:
     def test_ranking_report_equals_per_call(self, task, fusion_mode, count_quantize):
         model = _frozen_model(task, fusion_mode)
         split = [(u, (3 * u) % 40) for u in range(30)]
-        frozen = evaluate_ranking(model, split, 20, [1, 5, 10], SeededRng(4))
+        frozen = evaluate_ranking(model, split, 20, [1, 5, 10], SeededRng(4).stream("eval-negatives"))
         n_frozen = len(count_quantize)
-        reference = evaluate_ranking(_PerCall(model), split, 20, [1, 5, 10], SeededRng(4))
+        reference = evaluate_ranking(_PerCall(model), split, 20, [1, 5, 10], SeededRng(4).stream("eval-negatives"))
         assert frozen == reference
         # one whole-table pass per quantized side instead of two cascades per unit
         assert count_quantize[:n_frozen] == [30, 40]
@@ -604,8 +604,8 @@ def _distinct_rows(task, args):
     if task == "ctr":
         users, items, _ = args
         return [np.unique(users).size, np.unique(items).size]
-    prefixes, targets = args
-    return [np.unique(np.concatenate(prefixes)).size, np.unique(targets).size]
+    prefixes, targets = args  # one cascade serves the prefix items and the targets
+    return [np.unique(np.concatenate([*prefixes, targets])).size]
 
 
 _STEPS = {"cf": cf_bpr_step, "ctr": ctr_step, "seq": seq_step}

@@ -138,6 +138,48 @@ class TestRunTrain:
         assert result.step_losses
         assert all(np.isfinite(l["l_total"]) for l in result.step_losses)
 
+    @pytest.mark.parametrize("labels", [False, True])
+    def test_ctr_epoch_examples(self, tmp_path, monkeypatch, labels):
+        """Each ctr epoch steps over the positives plus one sampled negative each, or plus the file's label-0 rows."""
+        rows, draws = [], []
+        real_step, real_stream = train.ctr_step, SeededRng.stream
+
+        def recording_step(model, users, items, y):
+            rows.extend(zip(users.tolist(), items.tolist(), y.tolist()))
+            return real_step(model, users, items, y)
+
+        class Watched:  # forwards to the generator and records every use of it
+            def __init__(self, gen):
+                self._gen = gen
+
+            def __getattr__(self, name):
+                draws.append(name)
+                return getattr(self._gen, name)
+
+        def stream(rng, name):
+            gen = real_stream(rng, name)
+            return Watched(gen) if name == "negative-sampling" else gen
+
+        monkeypatch.setattr(train, "ctr_step", recording_step)
+        monkeypatch.setattr(SeededRng, "stream", stream)
+        data = tmp_path / "d.tsv"
+        _write_interactions(data, labels=labels)
+        if not labels:  # an empty label field: every row is an implicit positive
+            data.write_text(data.read_text().replace("\t1\t", "\t\t"))
+        ds = run_train(_cfg(data, task="ctr", epochs=2), out_dir=None).dataset
+        positives = sorted((u, i, 1) for u, i, lbl in ds.train if lbl in (None, 1))
+        n = len(positives) + (sum(lbl == 0 for *_, lbl in ds.train) if labels else len(positives))
+        assert len(rows) == 2 * n
+        for epoch in (rows[:n], rows[n:]):
+            assert sorted(r for r in epoch if r[2] == 1) == positives
+            negatives = sorted(r for r in epoch if r[2] == 0)
+            if labels:
+                assert negatives == sorted((u, i, 0) for u, i, lbl in ds.train if lbl == 0)
+            else:
+                assert sorted(u for u, _, _ in negatives) == sorted(u for u, _, _ in positives)
+                assert all(i not in ds.positives_by_user[u] for u, i, _ in negatives)
+        assert (draws == []) == labels
+
     def test_list_completion_task_trains(self, tmp_path):
         data = tmp_path / "lists.txt"
         _write_lists(data)
@@ -934,6 +976,19 @@ class TestCliConfigFile:
         _write_interactions(data)
         doc = _cfg(data, task=task, epochs=1).to_dict()
         doc[section][field] = 2 ** 44 if field == "dim" else [2 ** 44, *doc[section][field][1:]]
+        assert _train_exit(tmp_path, doc) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "run").exists()
+
+    # sizes numpy cannot even describe as an array shape: it raises ValueError, not MemoryError
+    @pytest.mark.parametrize("task, section, field, value", [
+        ("cf", "model", "dim", 2 ** 62), ("cf", "model", "dim", 10 ** 400),
+        ("cf", "cage", "levels", [2 ** 64, 4]), ("ctr", "model", "hidden", [2 ** 64])])
+    def test_size_past_numpy_limits(self, tmp_path, capsys, task, section, field, value):
+        data = tmp_path / "d.tsv"
+        _write_interactions(data)
+        doc = _cfg(data, task=task, epochs=1).to_dict()
+        doc[section][field] = value
         assert _train_exit(tmp_path, doc) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "run").exists()
