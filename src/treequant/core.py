@@ -21,14 +21,11 @@ class Parameter:
 
     value: np.ndarray
     name: str
-    grad: np.ndarray = field(default=None)
+    grad: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.value = np.asarray(self.value, dtype=np.float32)
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        elif self.grad.shape != self.value.shape:
-            raise DimensionError(f"{self.name}: grad shape {self.grad.shape} != value shape {self.value.shape}")
+        self.grad = np.zeros_like(self.value)
 
     def zero_grad(self):
         self.grad[...] = 0.0
@@ -45,12 +42,10 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def for_param(cls, param: Parameter, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
+    def for_param(cls, param: Parameter, lr: float, eps: float = 1e-8):
         if eps <= 0:
             raise ValueError("eps must be > 0")
-        return cls(m=np.zeros_like(param.value), v=np.zeros_like(param.value), t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        return cls(m=np.zeros_like(param.value), v=np.zeros_like(param.value), t=0, lr=lr, eps=eps)
 
 
 def adam_step(param: Parameter, state: AdamState) -> None:
@@ -94,8 +89,8 @@ def adam_step(param: Parameter, state: AdamState) -> None:
 class Adam:
     """Convenience wrapper holding one AdamState per parameter."""
 
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.slots = [(p, AdamState.for_param(p, lr, beta1, beta2, eps)) for p in params]
+    def __init__(self, params, lr: float):
+        self.slots = [(p, AdamState.for_param(p, lr)) for p in params]
 
     def step(self):
         for p, s in self.slots:

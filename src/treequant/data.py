@@ -24,7 +24,7 @@ MOVIELENS_POSITIVE_THRESHOLD = 4
 class InteractionRecord:
     user: str
     item: str
-    label: int | None = None
+    label: int = 1  # 0 is a negative, 1 a positive
     timestamp: int | None = None
 
 
@@ -73,7 +73,7 @@ def read_lines(path, error=DataError):
 def load_interactions(path, fmt: str = GENERIC_TSV) -> list:
     """Parse an interaction file.
 
-    generic-tsv lines: user <TAB> item [<TAB> label [<TAB> timestamp]]
+    generic-tsv lines: user <TAB> item [<TAB> label [<TAB> timestamp]]; no label is 1.
     movielens-100k lines: user <TAB> item <TAB> rating <TAB> timestamp,
     with the rating binarized at >= MOVIELENS_POSITIVE_THRESHOLD.
     """
@@ -90,7 +90,7 @@ def load_interactions(path, fmt: str = GENERIC_TSV) -> list:
                 if not 2 <= len(fields) <= 4:
                     raise ValueError(f"expected 2-4 tab-separated fields, got {len(fields)}")
                 user, item = fields[0], fields[1]
-                label = None
+                label = 1
                 ts = None
                 if len(fields) >= 3 and fields[2] != "":
                     label = int(fields[2])
@@ -188,10 +188,10 @@ def partition_lists(records, rng: SeededRng) -> SplitDataset:
 def leave_one_out(interactions) -> SplitDataset:
     """Per-user holdout: last positive to test, second-last to validation.
 
-    Positives are records whose label is 1 or absent.  Ordering is by
-    timestamp when present, with file order breaking ties.  Users with fewer
-    than 3 positives contribute everything to train.  Negative-labelled
-    records always stay in train.
+    A record is a negative if its label is 0 and a positive otherwise.
+    Ordering is by timestamp when present, with file order breaking ties.
+    Users with fewer than 3 positives contribute everything to train.
+    Negatives always stay in train.
     """
     by_user = {}
     for pos_in_file, rec in enumerate(interactions):
@@ -199,7 +199,7 @@ def leave_one_out(interactions) -> SplitDataset:
     train, val, test = [], [], []
     for user in by_user:
         entries = by_user[user]
-        positives = [(i, r) for i, r in entries if r.label is None or r.label == 1]
+        positives = [(i, r) for i, r in entries if r.label != 0]
         negatives = [r for _, r in entries if r.label == 0]
         train.extend(negatives)
         if len(positives) < 3:

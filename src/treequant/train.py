@@ -41,7 +41,7 @@ class InteractionData:
 
     user_vocab: D.Vocabulary
     item_vocab: D.Vocabulary
-    train: list                  # (user, item, label) triples; label None = implicit positive
+    train: list                  # (user, item, label) triples; label 0 is a negative, 1 a positive
     val_pairs: list              # (user, positive item)
     test_pairs: list
     positives_by_user: dict      # user -> set of positive items over all splits
@@ -60,14 +60,12 @@ def prepare_interactions(cfg: TrainConfig) -> InteractionData:
     user_vocab = D.Vocabulary(rec.user for rec in records)
     item_vocab = D.Vocabulary(rec.item for rec in records)
     split = D.leave_one_out(records)
-    to_triple = lambda r: (user_vocab.index(r.user), item_vocab.index(r.item), r.label)
-    train = [to_triple(r) for r in split.train]
+    train = [(user_vocab.index(r.user), item_vocab.index(r.item), r.label) for r in split.train]
     val_pairs = [(user_vocab.index(r.user), item_vocab.index(r.item)) for r in split.validation]
     test_pairs = [(user_vocab.index(r.user), item_vocab.index(r.item)) for r in split.test]
     positives = {}
-    for rec in records:
-        if rec.label is None or rec.label == 1:
-            positives.setdefault(user_vocab.index(rec.user), set()).add(item_vocab.index(rec.item))
+    for user, item in [(u, i) for u, i, label in train if label != 0] + val_pairs + test_pairs:
+        positives.setdefault(user, set()).add(item)
     return InteractionData(user_vocab, item_vocab, train, val_pairs, test_pairs, positives)
 
 
@@ -247,8 +245,9 @@ def _task_examples(cfg: TrainConfig, model, ds, rng: SeededRng):
     """A function that, at the start of each epoch, gives its example count and step(batch indices).
 
     cf: the positive pairs, each batch drawing its BPR negatives.  ctr: the
-    positives, then the file's label-0 rows or one negative sampled per
-    positive for the epoch.  list-completion: one example per target item.
+    positives, then the split's label-0 rows, or, when it has none, one
+    negative sampled per positive for the epoch.  list-completion: one
+    example per target item.
     """
     if cfg.task == "list-completion":
         prefixes = [prefix for prefix, targets in ds.train_pairs for _ in targets]
@@ -258,23 +257,21 @@ def _task_examples(cfg: TrainConfig, model, ds, rng: SeededRng):
             return seq_step(model, [prefixes[i] for i in b], targets[b])
         return lambda: (len(prefixes), seq)
     neg_gen = rng.stream("negative-sampling")
-    positives = np.array([(u, i) for u, i, lbl in ds.train if lbl is None or lbl == 1], dtype=np.int64)
+    rows = np.array(ds.train, dtype=np.int64).reshape(-1, 3)
+    positives, negatives = rows[rows[:, 2] != 0], rows[rows[:, 2] == 0]
     if cfg.task == "cf":
         def cf(b):
             users = positives[b, 0]
             neg = _bpr_negatives(users, ds.positives_by_user, model.n_items, neg_gen)
             return cf_bpr_step(model, users, positives[b, 1], neg)
         return lambda: (len(positives), cf)
-    pos_rows = np.column_stack([positives, np.ones(len(positives), dtype=np.int64)])
-    explicit_neg = np.array([(u, i, 0) for u, i, lbl in ds.train if lbl == 0], dtype=np.int64).reshape(-1, 3)
-    implicit = all(lbl is None for _, _, lbl in ds.train)
 
     def ctr_epoch():
-        negatives = explicit_neg
-        if implicit:
+        sampled = negatives
+        if not len(negatives):
             neg_items = _bpr_negatives(positives[:, 0], ds.positives_by_user, model.n_items, neg_gen)
-            negatives = np.column_stack([positives[:, 0], neg_items, np.zeros_like(neg_items)])
-        samples = np.concatenate([pos_rows, negatives])
+            sampled = np.column_stack([positives[:, 0], neg_items, np.zeros_like(neg_items)])
+        samples = np.concatenate([positives, sampled])
         return len(samples), lambda b: ctr_step(model, samples[b, 0], samples[b, 1], samples[b, 2])
     return ctr_epoch
 
@@ -358,7 +355,7 @@ def run_train(cfg: TrainConfig, out_dir: str | None = None) -> TrainResult:
     ds = _prepare(cfg)
     n_users = 1
     if isinstance(ds, InteractionData):
-        if not any(lbl is None or lbl == 1 for _, _, lbl in ds.train):
+        if not ds.positives_by_user:  # a user with a positive keeps one in the training split
             raise DataError(f"{cfg.data.path}: the training split has no positive interaction "
                             "(label 1 or unlabelled)")
         n_users = len(ds.user_vocab)

@@ -15,6 +15,10 @@ class TestLoadInteractions:
         p.write_text("u1\ti9\t1\n")
         recs = load_interactions(p, "generic-tsv")
         assert recs == [InteractionRecord(user="u1", item="i9", label=1, timestamp=None)]
+        # no label field, or an empty one, loads as label 1; a blank line is skipped
+        p.write_text("u1\ti9\n\nu2\ti8\t\t4\n")
+        assert load_interactions(p, "generic-tsv") == [InteractionRecord("u1", "i9", 1, None),
+                                                       InteractionRecord("u2", "i8", 1, 4)]
 
     def test_movielens_binarization(self, tmp_path):
         p = tmp_path / "u.data"
@@ -29,6 +33,12 @@ class TestLoadInteractions:
         p.write_text("lonely\n")
         with pytest.raises(DataError, match="line 1"):
             load_interactions(p, "generic-tsv")
+        for fmt, text, why in [
+                ("movielens-100k", "1\t2\t5\t9\n1\t2\t5\n", "expected 4 tab-separated fields, got 3"),
+                ("generic-tsv", "u1\ti1\n\ti2\t1\n", "empty user or item id")]:
+            p.write_text(text)
+            with pytest.raises(DataError, match=rf"bad\.tsv: line 2: {why}$"):
+                load_interactions(p, fmt)
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.tsv"

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treequant.checkpoint import MAGIC, VERSION, load_checkpoint
+from treequant.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from treequant.cli import main
 from treequant.config import config_from_dict
 from treequant import train
@@ -138,9 +138,10 @@ class TestRunTrain:
         assert result.step_losses
         assert all(np.isfinite(l["l_total"]) for l in result.step_losses)
 
-    @pytest.mark.parametrize("labels", [False, True])
+    # the label field is empty (False), 0 or 1 at random (True), or 1 on every row ("ones")
+    @pytest.mark.parametrize("labels", [False, True, "ones"])
     def test_ctr_epoch_examples(self, tmp_path, monkeypatch, labels):
-        """Each ctr epoch steps over the positives plus one sampled negative each, or plus the file's label-0 rows."""
+        """Each ctr epoch steps over the positives plus the file's label-0 rows, or else one sampled negative each."""
         rows, draws = [], []
         real_step, real_stream = train.ctr_step, SeededRng.stream
 
@@ -163,22 +164,23 @@ class TestRunTrain:
         monkeypatch.setattr(train, "ctr_step", recording_step)
         monkeypatch.setattr(SeededRng, "stream", stream)
         data = tmp_path / "d.tsv"
-        _write_interactions(data, labels=labels)
-        if not labels:  # an empty label field: every row is an implicit positive
+        labelled = labels is True
+        _write_interactions(data, labels=labelled)
+        if labels is False:  # an empty label field: every row is an implicit positive
             data.write_text(data.read_text().replace("\t1\t", "\t\t"))
         ds = run_train(_cfg(data, task="ctr", epochs=2), out_dir=None).dataset
         positives = sorted((u, i, 1) for u, i, lbl in ds.train if lbl in (None, 1))
-        n = len(positives) + (sum(lbl == 0 for *_, lbl in ds.train) if labels else len(positives))
+        n = len(positives) + (sum(lbl == 0 for *_, lbl in ds.train) if labelled else len(positives))
         assert len(rows) == 2 * n
         for epoch in (rows[:n], rows[n:]):
             assert sorted(r for r in epoch if r[2] == 1) == positives
             negatives = sorted(r for r in epoch if r[2] == 0)
-            if labels:
+            if labelled:
                 assert negatives == sorted((u, i, 0) for u, i, lbl in ds.train if lbl == 0)
             else:
                 assert sorted(u for u, _, _ in negatives) == sorted(u for u, _, _ in positives)
                 assert all(i not in ds.positives_by_user[u] for u, i, _ in negatives)
-        assert (draws == []) == labels
+        assert (draws == []) == labelled
 
     def test_list_completion_task_trains(self, tmp_path):
         data = tmp_path / "lists.txt"
@@ -324,12 +326,15 @@ class TestCli:
         vocab = load_checkpoint(ckpt).vocab["items"]
         labels = tmp_path / "labels.tsv"
         lines = [f"{raw}\tcat{idx % 2}" for idx, raw in enumerate(vocab)]
-        lines.append("unknown_item\tcat0")
+        lines += ["", "unknown_item\tcat0"]  # a blank line is skipped without a count
         labels.write_text("\n".join(lines) + "\n")
         assert main(["inspect-codes", "--checkpoint", str(ckpt), "--labels", str(labels)]) == 0
         out = capsys.readouterr().out
         assert "categories" in out
         assert "skipped 1" in out
+        labels.write_text(f"{vocab[0]}\tcat0\n{vocab[1]}\tcat1\textra\n")
+        assert main(["inspect-codes", "--checkpoint", str(ckpt), "--labels", str(labels)]) == 2
+        assert capsys.readouterr().err == f"error: {labels}: line 2: expected 'id<TAB>category'\n"
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 2
@@ -675,8 +680,9 @@ class TestCliNegativeSeed:
 
 
 class TestCliMissingTable:
+    # mlp.layer0.bias is checked only when the built model's tensors are filled in
     @pytest.mark.parametrize("task, table", [("cf", "user_table"), ("cf", "item_table"),
-                                             ("list-completion", "item_table")])
+                                             ("list-completion", "item_table"), ("ctr", "mlp.layer0.bias")])
     def test_evaluate_names_the_table(self, tmp_path, capsys, task, table):
         ckpt = TestCli()._train(tmp_path, task=task)
 
@@ -685,6 +691,24 @@ class TestCliMissingTable:
         _rewrite_meta(ckpt, rename)
         assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
         assert capsys.readouterr().err == f"error: checkpoint is missing tensor '{table}'\n"
+
+    def test_evaluate_names_a_reshaped_tensor(self, tmp_path, capsys):
+        ckpt = TestCli()._train(tmp_path, task="ctr")
+
+        def reshape(meta):  # the same 8 floats as a (1, 8) row
+            next(t for t in meta["tensors"] if t["name"] == "mlp.layer0.bias")["shape"] = [1, 8]
+        _rewrite_meta(ckpt, reshape)
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
+        assert capsys.readouterr().err == ("error: tensor 'mlp.layer0.bias' has shape (1, 8), "
+                                           "model expects (8,)\n")
+
+    def test_evaluate_names_an_extra_tensor(self, tmp_path, capsys):
+        ckpt = TestCli()._train(tmp_path)
+        stored = load_checkpoint(ckpt)
+        tensors = {**stored.tensors, "extra": np.zeros(3, dtype=np.float32)}
+        save_checkpoint(ckpt, stored.config, stored.epoch, stored.seed_state, tensors, vocab=stored.vocab)
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
+        assert capsys.readouterr().err == "error: checkpoint has unexpected tensor(s): ['extra']\n"
 
 
 class TestCliQuantizerSide:
@@ -843,8 +867,11 @@ def _train_exit(tmp_path, doc) -> int:
     return main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
 
 
+_DROP = object()  # a value that removes its key from the config document
+
+
 class TestCliConfigRanges:
-    @pytest.mark.parametrize("task, section, values", [
+    @pytest.mark.parametrize("task, section, values, rule", [(*case, "") for case in [
         ("list-completion", "data", {"min_freq": 0}),
         ("cf", "data", {"min_freq": 0}),
         ("list-completion", "data", {"max_len": 1}),
@@ -868,12 +895,17 @@ class TestCliConfigRanges:
         ("ctr", "model", {"hidden": 5}),
         ("cf", "eval", {"n_negatives": 2.0}),
         ("list-completion", "data", {"min_freq": "a"}),
+    ]] + [  # the rules across fields and sections, each named by its error
+        ("cf", "cage", {"item_enabled": True, "levels": []}, "cage.levels is required when a quantizer is enabled"),
+        ("cf", "eval", {"ks": []}, "eval.ks must not be empty"),
+        ("list-completion", "cage", {"user_enabled": True}, "list-completion uses an item-side quantizer only"),
+        ("cf", "", {"model": _DROP}, "missing required key(s): ['model']"),
     ], ids=["lists-min_freq-0", "cf-min_freq-0", "max_len-1", "max_len-below-min_len", "hidden-negative",
             "hidden-0", "lists-hidden-0", "dim-string", "dim-bool", "dim-float", "alpha-string",
             "model-number", "model-list", "cage-null", "item_enabled-string", "epochs-bool", "seed-bool",
             "eval-seed-float", "levels-float", "batch_size-float", "hidden-number", "n_negatives-float",
-            "min_freq-string"])
-    def test_out_of_range_is_typed_error(self, tmp_path, capsys, task, section, values):
+            "min_freq-string", "levels-empty-with-quantizer", "ks-empty", "lists-user-quantizer", "no-model"])
+    def test_out_of_range_is_typed_error(self, tmp_path, capsys, task, section, values, rule):
         data = tmp_path / "data.txt"
         if task == "list-completion":
             _write_lists(data)
@@ -881,8 +913,9 @@ class TestCliConfigRanges:
             _write_interactions(data)
         doc = _cfg(data, task=task, epochs=1).to_dict()
         (doc[section] if section else doc).update(values)  # section "" replaces whole sections
+        doc = {key: value for key, value in doc.items() if value is not _DROP}
         assert _train_exit(tmp_path, doc) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(f"error: {rule}")
         assert not (tmp_path / "run").exists()
 
     def test_max_len_at_its_floor_trains(self, tmp_path):
