@@ -117,6 +117,8 @@ def load_checkpoint(path) -> Checkpoint:
     tensors = {}
     for off, nbytes, name, shape in spans:
         tensors[name] = np.frombuffer(payload[off:off + nbytes], dtype="<f4").reshape(shape).copy()
+        if not np.isfinite(tensors[name]).all():
+            raise CorruptPayloadError(f"{path}: tensor '{name}' holds a non-finite value")
     return Checkpoint(
         config=config,
         epoch=epoch,

@@ -120,7 +120,7 @@ class _Model:
     which checks them and builds the Adam optimizer over parameters().
     """
 
-    _frozen = None  # table role -> whole-table BatchTrace, only inside frozen()
+    _frozen = None  # table role -> whole-table fused rows, only inside frozen()
 
     def __init__(self, omega_q: float, lr: float):
         if omega_q < 0:
@@ -159,13 +159,15 @@ class _Model:
 
     @contextlib.contextmanager
     def frozen(self):
-        """Scope in which each quantized table is quantized once, on first use.
+        """Scope in which each side is one fused table, built on entry.
 
-        Fused rows are sliced from that whole-table pass instead of running
-        the cascade per call; results are bit-identical.  The weights must not
-        change while the scope is open.  The tables are dropped on exit.
+        A quantized side's table is one quantize_batch pass over all its rows,
+        a plain side's its own rows.  Rows are sliced from it without a trace,
+        bit-identical to a per-call cascade.  The weights must not change while
+        the scope is open.  The tables are dropped on exit.
         """
-        self._frozen = {}
+        self._frozen = {table.role: table.rows.value if cage is None else
+                        quantize_batch(cage, table.rows.value).fused for table, cage in self.sides}
         try:
             yield self
         finally:
@@ -174,21 +176,18 @@ class _Model:
     def _fused_parts(self, cage: CascadedQuantizer | None, table: EmbeddingTable, parts):
         """(fused rows, trace) of table for each index array in parts.
 
-        One cascade serves every part: inside frozen() a whole-table pass,
-        outside it a pass over the distinct indices of all the parts.  Each
-        part is gathered from it, one trace row per index.
+        Inside frozen() each part is sliced from the side's fused table, with
+        trace None.  Outside it one cascade over the distinct indices of all
+        the parts serves every part, gathered one trace row per index.
         """
         parts = [np.asarray(idx) for idx in parts]
+        if self._frozen is not None:
+            return [(self._frozen[table.role][idx], None) for idx in parts]
         if cage is None:
             return [(table.rows.value[idx], None) for idx in parts]
-        if self._frozen is None:
-            uniq, inv = np.unique(np.concatenate(parts), return_inverse=True)
-            full = quantize_batch(cage, table.rows.value[uniq])
-            parts = np.split(inv, np.cumsum([idx.size for idx in parts])[:-1])
-        else:
-            if table.role not in self._frozen:
-                self._frozen[table.role] = quantize_batch(cage, table.rows.value)
-            full = self._frozen[table.role]
+        uniq, inv = np.unique(np.concatenate(parts), return_inverse=True)
+        full = quantize_batch(cage, table.rows.value[uniq])
+        parts = np.split(inv, np.cumsum([idx.size for idx in parts])[:-1])
         return [_gather_rows(full, idx) for idx in parts]
 
     def _fused_rows(self, cage: CascadedQuantizer | None, table: EmbeddingTable, idx):
@@ -227,16 +226,10 @@ class CfModel(_Model):
         self.item_cage = item_cage
         super().__init__(omega_q, lr)
 
-    def fused_user(self, user_idx):
-        return self._fused_rows(self.user_cage, self.users, user_idx)
-
-    def fused_item(self, item_idx):
-        return self._fused_rows(self.item_cage, self.items, item_idx)
-
     def predict_topk(self, user: int, candidates, k: int):
         candidates = _check_topk(candidates, self.n_items, k)
-        z_u, _ = self.fused_user([user])
-        z_c, _ = self.fused_item(candidates)
+        z_u, _ = self._fused_rows(self.user_cage, self.users, [user])
+        z_c, _ = self._fused_rows(self.item_cage, self.items, candidates)
         scores = z_c @ z_u[0]
         return _rank(candidates, scores, k)
 
@@ -252,7 +245,7 @@ def cf_bpr_step(model: CfModel, users, pos_items, neg_items) -> dict:
         raise ValueError("positive and negative item must differ")
     batch = u.shape[0]
 
-    z_u, tr_u = model.fused_user(u)
+    z_u, tr_u = model._fused_rows(model.user_cage, model.users, u)
     (z_p, tr_p), (z_n, tr_n) = model._fused_parts(model.item_cage, model.items, [p, n])
 
     margin = ((z_u * z_p).sum(axis=1) - (z_u * z_n).sum(axis=1)).astype(np.float64)

@@ -292,6 +292,10 @@ def _train(cfg: TrainConfig, model, ds, result: TrainResult, rng: SeededRng, log
             epoch_losses.append(loss)
             result.step_losses.append(loss)
         _finish_epoch(cfg, model, ds, result, log_fh, epoch, epoch_losses)
+    # the last Adam update follows the last checked loss, and a run without a validation split ranks nothing
+    diverged = [name for name, p in model.named_parameters().items() if not np.isfinite(p.value).all()]
+    if diverged:
+        raise DivergenceError(f"non-finite parameters after training: {', '.join(diverged)}")
 
 
 def _evaluate(cfg: TrainConfig, model, ds, pairs, stream: str) -> MetricReport:

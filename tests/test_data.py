@@ -53,6 +53,12 @@ class TestLoadInteractions:
         assert len(recs) == 2
         assert recs[1].timestamp == 6
 
+    def test_unknown_format_rejected(self, tmp_path):
+        p = tmp_path / "i.csv"
+        p.write_text("u1,i1\n")
+        with pytest.raises(DataError, match="unknown interaction format 'csv'"):
+            load_interactions(p, "csv")
+
     def test_bad_label_rejected(self, tmp_path):
         p = tmp_path / "bad.tsv"
         p.write_text("u1\ti1\t7\n")

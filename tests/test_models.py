@@ -460,14 +460,12 @@ class TestFrozenScope:
         with model.frozen():
             # the 1-row cases guard row-count independence: a row's result must not depend on its call's size
             for n in (1, 1, 1, 2, 3, 17, 40, 59):
-                for fused, cage, table in ((model.fused_user, model.user_cage, model.users),
-                                           (model.fused_item, model.item_cage, model.items)):
+                for cage, table in ((model.user_cage, model.users), (model.item_cage, model.items)):
                     idx = gen.integers(0, table.count, size=n)
-                    got, trace = fused(idx)
+                    got, trace = model._fused_rows(cage, table, idx)
                     want = quantize_batch(cage, table.rows.value[idx])
                     assert np.array_equal(got, want.fused)
-                    assert np.array_equal(trace.indices, want.indices)
-                    assert np.array_equal(trace.sq_dists, want.sq_dists)
+                    assert trace is None
 
     @pytest.mark.parametrize("fusion_mode", FUSION_MODES)
     def test_ctr_and_seq_forward_unchanged_inside_scope(self, fusion_mode):
@@ -488,7 +486,7 @@ class TestFrozenScope:
         candidates = list(range(40))
         with pytest.raises(RuntimeError) if fail else contextlib.nullcontext():
             with model.frozen():
-                stale_items = model.fused_item(candidates)[0]
+                stale_items = model._fused_rows(model.item_cage, model.items, candidates)[0]
                 model.predict_topk(0, candidates, k=40)
                 if fail:
                     raise RuntimeError("boom")

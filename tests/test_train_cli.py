@@ -2,6 +2,7 @@ import copy
 import ctypes
 import json
 import random
+import re
 import resource
 import shutil
 import signal
@@ -520,6 +521,15 @@ class TestEvaluateVocabulary:
         assert run_evaluate(result.checkpoint_path, split="val").values == \
             result.epoch_metrics[-1].values
 
+    def test_checkpoint_without_vocab_is_not_checked(self, tmp_path, capsys):
+        ckpt = TestCli()._train(tmp_path)
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 0
+        with_vocab = capsys.readouterr().out
+        _rewrite_meta(ckpt, lambda meta: meta.pop("vocab"))
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 0
+        assert capsys.readouterr().out == with_vocab
+
 
 _MALFORMED_VOCABS = [[1, 2], "items", {"items": 5}, {"items": [1, 2]}, {"users": [], "labels": []}]
 
@@ -642,17 +652,67 @@ class TestCliNestedCheckpointMetadata:
 
 
 class TestCliDivergedScores:
-    """Weights that overflow in the first step give non-finite scores at the epoch's evaluation."""
+    """Weights that overflow in the first step are a typed error, and no checkpoint is written.
+
+    With a validation split, the epoch's evaluation finds non-finite scores.  With
+    none, since every user has fewer than 3 positives, the check that ends training does.
+    """
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("task", ["cf", "ctr"])
-    def test_is_typed_error(self, tmp_path, capsys, task):
+    @pytest.mark.parametrize("task, per_user, lr, error", [
+        ("cf", 8, 3e38, "non-finite ranking score"),
+        ("ctr", 8, 3e38, "non-finite ranking score"),
+        # finite in float64, but inf once Adam casts it to float32
+        ("cf", 2, 1e39, "non-finite parameters after training: user_table, item_table"),
+    ], ids=["cf", "ctr", "cf-no-val-split"])
+    def test_is_typed_error(self, tmp_path, capsys, task, per_user, lr, error):
         data = tmp_path / "d.tsv"
-        _write_interactions(data, n_users=30, n_items=40, per_user=8)
-        doc = _cfg(data, task=task, epochs=1, cage=False, lr=3e38, batch_size=10000).to_dict()
+        _write_interactions(data, n_users=30, n_items=40, per_user=per_user)
+        doc = _cfg(data, task=task, epochs=1, cage=False, lr=lr, batch_size=10000).to_dict()
         doc["eval"]["n_negatives"] = 5
         assert _train_exit(tmp_path, doc) == 2
-        assert capsys.readouterr().err.startswith("error: non-finite ranking score")
+        assert capsys.readouterr().err.startswith(f"error: {error}")
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+        with pytest.raises(DivergenceError, match=error):  # also when the run writes nothing
+            run_train(config_from_dict(doc))
+
+
+class TestCliDamagedCheckpoint:
+    """A payload that is not what the directory declares, or not finite, fails every command that loads it."""
+
+    @pytest.mark.parametrize("damage, error", [
+        ("trailing-bytes", r"payload size \d+ does not match directory \(\d+\)"),
+        ("item_table", "tensor 'item_table' holds a non-finite value"),
+        ("item_cage.codebook1", r"tensor 'item_cage\.codebook1' holds a non-finite value"),
+    ], ids=["trailing-bytes", "nan-item_table", "nan-item_cage.codebook1"])
+    @pytest.mark.parametrize("command", ["evaluate", "export-tree", "inspect-codes"])
+    def test_is_typed_error(self, tmp_path, capsys, damage, error, command):
+        ckpt = TestCli()._train(tmp_path)
+        if damage == "trailing-bytes":
+            ckpt.write_bytes(ckpt.read_bytes() + b"\0" * 4)
+        else:
+            stored = load_checkpoint(ckpt)
+            stored.tensors[damage][0, 0] = np.nan
+            save_checkpoint(ckpt, stored.config, stored.epoch, stored.seed_state, stored.tensors,
+                            vocab=stored.vocab)
+        capsys.readouterr()
+        tree = ["--json", str(tmp_path / "t.json"), "--dot", str(tmp_path / "t.dot")]
+        assert main([command, "--checkpoint", str(ckpt), *(tree if command == "export-tree" else [])]) == 2
+        assert re.fullmatch(f"error: {re.escape(str(ckpt))}: {error}\n", capsys.readouterr().err)
+        assert not (tmp_path / "t.json").exists()
+
+
+class TestCliEmptySplit:
+    """With every user under 3 positives, leave-one-out holds nothing out: training runs, evaluation cannot."""
+
+    def test_evaluate_is_typed_error(self, tmp_path, capsys):
+        data = tmp_path / "d.tsv"
+        _write_interactions(data, per_user=2)
+        assert _train_exit(tmp_path, _cfg(data, epochs=1).to_dict()) == 0
+        ckpt = str(tmp_path / "run" / "model.ckpt")
+        for split, argv in (("val", ["--split", "val"]), ("test", [])):
+            assert main(["evaluate", "--checkpoint", ckpt, *argv]) == 2
+            assert capsys.readouterr().err == f"error: {split} split is empty\n"
 
 
 class TestCliIncompleteCheckpoint:
@@ -900,11 +960,13 @@ class TestCliConfigRanges:
         ("cf", "eval", {"ks": []}, "eval.ks must not be empty"),
         ("list-completion", "cage", {"user_enabled": True}, "list-completion uses an item-side quantizer only"),
         ("cf", "", {"model": _DROP}, "missing required key(s): ['model']"),
+        ("list-completion", "data", {"min_freq": 1000}, "preprocessing removed every list"),
     ], ids=["lists-min_freq-0", "cf-min_freq-0", "max_len-1", "max_len-below-min_len", "hidden-negative",
             "hidden-0", "lists-hidden-0", "dim-string", "dim-bool", "dim-float", "alpha-string",
             "model-number", "model-list", "cage-null", "item_enabled-string", "epochs-bool", "seed-bool",
             "eval-seed-float", "levels-float", "batch_size-float", "hidden-number", "n_negatives-float",
-            "min_freq-string", "levels-empty-with-quantizer", "ks-empty", "lists-user-quantizer", "no-model"])
+            "min_freq-string", "levels-empty-with-quantizer", "ks-empty", "lists-user-quantizer", "no-model",
+            "min_freq-empties-every-list"])
     def test_out_of_range_is_typed_error(self, tmp_path, capsys, task, section, values, rule):
         data = tmp_path / "data.txt"
         if task == "list-completion":
