@@ -8,9 +8,9 @@ assignments export as an explicit category tree.
 """
 
 from .config import TrainConfig, config_from_dict, load_config
-from .core import (Adam, AdamState, Parameter, adam_step, bce_with_logit,
-                   cross_entropy_with_logits, finite_diff_gradient, mlp_apply,
-                   mlp_backward)
+from .core import (Adam, AdamState, Parameter, adam_step, bce_with_logits_batch,
+                   finite_diff_gradient, mlp_apply, mlp_backward,
+                   softmax_xent_batch)
 from .data import (InteractionRecord, SplitDataset, Vocabulary,
                    leave_one_out, load_interactions, load_lists,
                    partition_lists, preprocess_lists, sample_negatives,
@@ -19,11 +19,9 @@ from .metrics import (MetricReport, RankedResult, evaluate_completion,
                       evaluate_ranking, hr_at_k, ndcg_at_k)
 from .models import (CfModel, CtrModel, EmbeddingTable, SeqModel, cf_bpr_step,
                      ctr_step, seq_step)
-from .quantizer import (CascadedQuantizer, CategoryTree, Codebook,
-                        QuantizationTrace, cage_loss, code_purity,
-                        codebook_utilization, extract_tree, fuse_codes,
-                        make_quantizer, nearest_code, quantize_cascade,
-                        ste_backward)
+from .quantizer import (CascadedQuantizer, CategoryTree, Codebook, code_purity,
+                        codebook_utilization, extract_tree, make_quantizer,
+                        quantize_batch, ste_backward_batch)
 from .rng import SeededRng, rng_normal_init
 from .train import build_model, model_from_checkpoint, run_evaluate, run_train
 

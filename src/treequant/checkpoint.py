@@ -10,8 +10,10 @@ tile the payload exactly.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +103,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise CorruptPayloadError(f"{path}: duplicate tensor names in the directory")
     spans = []
     for off, name, shape in directory:
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 4
+        # Python ints never wrap; numpy describes no shape past 32 dimensions, nor one, even
+        # with no elements, whose nonzero dimensions give more bytes than it can index
+        if len(shape) > 32 or min(shape, default=0) < 0 or 4 * math.prod(filter(None, shape)) > sys.maxsize:
+            raise CorruptPayloadError(f"{path}: tensor '{name}' has an invalid shape {list(shape)}")
+        nbytes = math.prod(shape) * 4
         if off < 0 or off + nbytes > len(payload):
             raise CorruptPayloadError(f"{path}: tensor '{name}' overflows the payload")
         spans.append((off, nbytes, name, shape))

@@ -170,18 +170,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy_with_logits(logits: np.ndarray, true_class: int):
-    """Negative log-softmax at ``true_class`` plus the logit gradient."""
-    logits = np.asarray(logits, dtype=np.float32).reshape(-1)
-    n = logits.shape[0]
-    if n < 2:
-        raise DimensionError("need at least 2 classes")
-    if not (0 <= true_class < n):
-        raise IndexError(f"true_class {true_class} out of range for {n} classes")
-    losses, grads = softmax_xent_batch(logits[None, :], np.array([true_class]))
-    return float(losses[0]), grads[0]
-
-
 def softmax_xent_batch(logits: np.ndarray, targets: np.ndarray):
     """Row-wise cross entropy; returns (per-row float64 losses, unscaled grads)."""
     z = logits.astype(np.float64)
@@ -192,12 +180,6 @@ def softmax_xent_batch(logits: np.ndarray, targets: np.ndarray):
     grads = np.exp(z - lse[:, None]).astype(np.float32)
     grads[rows, targets] -= 1.0
     return losses, grads
-
-
-def bce_with_logit(logit: float, label: int):
-    """Stable binary cross entropy from a logit; returns (loss, grad_logit)."""
-    losses, grads = bce_with_logits_batch(np.array([logit]), np.array([label]))
-    return float(losses[0]), float(grads[0])
 
 
 def bce_with_logits_batch(logits: np.ndarray, labels: np.ndarray):

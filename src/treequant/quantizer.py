@@ -161,30 +161,9 @@ def _nearest(entries: np.ndarray, x: np.ndarray):
     return indices, dists
 
 
-def nearest_code(codebook: Codebook, e: np.ndarray):
-    """Exhaustive argmin over squared L2 distance; ties go to the lowest index."""
-    e = np.asarray(e, dtype=np.float32).reshape(-1)
-    if e.shape[0] != codebook.dim:
-        raise DimensionError(f"query dim {e.shape[0]} != codebook dim {codebook.dim}")
-    j, d2 = _nearest(codebook.entries.value, e[None, :])
-    j = int(j[0])
-    return j, codebook.entries.value[j].copy(), float(d2[0])
-
-
 # ---------------------------------------------------------------------------
 # Cascade forward
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class QuantizationTrace:
-    """Everything one embedding produced in a single cascade pass."""
-
-    input: np.ndarray           # c^(0) = e
-    indices: list               # chosen index per level
-    codes: list                 # chosen code vector per level
-    sq_dists: list              # squared distance per level
-    fused: np.ndarray = None    # z
 
 
 @dataclass
@@ -195,16 +174,7 @@ class BatchTrace:
     indices: np.ndarray  # (H, n) int64
     codes: np.ndarray    # (H, n, d)
     sq_dists: np.ndarray  # (H, n) float64
-    fused: np.ndarray = None
-
-    def row(self, i: int) -> QuantizationTrace:
-        return QuantizationTrace(
-            input=self.input[i],
-            indices=[int(j) for j in self.indices[:, i]],
-            codes=[self.codes[h, i] for h in range(self.codes.shape[0])],
-            sq_dists=[float(d) for d in self.sq_dists[:, i]],
-            fused=self.fused[i],
-        )
+    fused: np.ndarray    # (n, d)
 
 
 def _code_paths(q: CascadedQuantizer):
@@ -246,58 +216,17 @@ def quantize_batch(q: CascadedQuantizer, x: np.ndarray) -> BatchTrace:
                       fused=x + np.float32(q.alpha) * _fuse(q, codes)[j1])
 
 
-def quantize_cascade(q: CascadedQuantizer, e: np.ndarray) -> QuantizationTrace:
-    """Single-embedding cascade pass (including fusion)."""
-    return quantize_batch(q, np.asarray(e, dtype=np.float32)[None, :]).row(0)
-
-
-def _one_row(trace: QuantizationTrace, q: CascadedQuantizer) -> BatchTrace:
-    """A QuantizationTrace as a 1-row BatchTrace, for the single-row views."""
-    if len(trace.codes) != q.depth:
-        raise DimensionError("trace is incomplete for this quantizer")
-    return BatchTrace(input=np.asarray(trace.input, dtype=np.float32)[None, :],
-                      indices=np.asarray(trace.indices, dtype=np.int64)[:, None],
-                      codes=np.stack(trace.codes).astype(np.float32)[:, None, :],
-                      sq_dists=np.asarray(trace.sq_dists, dtype=np.float64)[:, None])
-
-
-def fuse_codes(trace: QuantizationTrace, q: CascadedQuantizer) -> np.ndarray:
-    """Combine the multi-level codes and add them residually to the input."""
-    batch = _one_row(trace, q)
-    trace.fused = batch.input[0] + np.float32(q.alpha) * _fuse(q, batch.codes)[0]
-    return trace.fused
-
-
 # ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CageLoss:
-    l_quant: float
-    l_commit: float
-    l_cage: float
-
-
-def cage_loss(trace: QuantizationTrace, beta: float) -> CageLoss:
-    """Quantization and commitment penalties for one trace.
-
-    Both are sums of the same per-level squared distances; they differ only in
-    which side the gradient reaches (see ste_backward).
-    """
-    l_quant = float(np.sum(np.asarray(trace.sq_dists, dtype=np.float64)))
-    l_commit = 0.0
-    prev = trace.input.astype(np.float64)
-    for c in trace.codes:
-        c = c.astype(np.float64)
-        l_commit += float(((prev - c) ** 2).sum())
-        prev = c
-    return CageLoss(l_quant=l_quant, l_commit=l_commit, l_cage=l_quant + beta * l_commit)
-
-
 def batch_cage_loss_sum(trace: BatchTrace, beta: float) -> float:
-    """Sum of per-row l_cage over a batch (float64)."""
+    """Sum of per-row l_cage = l_quant + beta * l_commit over a batch (float64).
+
+    Both penalties are sums of the same per-level squared distances; they
+    differ only in which side the gradient reaches (see ste_backward_batch).
+    """
     total = float(trace.sq_dists.sum())
     return total * (1.0 + beta)
 
@@ -305,20 +234,6 @@ def batch_cage_loss_sum(trace: BatchTrace, beta: float) -> float:
 # ---------------------------------------------------------------------------
 # Straight-through backward
 # ---------------------------------------------------------------------------
-
-
-def ste_backward(trace: QuantizationTrace, q: CascadedQuantizer, grad_z: np.ndarray,
-                 weight_cage: float = 1.0):
-    """Gradient routing for one trace: ste_backward_batch on a 1-row batch.
-
-    Returns (grad_e, code_grads, grad_projection) where code_grads maps
-    (level, row index) to the gradient for that codebook row.
-    """
-    grad_z = np.asarray(grad_z, dtype=np.float32).reshape(-1)
-    if grad_z.shape[0] != q.dim:
-        raise DimensionError("grad_z dim mismatch")
-    grad_e, code_grads, grad_proj = ste_backward_batch(q, _one_row(trace, q), grad_z[None, :], weight_cage)
-    return grad_e[0], {(i + 1, int(j)): code_grads[i, 0] for i, j in enumerate(trace.indices)}, grad_proj
 
 
 def ste_backward_batch(q: CascadedQuantizer, trace: BatchTrace, grad_z: np.ndarray,

@@ -19,9 +19,8 @@ from treequant.checkpoint import load_checkpoint, save_checkpoint
 from treequant.data import preprocess_lists
 from treequant.metrics import RankedResult, evaluate_ranking, ndcg_at_k
 from treequant.models import CfModel, CtrModel, EmbeddingTable, cf_bpr_step
-from treequant.quantizer import (Codebook, make_quantizer, nearest_code,
-                                 quantize_batch, quantize_cascade,
-                                 ste_backward)
+from treequant.quantizer import (CascadedQuantizer, Codebook, make_quantizer,
+                                 quantize_batch, ste_backward_batch)
 from treequant.rng import SeededRng
 from treequant.train import model_from_checkpoint, run_train
 from treequant.treeio import read_tree_json, validate_tree, write_tree_json
@@ -42,7 +41,7 @@ def _report(criterion: int, verdict: str, detail: str):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_1_nearest_code_oracle():
+def test_criterion_1_nearest_search_oracle():
     started = time.monotonic()
     gen = np.random.default_rng(11)
     try:
@@ -55,7 +54,7 @@ def test_criterion_1_nearest_code_oracle():
                 entries[1] = entries[0]  # force an exact tie
                 query = entries[0] + np.float32(0.5)
             book = Codebook(level=1, entries=Parameter(entries, name="cb"))
-            j, _, _ = nearest_code(book, query)
+            j = int(quantize_batch(CascadedQuantizer(codebooks=[book]), query[None, :]).indices[0, 0])
 
             # independent oracle: per-row float64 squared distance, first minimum
             q64 = query.astype(np.float64)
@@ -89,13 +88,12 @@ def test_criterion_2_ste_identity():
             rng = SeededRng(trial)
             q = make_quantizer(rng, d, sizes, alpha=alpha, beta=1.0, init_std=0.5)
             e = gen.normal(size=d).astype(np.float32)
-            trace = quantize_cascade(q, e)
+            trace = quantize_batch(q, e[None, :])
             grad_z = gen.normal(size=d).astype(np.float32)
-            grad_e, code_grads, _ = ste_backward(trace, q, grad_z, weight_cage=0.0)
+            grad_e, code_grads, _ = ste_backward_batch(q, trace, grad_z[None, :], weight_cage=0.0)
             expected = (np.float32(1.0) + np.float32(alpha)) * grad_z
-            assert np.max(np.abs(grad_e - expected)) < 1e-6, f"trial {trial}"
-            assert all(np.max(np.abs(g)) == 0.0 for g in code_grads.values()), \
-                f"trial {trial}: task path leaked into a codebook"
+            assert np.max(np.abs(grad_e[0] - expected)) < 1e-6, f"trial {trial}"
+            assert np.max(np.abs(code_grads)) == 0.0, f"trial {trial}: task path leaked into a codebook"
     except AssertionError as exc:
         _report(2, "FAIL", str(exc))
         raise
@@ -132,15 +130,16 @@ def test_criterion_3_finite_difference_gradients():
             q = make_quantizer(SeededRng(trial), d, sizes, alpha=1.0,
                                beta=float(gen.uniform(0.2, 2.0)), init_std=0.5)
             e = gen.normal(size=d).astype(np.float32)
-            trace = quantize_cascade(q, e)
-            grad_e, code_grads, _ = ste_backward(trace, q, np.zeros(d, dtype=np.float32),
-                                                 weight_cage=1.0)
+            trace = quantize_batch(q, e[None, :])
+            grad_e, code_grads, _ = ste_backward_batch(q, trace, np.zeros((1, d), dtype=np.float32),
+                                                       weight_cage=1.0)
+            grad_e, codes = grad_e[0], trace.codes[:, 0]
 
             # Commitment gradient w.r.t. e: differentiate the straight-through
             # surrogate, freezing each level's offset at the base point.
             offsets = []
             prev = e.astype(np.float64)
-            for c in trace.codes:
+            for c in codes:
                 offsets.append(c.astype(np.float64) - prev)
                 prev = c.astype(np.float64)
 
@@ -152,23 +151,22 @@ def test_criterion_3_finite_difference_gradients():
                 return float(sum(((delta - off) ** 2).sum() for off in offsets))
 
             fd_commit = _central_diff(commit_surrogate, e.astype(np.float64), h=1e-3)
-            expected = q.beta * fd_commit  # ste_backward applies weight_cage * beta
+            expected = q.beta * fd_commit  # ste_backward_batch applies weight_cage * beta
             denom = np.maximum(np.abs(expected), 1e-3)
             rel = np.max(np.abs(grad_e.astype(np.float64) - expected) / denom)
             assert rel < 1e-4, f"trial {trial}: commit rel {rel:.2e}"
 
             # Quantization gradient w.r.t. each selected codebook row, other
             # levels' selections and inputs frozen at the base point.
-            level_inputs = [e] + [c for c in trace.codes[:-1]]
+            level_inputs = [e] + [c for c in codes[:-1]]
             for level in range(h_levels):
-                row = trace.indices[level]
                 base_in = level_inputs[level].astype(np.float64)
 
                 def quant_at_row(c64):
                     return float(((base_in - c64) ** 2).sum())
 
-                fd_row = _central_diff(quant_at_row, trace.codes[level].astype(np.float64), h=1e-3)
-                analytic_row = code_grads[(level + 1, row)].astype(np.float64)
+                fd_row = _central_diff(quant_at_row, codes[level].astype(np.float64), h=1e-3)
+                analytic_row = code_grads[level, 0].astype(np.float64)
                 denom = np.maximum(np.abs(fd_row), 1e-3)
                 rel = np.max(np.abs(analytic_row - fd_row) / denom)
                 assert rel < 1e-4, f"trial {trial} level {level + 1}: quant rel {rel:.2e}"
@@ -185,9 +183,22 @@ def test_criterion_3_finite_difference_gradients():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_4_forward_loss_identity():
-    from treequant.quantizer import cage_loss
+def penalties(trace, i):
+    """(l_quant, l_commit) of row i of a BatchTrace, in float64.
 
+    l_quant sums the distances the search returned; l_commit recomputes each
+    level's squared offset from its input (the row, then the code above) to
+    its code, so the two agree only if the search reports true distances.
+    """
+    l_quant = float(trace.sq_dists[:, i].sum())
+    l_commit, prev = 0.0, trace.input[i].astype(np.float64)
+    for c in trace.codes[:, i].astype(np.float64):
+        l_commit += float(((prev - c) ** 2).sum())
+        prev = c
+    return l_quant, l_commit
+
+
+def test_criterion_4_forward_loss_identity():
     gen = np.random.default_rng(44)
     try:
         checked = 0
@@ -201,9 +212,8 @@ def test_criterion_4_forward_loss_identity():
             x = gen.normal(size=(batch, d)).astype(np.float32)
             trace = quantize_batch(q, x)
             for i in range(batch):
-                loss = cage_loss(trace.row(i), beta=1.0)
-                assert abs(loss.l_quant - loss.l_commit) < 1e-6, \
-                    f"trace {checked + i}: {loss.l_quant} vs {loss.l_commit}"
+                l_quant, l_commit = penalties(trace, i)
+                assert abs(l_quant - l_commit) < 1e-6, f"trace {checked + i}: {l_quant} vs {l_commit}"
             checked += batch
     except AssertionError as exc:
         _report(4, "FAIL", str(exc))

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from treequant.core import (Adam, AdamState, Parameter, adam_step,
-                            bce_with_logit, bce_with_logits_batch,
-                            cross_entropy_with_logits,
-                            finite_diff_gradient, mlp_apply, mlp_backward,
-                            mlp_init, softmax)
+                            bce_with_logits_batch, finite_diff_gradient,
+                            mlp_apply, mlp_backward, mlp_init, softmax,
+                            softmax_xent_batch)
 from treequant.errors import DimensionError, DivergenceError, OracleError
 from treequant.rng import SeededRng, rng_normal_init
 
@@ -221,24 +220,36 @@ class TestMlp:
         assert np.max(np.abs(grad_in - fd_in) / denom) < 1e-4
 
 
+def xent_row(logits, true_class):
+    """softmax_xent_batch on a 1-row batch: (loss, logit gradient) of that row."""
+    losses, grads = softmax_xent_batch(np.asarray(logits, dtype=np.float32)[None, :], np.array([true_class]))
+    return float(losses[0]), grads[0]
+
+
+def bce_row(logit, label):
+    """bce_with_logits_batch on a 1-row batch: (loss, logit gradient) of that row."""
+    losses, grads = bce_with_logits_batch(np.array([logit]), np.array([label]))
+    return float(losses[0]), float(grads[0])
+
+
 class TestCrossEntropy:
     def test_uniform_logits(self):
         for n in (2, 5, 11):
-            loss, _ = cross_entropy_with_logits(np.zeros(n, dtype=np.float32), 0)
+            loss, _ = xent_row(np.zeros(n), 0)
             assert loss == pytest.approx(math.log(n), rel=1e-6)
 
     def test_closed_form_two_classes(self):
-        loss, _ = cross_entropy_with_logits(np.array([2.0, 0.0], dtype=np.float32), 0)
+        loss, _ = xent_row([2.0, 0.0], 0)
         assert loss == pytest.approx(math.log(1 + math.exp(-2)), rel=1e-5)
 
     def test_large_logits_no_overflow(self):
-        loss, grad = cross_entropy_with_logits(np.array([1000.0, 0.0], dtype=np.float32), 0)
+        loss, grad = xent_row([1000.0, 0.0], 0)
         assert loss == pytest.approx(0.0, abs=1e-6)
         assert np.all(np.isfinite(grad))
 
     def test_out_of_range_class(self):
         with pytest.raises(IndexError):
-            cross_entropy_with_logits(np.zeros(3, dtype=np.float32), 3)
+            xent_row(np.zeros(3), 3)
 
     def test_softmax_sums_to_one(self):
         gen = np.random.default_rng(5)
@@ -248,7 +259,7 @@ class TestCrossEntropy:
 
     def test_gradient_is_softmax_minus_onehot(self):
         logits = np.array([1.0, -1.0, 0.5], dtype=np.float32)
-        _, grad = cross_entropy_with_logits(logits, 1)
+        _, grad = xent_row(logits, 1)
         expected = softmax(logits)
         expected[1] -= 1.0
         assert np.allclose(grad, expected, atol=1e-6)
@@ -256,22 +267,22 @@ class TestCrossEntropy:
 
 class TestBce:
     def test_symmetry_point(self):
-        loss, grad = bce_with_logit(0.0, 1)
+        loss, grad = bce_row(0.0, 1)
         assert loss == pytest.approx(math.log(2), rel=1e-6)
         assert grad == pytest.approx(-0.5, abs=1e-7)
 
     def test_closed_form(self):
-        loss, _ = bce_with_logit(2.0, 1)
+        loss, _ = bce_row(2.0, 1)
         assert loss == pytest.approx(math.log(1 + math.exp(-2)), rel=1e-6)
 
     def test_stability_limit(self):
-        loss, grad = bce_with_logit(-1000.0, 0)
+        loss, grad = bce_row(-1000.0, 0)
         assert loss == pytest.approx(0.0, abs=1e-9)
         assert math.isfinite(grad)
 
     def test_label_domain(self):
         with pytest.raises(ValueError):
-            bce_with_logit(0.0, 2)
+            bce_row(0.0, 2)
 
     def test_batch_label_domain(self):
         with pytest.raises(ValueError, match="label must be 0 or 1, got 2"):
@@ -282,8 +293,8 @@ class TestBce:
         gen = np.random.default_rng(trial)
         logit = float(gen.normal(scale=3.0))
         label = int(gen.integers(0, 2))
-        _, grad = bce_with_logit(logit, label)
-        fd = finite_diff_gradient(lambda x: bce_with_logit(float(x[0, 0]), label)[0],
+        _, grad = bce_row(logit, label)
+        fd = finite_diff_gradient(lambda x: bce_row(float(x[0, 0]), label)[0],
                                   np.array([[logit]]), h=1e-4)
         assert grad == pytest.approx(float(fd[0, 0]), rel=1e-4, abs=1e-6)
 

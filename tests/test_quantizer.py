@@ -8,12 +8,13 @@ from treequant.core import Parameter, finite_diff_gradient
 from treequant.errors import ConfigError, DimensionError
 from treequant.models import EmbeddingTable, _route
 from treequant.quantizer import (_BLOCK, AVERAGE, CONCAT_PROJECT, CascadedQuantizer,
-                                 Codebook, cage_loss, code_purity,
+                                 Codebook, batch_cage_loss_sum, code_purity,
                                  codebook_utilization, extract_tree,
-                                 fuse_codes, make_quantizer, nearest_code,
-                                 quantize_batch, quantize_cascade,
-                                 ste_backward, ste_backward_batch, _nearest)
+                                 make_quantizer, quantize_batch,
+                                 ste_backward_batch, _nearest)
 from treequant.rng import SeededRng
+
+from test_acceptance import penalties
 
 
 def book(rows, level=1, name="cb"):
@@ -39,33 +40,39 @@ def oracle_nearest(entries, e):
     return best_j, best_d
 
 
+def nearest_row(cb, e):
+    """One row through a one-codebook cascade: (index, code, squared distance)."""
+    trace = quantize_batch(CascadedQuantizer(codebooks=[cb]), np.asarray(e, dtype=np.float32)[None, :])
+    return int(trace.indices[0, 0]), trace.codes[0, 0], float(trace.sq_dists[0, 0])
+
+
 class TestNearestCode:
     def test_single_entry(self):
         cb = book([[5.0, 5.0]])
-        j, code, _ = nearest_code(cb, np.array([0.0, 0.0]))
+        j, code, _ = nearest_row(cb, np.array([0.0, 0.0]))
         assert j == 0
         assert np.allclose(code, [5.0, 5.0])
 
     def test_exact_match(self):
         cb = book([[0, 0], [1, 0], [2, 0], [3, 3], [4, 0]])
-        j, _, dist = nearest_code(cb, np.array([3.0, 3.0]))
+        j, _, dist = nearest_row(cb, np.array([3.0, 3.0]))
         assert j == 3
         assert dist == 0.0
 
     def test_derived_instance(self):
         cb = book([[0, 0], [1, 0], [0, 2]])
-        j, _, dist = nearest_code(cb, np.array([0.9, 0.1]))
+        j, _, dist = nearest_row(cb, np.array([0.9, 0.1]))
         assert j == 1
         assert dist == pytest.approx(0.02, rel=1e-6)
 
     def test_tie_breaks_to_lowest_index(self):
         cb = book([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
-        j, _, _ = nearest_code(cb, np.array([0.0, 0.0]))
+        j, _, _ = nearest_row(cb, np.array([0.0, 0.0]))
         assert j == 0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            nearest_code(book([[0, 0]]), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(DimensionError, match="input dim 3 != quantizer dim 2"):
+            quantize_batch(quantizer([[[0, 0]]]), np.array([[1.0, 2.0, 3.0]]))
 
     def test_agrees_with_exhaustive_oracle(self):
         gen = np.random.default_rng(42)
@@ -74,7 +81,7 @@ class TestNearestCode:
             d = int(gen.integers(1, 16))
             entries = gen.normal(size=(k, d)).astype(np.float32)
             e = gen.normal(size=d).astype(np.float32)
-            j, _, _ = nearest_code(book(entries), e)
+            j, _, _ = nearest_row(book(entries), e)
             assert j == oracle_nearest(entries, e)[0]
 
 
@@ -166,7 +173,7 @@ class TestSearchEquivalence:
         x[6, 0] = np.inf
         assert_same_search(entries, x)
 
-    def test_nearest_code_and_quantize_batch_use_the_search(self):
+    def test_quantize_batch_uses_the_search(self):
         q = make_quantizer(SeededRng(31), 8, [16, 4])
         x = np.random.default_rng(31).normal(size=(50, 8)).astype(np.float32) * 0.01
         trace = quantize_batch(q, x)
@@ -176,8 +183,9 @@ class TestSearchEquivalence:
         want_j, want_d2 = direct_nearest(q.codebooks[1].entries.value, trace.codes[0])
         assert np.array_equal(trace.indices[1], want_j)
         assert np.array_equal(trace.sq_dists[1], want_d2)
-        j, _, dist = nearest_code(q.codebooks[0], x[0])
-        assert (j, dist) == (int(trace.indices[0, 0]), float(trace.sq_dists[0, 0]))
+        one = quantize_batch(q, x[:1])
+        assert np.array_equal(one.indices[:, 0], trace.indices[:, 0])
+        assert np.array_equal(one.sq_dists[:, 0], trace.sq_dists[:, 0])
 
     def test_extract_tree_parents_equal_direct_argmin(self):
         q = make_quantizer(SeededRng(32), 64, [256, 32, 8])
@@ -204,14 +212,14 @@ class TestSearchEquivalence:
 
 
 class TestQuantizeCascade:
-    def test_single_level_equals_nearest_code(self):
+    def test_single_level_equals_nearest(self):
         q = quantizer([[[0, 0], [1, 1]]])
         e = np.array([0.9, 0.8], dtype=np.float32)
-        trace = quantize_cascade(q, e)
-        j, code, dist = nearest_code(q.codebooks[0], e)
-        assert trace.indices == [j]
-        assert np.array_equal(trace.codes[0], code)
-        assert trace.sq_dists[0] == pytest.approx(dist)
+        trace = quantize_batch(q, e[None, :])
+        j, dist = _nearest(q.codebooks[0].entries.value, e[None, :])
+        assert trace.indices.tolist() == [[j[0]]]
+        assert np.array_equal(trace.codes[0, 0], q.codebooks[0].entries.value[j[0]])
+        assert trace.sq_dists[0, 0] == dist[0]
 
     def test_level_two_searches_with_level_one_code(self):
         # e is closest to (5,5) at level 2, but the cascade feeds the
@@ -220,17 +228,15 @@ class TestQuantizeCascade:
             [[1.0, 0.0], [4.0, 4.0], [9.0, 9.0]],
             [[1.0, 0.0], [5.0, 5.0]],
         ], alpha=0.0)
-        e = np.array([2.0, 1.0], dtype=np.float32)
-        trace = quantize_cascade(q, e)
-        assert trace.indices[0] == 0
-        assert trace.indices[1] == 0
+        trace = quantize_batch(q, np.array([[2.0, 1.0]], dtype=np.float32))
+        assert trace.indices.tolist() == [[0], [0]]
 
     def test_deterministic(self):
         q = make_quantizer(SeededRng(1), 8, [6, 3])
-        e = np.linspace(-1, 1, 8).astype(np.float32)
-        t1 = quantize_cascade(q, e)
-        t2 = quantize_cascade(q, e)
-        assert t1.indices == t2.indices
+        e = np.linspace(-1, 1, 8).astype(np.float32)[None, :]
+        t1 = quantize_batch(q, e)
+        t2 = quantize_batch(q, e)
+        assert np.array_equal(t1.indices, t2.indices)
         assert np.array_equal(t1.fused, t2.fused)
 
     def test_batch_matches_single(self):
@@ -239,33 +245,31 @@ class TestQuantizeCascade:
         x = gen.normal(size=(10, 4)).astype(np.float32)
         bt = quantize_batch(q, x)
         for i in range(10):
-            single = quantize_cascade(q, x[i])
-            assert list(bt.indices[:, i]) == single.indices
-            assert np.array_equal(bt.fused[i], single.fused)
+            single = quantize_batch(q, x[i:i + 1])
+            assert np.array_equal(bt.indices[:, i], single.indices[:, 0])
+            assert np.array_equal(bt.fused[i], single.fused[0])
 
 
 class TestFuseCodes:
     def test_alpha_zero_returns_input(self):
         q = make_quantizer(SeededRng(3), 4, [3], alpha=0.0)
-        e = np.array([0.5, -0.5, 1.0, 2.0], dtype=np.float32)
-        trace = quantize_cascade(q, e)
-        assert np.array_equal(trace.fused, e)
+        e = np.array([[0.5, -0.5, 1.0, 2.0]], dtype=np.float32)
+        assert np.array_equal(quantize_batch(q, e).fused, e)
 
     def test_average_mode_arithmetic(self):
         q = quantizer([
             [[0.0, 2.0], [9.0, 9.0]],
             [[2.0, 0.0]],
         ], alpha=1.0)
-        e = np.array([1.0, 1.0], dtype=np.float32)
-        trace = quantize_cascade(q, e)
-        assert np.allclose(trace.fused, [2.0, 2.0])
+        trace = quantize_batch(q, np.array([[1.0, 1.0]], dtype=np.float32))
+        assert np.allclose(trace.fused, [[2.0, 2.0]])
 
     def test_self_code_scaling(self):
         e = np.array([1.0, -2.0], dtype=np.float32)
         for alpha in (0.0, 0.5, 1.5):
             q = quantizer([[e.tolist()]], alpha=alpha)
-            trace = quantize_cascade(q, e)
-            assert np.allclose(trace.fused, (1 + alpha) * e)
+            trace = quantize_batch(q, e[None, :])
+            assert np.allclose(trace.fused[0], (1 + alpha) * e)
 
     def test_missing_projection_rejected(self):
         with pytest.raises(ConfigError):
@@ -276,30 +280,31 @@ class TestFuseCodes:
         qa = quantizer([[[0.3, 0.4], [2.0, 2.0]]], alpha=0.8)
         qc = quantizer([[[0.3, 0.4], [2.0, 2.0]]], alpha=0.8,
                        fusion_mode=CONCAT_PROJECT, projection=proj)
-        e = np.array([0.2, 0.5], dtype=np.float32)
-        assert np.allclose(quantize_cascade(qa, e).fused, quantize_cascade(qc, e).fused, atol=1e-7)
+        e = np.array([[0.2, 0.5]], dtype=np.float32)
+        assert np.allclose(quantize_batch(qa, e).fused, quantize_batch(qc, e).fused, atol=1e-7)
 
-    def test_fuse_codes_recomputes_trace_fusion(self):
+    def test_fusion_recomputed_from_codes(self):
         q = make_quantizer(SeededRng(4), 4, [4, 2], alpha=1.3)
-        e = np.arange(4, dtype=np.float32) / 4
-        trace = quantize_cascade(q, e)
-        z = fuse_codes(trace, q)
-        assert np.allclose(z, trace.fused, atol=1e-7)
+        e = (np.arange(4, dtype=np.float32) / 4)[None, :]
+        trace = quantize_batch(q, e)
+        assert np.allclose(trace.fused, e + np.float32(1.3) * trace.codes.mean(axis=0), atol=1e-7)
 
 
-class TestCageLoss:
+class TestCagePenalties:
     def test_fixed_point_is_zero(self):
         e = [1.0, 2.0]
         q = quantizer([[e]], beta=0.5)
-        loss = cage_loss(quantize_cascade(q, np.array(e, dtype=np.float32)), beta=0.5)
-        assert loss.l_quant == 0.0 and loss.l_commit == 0.0 and loss.l_cage == 0.0
+        trace = quantize_batch(q, np.array([e], dtype=np.float32))
+        assert penalties(trace, 0) == (0.0, 0.0)
+        assert batch_cage_loss_sum(trace, beta=0.5) == 0.0
 
     def test_single_level_arithmetic(self):
         q = quantizer([[[0.0, 0.0]]], beta=0.5)
-        loss = cage_loss(quantize_cascade(q, np.array([1.0, 0.0], dtype=np.float32)), beta=0.5)
-        assert loss.l_quant == pytest.approx(1.0)
-        assert loss.l_commit == pytest.approx(1.0)
-        assert loss.l_cage == pytest.approx(1.5)
+        trace = quantize_batch(q, np.array([[1.0, 0.0]], dtype=np.float32))
+        l_quant, l_commit = penalties(trace, 0)
+        assert l_quant == pytest.approx(1.0)
+        assert l_commit == pytest.approx(1.0)
+        assert batch_cage_loss_sum(trace, beta=0.5) == pytest.approx(1.5)
 
     def test_forward_value_identity(self):
         gen = np.random.default_rng(7)
@@ -307,19 +312,19 @@ class TestCageLoss:
             h = int(gen.integers(1, 4))
             sizes = sorted(gen.choice(np.arange(2, 30), size=h, replace=False), reverse=True)
             q = make_quantizer(SeededRng(int(gen.integers(1 << 30))), 6, [int(s) for s in sizes])
-            e = gen.normal(size=6).astype(np.float32)
-            loss = cage_loss(quantize_cascade(q, e), beta=1.0)
-            assert abs(loss.l_quant - loss.l_commit) < 1e-6
+            e = gen.normal(size=(1, 6)).astype(np.float32)
+            l_quant, l_commit = penalties(quantize_batch(q, e), 0)
+            assert abs(l_quant - l_commit) < 1e-6
 
 
 def commit_surrogate(trace, weight):
-    """Straight-through surrogate of the commitment penalty as a function of e.
+    """Straight-through surrogate of the commitment penalty of a 1-row trace as a function of e.
 
     The per-level offsets captured at the base point are constants; the
     perturbation of e rides the chain into every level input.
     """
-    base = trace.input.astype(np.float64)
-    codes = [c.astype(np.float64) for c in trace.codes]
+    base = trace.input[0].astype(np.float64)
+    codes = trace.codes[:, 0].astype(np.float64)
 
     def f(e64):
         shift = e64.reshape(-1) - base
@@ -333,26 +338,27 @@ def commit_surrogate(trace, weight):
     return f
 
 
-def reference_ste_backward(trace, q, grad_z, weight_cage):
-    """The single-row routing loop: (grad_e, {(level, row): code grad}, grad_projection)."""
+def reference_ste_backward(trace, i, q, grad_z, weight_cage):
+    """The routing loop over row i of a trace: (grad_e, {(level, row): code grad}, grad_projection)."""
     grad_z = np.asarray(grad_z, dtype=np.float32).reshape(-1)
     h = q.depth
     alpha = np.float32(q.alpha)
+    codes = trace.codes[:, i]
     code_grads = {}
     grad_proj = None
     if q.fusion_mode == AVERAGE:
         grad_e = (np.float32(1.0) + alpha) * grad_z
     else:
-        concat = np.concatenate(trace.codes)
+        concat = codes.reshape(-1)
         grad_proj = alpha * np.outer(concat, grad_z).astype(np.float32)
         chunks = (alpha * (q.projection.value @ grad_z)).reshape(h, q.dim)
         grad_e = grad_z + chunks.sum(axis=0)
     w = np.float32(weight_cage)
     wb = np.float32(weight_cage * q.beta)
-    prev = trace.input
-    for i in range(h):
-        c = trace.codes[i]
-        key = (i + 1, trace.indices[i])
+    prev = trace.input[i]
+    for level in range(h):
+        c = codes[level]
+        key = (level + 1, int(trace.indices[level, i]))
         code_grads[key] = code_grads.get(key, 0.0) + w * np.float32(2.0) * (c - prev)
         grad_e = grad_e + wb * np.float32(2.0) * (prev - c)
         prev = c
@@ -362,25 +368,26 @@ def reference_ste_backward(trace, q, grad_z, weight_cage):
 class TestSteBackward:
     def test_task_path_identity_average(self):
         q = quantizer([[[0.0, 0.0], [3.0, 3.0]]], alpha=1.0, beta=0.0)
-        trace = quantize_cascade(q, np.array([5.0, 5.0], dtype=np.float32))
-        grad_e, code_grads, _ = ste_backward(trace, q, np.array([1.0, 2.0]), weight_cage=0.0)
-        assert np.allclose(grad_e, [2.0, 4.0])
-        assert all(not np.any(g) for g in code_grads.values())
+        trace = quantize_batch(q, np.array([[5.0, 5.0]], dtype=np.float32))
+        grad_e, code_grads, _ = ste_backward_batch(q, trace, np.array([[1.0, 2.0]]), weight_cage=0.0)
+        assert np.allclose(grad_e, [[2.0, 4.0]])
+        assert not np.any(code_grads)
 
     def test_quant_and_commit_routing_single_level(self):
         q = quantizer([[[0.0, 0.0]]], alpha=0.0, beta=1.0)
-        trace = quantize_cascade(q, np.array([1.0, 0.0], dtype=np.float32))
-        grad_e, code_grads, _ = ste_backward(trace, q, np.zeros(2), weight_cage=1.0)
-        assert np.allclose(code_grads[(1, 0)], [-2.0, 0.0])
-        assert np.allclose(grad_e, [2.0, 0.0])
+        trace = quantize_batch(q, np.array([[1.0, 0.0]], dtype=np.float32))
+        grad_e, code_grads, _ = ste_backward_batch(q, trace, np.zeros((1, 2)), weight_cage=1.0)
+        assert trace.indices.tolist() == [[0]]
+        assert np.allclose(code_grads[0, 0], [-2.0, 0.0])
+        assert np.allclose(grad_e, [[2.0, 0.0]])
 
     def test_disabled_cage_passes_gradient_through(self):
         q = quantizer([[[0.5, 0.5], [2.0, 2.0]]], alpha=0.0)
-        trace = quantize_cascade(q, np.array([0.4, 0.4], dtype=np.float32))
-        grad_z = np.array([0.3, -0.7], dtype=np.float32)
-        grad_e, code_grads, _ = ste_backward(trace, q, grad_z, weight_cage=0.0)
+        trace = quantize_batch(q, np.array([[0.4, 0.4]], dtype=np.float32))
+        grad_z = np.array([[0.3, -0.7]], dtype=np.float32)
+        grad_e, code_grads, _ = ste_backward_batch(q, trace, grad_z, weight_cage=0.0)
         assert np.array_equal(grad_e, grad_z)
-        assert all(not np.any(g) for g in code_grads.values())
+        assert not np.any(code_grads)
 
     @pytest.mark.parametrize("trial", range(30))
     def test_ste_identity_random(self, trial):
@@ -390,12 +397,12 @@ class TestSteBackward:
         alpha = float(gen.uniform(0, 2))
         sizes = sorted(gen.choice(np.arange(2, 40), size=h, replace=False), reverse=True)
         q = make_quantizer(SeededRng(trial), d, [int(s) for s in sizes], alpha=alpha)
-        e = gen.normal(size=d).astype(np.float32)
-        grad_z = gen.normal(size=d).astype(np.float32)
-        trace = quantize_cascade(q, e)
-        grad_e, _, _ = ste_backward(trace, q, grad_z, weight_cage=0.0)
+        e = gen.normal(size=(1, d)).astype(np.float32)
+        grad_z = gen.normal(size=(1, d)).astype(np.float32)
+        trace = quantize_batch(q, e)
+        grad_e, _, _ = ste_backward_batch(q, trace, grad_z, weight_cage=0.0)
         q.beta = 0.0
-        grad_e_no_losses, _, _ = ste_backward(trace, q, grad_z, weight_cage=0.0)
+        grad_e_no_losses, _, _ = ste_backward_batch(q, trace, grad_z, weight_cage=0.0)
         assert np.allclose(grad_e_no_losses, (1 + alpha) * grad_z, atol=1e-6)
         assert np.allclose(grad_e, grad_e_no_losses, atol=1e-6)
 
@@ -409,13 +416,13 @@ class TestSteBackward:
         sizes = sorted(gen.choice(np.arange(2, 20), size=h, replace=False), reverse=True)
         q = make_quantizer(SeededRng(trial), d, [int(s) for s in sizes], alpha=0.0, beta=beta)
         e = gen.normal(size=d).astype(np.float32)
-        trace = quantize_cascade(q, e)
-        grad_e, _, _ = ste_backward(trace, q, np.zeros(d), weight_cage=omega_q)
+        trace = quantize_batch(q, e[None, :])
+        grad_e, _, _ = ste_backward_batch(q, trace, np.zeros((1, d)), weight_cage=omega_q)
         # remove the quantization term's absence: grad_e here is commit-only
         fd = finite_diff_gradient(commit_surrogate(trace, omega_q * beta),
                                   e.astype(np.float64), h=1e-3).reshape(-1)
         denom = np.maximum(np.abs(fd), 1e-3)
-        assert np.max(np.abs(grad_e - fd) / denom) < 1e-4
+        assert np.max(np.abs(grad_e[0] - fd) / denom) < 1e-4
 
     @pytest.mark.parametrize("trial", range(20))
     def test_quantization_gradient_matches_fd(self, trial):
@@ -426,16 +433,17 @@ class TestSteBackward:
         sizes = sorted(gen.choice(np.arange(2, 20), size=h, replace=False), reverse=True)
         q = make_quantizer(SeededRng(trial), d, [int(s) for s in sizes], beta=0.0)
         q.beta = 0.0
-        e = gen.normal(size=d).astype(np.float32)
-        trace = quantize_cascade(q, e)
-        _, code_grads, _ = ste_backward(trace, q, np.zeros(d), weight_cage=omega_q)
-        inputs = [trace.input.astype(np.float64)] + [c.astype(np.float64) for c in trace.codes[:-1]]
+        e = gen.normal(size=(1, d)).astype(np.float32)
+        trace = quantize_batch(q, e)
+        _, code_grads, _ = ste_backward_batch(q, trace, np.zeros((1, d)), weight_cage=omega_q)
+        codes = trace.codes[:, 0].astype(np.float64)
+        inputs = [e[0].astype(np.float64)] + list(codes[:-1])
         for level in range(1, h + 1):
             prev = inputs[level - 1]
-            code = trace.codes[level - 1].astype(np.float64)
+            code = codes[level - 1]
             fd = finite_diff_gradient(lambda c64, prev=prev: omega_q * float(((prev - c64.reshape(-1)) ** 2).sum()),
                                       code, h=1e-3).reshape(-1)
-            analytic = code_grads[(level, trace.indices[level - 1])]
+            analytic = code_grads[level - 1, 0]
             denom = np.maximum(np.abs(fd), 1e-3)
             assert np.max(np.abs(analytic - fd) / denom) < 1e-4
 
@@ -462,7 +470,7 @@ class TestSteBackward:
             grad_e_batch, code_grads, grad_proj = ste_backward_batch(q, bt, gz, weight_cage=0.4)
             proj_sum = 0.0
             for i in range(5):
-                single, single_codes, single_proj = reference_ste_backward(bt.row(i), q, gz[i], 0.4)
+                single, single_codes, single_proj = reference_ste_backward(bt, i, q, gz[i], 0.4)
                 assert np.allclose(grad_e_batch[i], single, atol=1e-6)
                 for level in range(q.depth):
                     key = (level + 1, int(bt.indices[level, i]))
@@ -481,13 +489,13 @@ class TestSteBackward:
             gen.normal(size=(4, d)).tolist(),
             gen.normal(size=(2, d)).tolist(),
         ], alpha=0.6, beta=0.0, fusion_mode=CONCAT_PROJECT, projection=proj)
-        e = gen.normal(size=d).astype(np.float32)
-        trace = quantize_cascade(q, e)
+        e = gen.normal(size=(1, d)).astype(np.float32)
+        trace = quantize_batch(q, e)
         grad_z = gen.normal(size=d).astype(np.float32)
         q.beta = 0.0
-        grad_e, _, grad_proj = ste_backward(trace, q, grad_z, weight_cage=0.0)
+        grad_e, _, grad_proj = ste_backward_batch(q, trace, grad_z[None, :], weight_cage=0.0)
 
-        concat = np.concatenate(trace.codes).astype(np.float64)
+        concat = trace.codes[:, 0].reshape(-1).astype(np.float64)
 
         def fused_surrogate(p64):
             # z as a function of the projection, selections frozen
@@ -500,7 +508,7 @@ class TestSteBackward:
         # task gradient to e: direct residual plus one chunk per level
         chunks = (0.6 * (proj.value.astype(np.float64) @ grad_z)).reshape(h, d)
         expected = grad_z + chunks.sum(axis=0)
-        assert np.allclose(grad_e, expected, atol=1e-5)
+        assert np.allclose(grad_e[0], expected, atol=1e-5)
 
 
 class TestExtractTree:
@@ -518,13 +526,13 @@ class TestExtractTree:
         tree = extract_tree(q, np.array(pts, dtype=np.float32))
         assert sorted(int(p[0]) for p in tree.paths) == [0, 1, 2, 3]
 
-    def test_parent_links_are_nearest_codes(self):
+    def test_parent_links_are_nearest_coarse_rows(self):
         q = make_quantizer(SeededRng(21), 4, [6, 2])
         emb = np.random.default_rng(21).normal(size=(9, 4)).astype(np.float32)
         tree = extract_tree(q, emb)
         for child in range(6):
-            j, _, _ = nearest_code(q.codebooks[1], q.codebooks[0].entries.value[child])
-            assert tree.parents[0][child] == j
+            j, _ = _nearest(q.codebooks[1].entries.value, q.codebooks[0].entries.value[child][None, :])
+            assert tree.parents[0][child] == j[0]
 
     def test_pure_function(self):
         q = make_quantizer(SeededRng(22), 4, [5, 2])

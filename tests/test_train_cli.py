@@ -701,6 +701,25 @@ class TestCliDamagedCheckpoint:
         assert re.fullmatch(f"error: {re.escape(str(ckpt))}: {error}\n", capsys.readouterr().err)
         assert not (tmp_path / "t.json").exists()
 
+    @pytest.mark.parametrize("shape, kept", [([2 ** 62, 4], 0), ([2 ** 32, 2 ** 32], 0), ([0, 2 ** 70], 0),
+                                             ([0, 2 ** 63], 0), ([-1, 2], 0), ([1] * 65, 1)],
+                             ids=["2**62x4", "2**32x2**32", "0x2**70", "0x2**63", "negative", "65-dims"])
+    def test_invalid_shape_is_typed_error(self, tmp_path, capsys, shape, kept):
+        """The last tensor's shape replaced and the payload cut kept floats past its offset: no byte count
+        wraps or overflows, and no shape reaches numpy that it cannot describe."""
+        ckpt = TestCli()._train(tmp_path)
+        blob = ckpt.read_bytes()
+        (meta_len,) = struct.unpack_from("<Q", blob, 12)
+        meta = json.loads(blob[20:20 + meta_len].decode("utf-8"))
+        last = max(meta["tensors"], key=lambda entry: entry["offset"])
+        last["shape"] = shape
+        new_meta = json.dumps(meta, sort_keys=True).encode("utf-8")
+        ckpt.write_bytes(blob[:12] + struct.pack("<Q", len(new_meta)) + new_meta
+                         + blob[20 + meta_len:20 + meta_len + last["offset"] + 4 * kept])
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: tensor '{last['name']}' has an invalid shape {shape}\n"
+
 
 class TestCliEmptySplit:
     """With every user under 3 positives, leave-one-out holds nothing out: training runs, evaluation cannot."""
