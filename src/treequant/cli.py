@@ -86,7 +86,6 @@ def cmd_inspect_codes(args) -> int:
         level1 = trace.indices[0]
         codes, labels, skipped = [], [], 0
         for lineno, line in read_lines(args.labels, ConfigError):
-            line = line.rstrip("\r\n")
             if not line:
                 continue
             parts = line.split("\t")

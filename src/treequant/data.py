@@ -1,4 +1,4 @@
-"""Dataset ingestion, preprocessing, splits, and negative sampling."""
+"""Dataset ingestion (interaction files as columns), preprocessing, splits, and negative sampling."""
 
 from __future__ import annotations
 
@@ -21,33 +21,39 @@ MOVIELENS_POSITIVE_THRESHOLD = 4
 
 
 @dataclass
-class InteractionRecord:
-    user: str
-    item: str
-    label: int = 1  # 0 is a negative, 1 a positive
-    timestamp: int | None = None
+class InteractionColumns:
+    """An interaction file as columns: entry r of each column is the file's r-th record."""
+
+    users: list                  # raw user id
+    items: list                  # raw item id
+    labels: np.ndarray           # int64: 0 a negative, 1 a positive
+    timestamps: list             # int of any size, or None where the field is missing or empty
 
 
 class Vocabulary:
     """Bijective raw-id <-> contiguous-index map in first-seen order; an unknown id raises KeyError."""
 
     def __init__(self, ids=()):
-        self._to_id = list(dict.fromkeys(ids))
-        self._to_index = {raw: idx for idx, raw in enumerate(self._to_id)}
+        self.ids = list(dict.fromkeys(ids))  # the raw id of each index
+        self._to_index = dict(zip(self.ids, range(len(self.ids))))
 
     def index(self, raw: str) -> int:
         return self._to_index[raw]
 
+    def indices(self, raws) -> np.ndarray:
+        """The index of each raw id of a sequence, as an int64 array."""
+        return np.fromiter(map(self._to_index.__getitem__, raws), np.int64, len(raws))
+
     def raw(self, idx: int) -> str:
-        return self._to_id[idx]
+        return self.ids[idx]
 
     def __len__(self) -> int:
-        return len(self._to_id)
+        return len(self.ids)
 
 
 @dataclass
 class SplitDataset:
-    train: list
+    train: list                  # leave_one_out gives row-index arrays, partition_lists lists of records
     validation: list
     test: list
 
@@ -57,62 +63,135 @@ class SplitDataset:
 # ---------------------------------------------------------------------------
 
 
+def _read_text(path) -> tuple:
+    """(data, bad): a file's bytes with each line ending made "\n", up to its first line that is not UTF-8.
+
+    Lines end as open(newline="") ends them, at "\r\n", "\r" or "\n".  bad
+    is the number of the first line holding bytes that are not UTF-8, or
+    None; data then holds only the lines before it.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data[:data.rfind(b"\n", 0, exc.start) + 1], data.count(b"\n", 0, exc.start) + 1
+    return data, None
+
+
 def read_lines(path, error=DataError):
     """(line number, line) for each line of a UTF-8 text file, split as open(newline="") splits.
 
-    Bytes that are not UTF-8 raise ``error`` naming the file and the line.
+    Lines come without their terminators.  Bytes that are not UTF-8 raise
+    ``error`` naming the file and the line, once every line before it has
+    been yielded.
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            # surrogateescape decodes each byte that is not UTF-8 to U+DC80..U+DCFF, never ASCII
-            if not line.isascii() and re.search("[\udc80-\udcff]", line):
-                raise error(f"{path}: line {lineno}: not valid UTF-8")
-            yield lineno, line
+    data, bad = _read_text(path)
+    lines = data.decode("utf-8").split("\n")
+    if lines[-1] == "":  # the text after the last terminator, or an empty file
+        lines.pop()
+    yield from enumerate(lines, start=1)
+    if bad is not None:
+        raise error(f"{path}: line {bad}: not valid UTF-8")
 
 
-def load_interactions(path, fmt: str = GENERIC_TSV) -> list:
-    """Parse an interaction file.
+def _tab_columns(data: bytes, n: int) -> tuple:
+    """(line numbers, field counts, columns) of the non-blank lines of UTF-8 text split at "\n".
+
+    The columns are lists of the first n tab-separated fields of those
+    lines; a missing field reads as "".
+    """
+    # every field of the text in one list: a line's fields follow those of the lines before it
+    fields = data.decode("utf-8").replace("\n", "\t").split("\t")
+    fields.append("")
+    codes = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(codes == ord("\n"))
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, len(data))  # the last line has no terminator
+    widths = np.bincount(np.searchsorted(ends, np.flatnonzero(codes == ord("\t"))), minlength=len(ends)) + 1
+    first = np.cumsum(widths) - widths
+    kept = np.diff(ends, prepend=-1) > 1
+    widths, first = widths[kept], first[kept]
+    columns = [list(map(fields.__getitem__, np.where(widths > k, first + k, len(fields) - 1).tolist()))
+               for k in range(n)]
+    return np.flatnonzero(kept) + 1, widths, columns
+
+
+def _generic_label(text: str) -> int:
+    if text == "":
+        return 1
+    label = int(text)
+    if label not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {label}")
+    return label
+
+
+def _rating_label(text: str) -> int:
+    return 1 if int(text) >= MOVIELENS_POSITIVE_THRESHOLD else 0
+
+
+def _optional_int(text: str):
+    return None if text == "" else int(text)
+
+
+# per format: the allowed field counts, and the parsers of the third and fourth fields
+_FORMATS = {
+    GENERIC_TSV: ((2, 4), "2-4", _generic_label, _optional_int),
+    MOVIELENS_100K: ((4, 4), "4", _rating_label, int),
+}
+
+
+def _parse_column(column, parse) -> tuple:
+    """parse() of each distinct string of a column: (value table, (first failing row, message) or None)."""
+    values, failed = {}, {}
+    for text in set(column):
+        try:
+            values[text] = parse(text)
+        except ValueError as exc:
+            failed[text] = str(exc)
+    if not failed:
+        return values, None
+    row = next(r for r, text in enumerate(column) if text in failed)
+    return values, (row, failed[column[row]])
+
+
+def load_interactions(path, fmt: str = GENERIC_TSV) -> InteractionColumns:
+    """Parse an interaction file into columns, one entry per non-blank line in file order.
 
     generic-tsv lines: user <TAB> item [<TAB> label [<TAB> timestamp]]; no label is 1.
     movielens-100k lines: user <TAB> item <TAB> rating <TAB> timestamp,
     with the rating binarized at >= MOVIELENS_POSITIVE_THRESHOLD.
+
+    Each line is checked in this order: UTF-8, field count, label (or
+    rating), timestamp, then non-empty ids; the error names the first line
+    failing a check and that line's first failing check.  Each distinct
+    label, rating and timestamp string is parsed once, with Python ``int()``.
     """
-    if fmt not in (GENERIC_TSV, MOVIELENS_100K):
+    if fmt not in _FORMATS:
         raise DataError(f"unknown interaction format {fmt!r}")
-    records = []
-    for lineno, line in read_lines(path):
-        line = line.rstrip("\r\n")
-        if not line:
-            continue
-        fields = line.split("\t")
-        try:
-            if fmt == GENERIC_TSV:
-                if not 2 <= len(fields) <= 4:
-                    raise ValueError(f"expected 2-4 tab-separated fields, got {len(fields)}")
-                user, item = fields[0], fields[1]
-                label = 1
-                ts = None
-                if len(fields) >= 3 and fields[2] != "":
-                    label = int(fields[2])
-                    if label not in (0, 1):
-                        raise ValueError(f"label must be 0 or 1, got {label}")
-                if len(fields) == 4 and fields[3] != "":
-                    ts = int(fields[3])
-            else:
-                if len(fields) != 4:
-                    raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
-                user, item = fields[0], fields[1]
-                rating = int(fields[2])
-                label = 1 if rating >= MOVIELENS_POSITIVE_THRESHOLD else 0
-                ts = int(fields[3])
-            if not user or not item:
-                raise ValueError("empty user or item id")
-        except ValueError as exc:
-            raise DataError(f"{path}: line {lineno}: {exc}") from exc
-        records.append(InteractionRecord(user=user, item=item, label=label, timestamp=ts))
-    if not records:
+    (low, high), counts, parse_label, parse_time = _FORMATS[fmt]
+    data, bad = _read_text(path)
+    numbers, widths, (users, items, label_texts, time_texts) = _tab_columns(data, 4)
+
+    # each check's first failing row, or None, in the order the checks run on a line
+    wrong = np.flatnonzero((widths < low) | (widths > high))
+    width_failure = None
+    if wrong.size:
+        width_failure = int(wrong[0]), f"expected {counts} tab-separated fields, got {widths[wrong[0]]}"
+    label_of, label_failure = _parse_column(label_texts, parse_label)
+    time_of, time_failure = _parse_column(time_texts, parse_time)
+    empty = [ids.index("") for ids in (users, items) if "" in ids]
+    id_failure = (min(empty), "empty user or item id") if empty else None
+    failures = [f for f in (width_failure, label_failure, time_failure, id_failure) if f is not None]
+    if failures:
+        row, message = min(failures, key=lambda f: f[0])  # min keeps the earlier check of a row
+        raise DataError(f"{path}: line {numbers[row]}: {message}")
+    if bad is not None:
+        raise DataError(f"{path}: line {bad}: not valid UTF-8")
+    if not users:
         raise DataError(f"{path}: no interaction records")
-    return records
+    labels = np.fromiter(map(label_of.__getitem__, label_texts), np.int64, len(users))
+    return InteractionColumns(users, items, labels, list(map(time_of.__getitem__, time_texts)))
 
 
 def load_lists(path) -> list:
@@ -185,31 +264,33 @@ def partition_lists(records, rng: SeededRng) -> SplitDataset:
     )
 
 
-def leave_one_out(interactions) -> SplitDataset:
-    """Per-user holdout: last positive to test, second-last to validation.
+def leave_one_out(users: np.ndarray, labels: np.ndarray, timestamps) -> SplitDataset:
+    """Per-user holdout over columns: last positive to test, second-last to validation.
 
-    A record is a negative if its label is 0 and a positive otherwise.
-    Ordering is by timestamp when present, with file order breaking ties.
-    Users with fewer than 3 positives contribute everything to train.
-    Negatives always stay in train.
+    ``users`` holds each row's user index, numbered in first-seen order as
+    Vocabulary numbers them; a row is a negative if its label is 0 and a
+    positive otherwise; a timestamp is an int of any size or None, which
+    sorts as 0.  Returns the split as arrays of row indices.  Train takes
+    the users in index order: each user's negatives in row order, then its
+    positives sorted by (timestamp, row), all but the last two, which go to
+    validation and test.  A user with fewer than 3 positives keeps them all
+    in train, in row order.
     """
-    by_user = {}
-    for pos_in_file, rec in enumerate(interactions):
-        by_user.setdefault(rec.user, []).append((pos_in_file, rec))
-    train, val, test = [], [], []
-    for user in by_user:
-        entries = by_user[user]
-        positives = [(i, r) for i, r in entries if r.label != 0]
-        negatives = [r for _, r in entries if r.label == 0]
-        train.extend(negatives)
-        if len(positives) < 3:
-            train.extend(r for _, r in positives)
-            continue
-        positives.sort(key=lambda ir: (ir[1].timestamp if ir[1].timestamp is not None else 0, ir[0]))
-        train.extend(r for _, r in positives[:-2])
-        val.append(positives[-2][1])
-        test.append(positives[-1][1])
-    return SplitDataset(train=train, validation=val, test=test)
+    # rank the distinct timestamps, so that any int sorts exactly as Python compares it
+    keys = {t: 0 if t is None else t for t in set(timestamps)}
+    rank = {key: r for r, key in enumerate(sorted(set(keys.values())))}
+    rank = {t: rank[key] for t, key in keys.items()}
+    times = np.fromiter(map(rank.__getitem__, timestamps), np.int64, len(timestamps))
+    positive = labels != 0
+    n_positives = np.bincount(users, weights=positive)
+    timed = positive & (n_positives[users] >= 3)  # only their positives are ordered by time
+    order = np.lexsort((np.where(timed, times, 0), positive, users))  # stable: ties keep row order
+    by_user = users[order]
+    last = np.flatnonzero(np.diff(by_user, append=-1))  # each user's last row, a positive if it has one
+    last = last[n_positives[by_user[last]] >= 3]
+    keep = np.ones(len(users), dtype=bool)
+    keep[last] = keep[last - 1] = False
+    return SplitDataset(train=order[keep], validation=order[last - 1], test=order[last])
 
 
 def sample_negatives(user, n: int, vocab_size: int, positives, rng: np.random.Generator) -> list:

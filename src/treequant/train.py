@@ -41,7 +41,7 @@ class InteractionData:
 
     user_vocab: D.Vocabulary
     item_vocab: D.Vocabulary
-    train: list                  # (user, item, label) triples; label 0 is a negative, 1 a positive
+    train: np.ndarray            # (n, 3) int64 rows (user, item, label); label 0 is a negative, 1 a positive
     val_pairs: list              # (user, positive item)
     test_pairs: list
     positives_by_user: dict      # user -> set of positive items over all splits
@@ -56,17 +56,17 @@ class ListData:
 
 
 def prepare_interactions(cfg: TrainConfig) -> InteractionData:
-    records = D.load_interactions(cfg.data.path, cfg.data.format)
-    user_vocab = D.Vocabulary(rec.user for rec in records)
-    item_vocab = D.Vocabulary(rec.item for rec in records)
-    split = D.leave_one_out(records)
-    train = [(user_vocab.index(r.user), item_vocab.index(r.item), r.label) for r in split.train]
-    val_pairs = [(user_vocab.index(r.user), item_vocab.index(r.item)) for r in split.validation]
-    test_pairs = [(user_vocab.index(r.user), item_vocab.index(r.item)) for r in split.test]
-    positives = {}
-    for user, item in [(u, i) for u, i, label in train if label != 0] + val_pairs + test_pairs:
+    columns = D.load_interactions(cfg.data.path, cfg.data.format)
+    user_vocab, item_vocab = D.Vocabulary(columns.users), D.Vocabulary(columns.items)
+    users, items = user_vocab.indices(columns.users), item_vocab.indices(columns.items)
+    split = D.leave_one_out(users, columns.labels, columns.timestamps)
+    rows = np.column_stack([users, items, columns.labels])
+    val_pairs, test_pairs = (list(map(tuple, rows[held, :2].tolist()))
+                             for held in (split.validation, split.test))
+    positives = {}  # every positive row is in exactly one split
+    for user, item in rows[columns.labels != 0, :2].tolist():
         positives.setdefault(user, set()).add(item)
-    return InteractionData(user_vocab, item_vocab, train, val_pairs, test_pairs, positives)
+    return InteractionData(user_vocab, item_vocab, rows[split.train], val_pairs, test_pairs, positives)
 
 
 def prepare_lists(cfg: TrainConfig, rng: SeededRng) -> ListData:
@@ -181,7 +181,7 @@ def _raw_ids(ds) -> dict:
     vocabs = {"items": ds.item_vocab}
     if isinstance(ds, InteractionData):
         vocabs = {"users": ds.user_vocab, **vocabs}
-    return {side: [v.raw(i) for i in range(len(v))] for side, v in vocabs.items()}
+    return {side: v.ids for side, v in vocabs.items()}
 
 
 def _check_vocab(ckpt: Checkpoint, ds, path):
@@ -257,8 +257,7 @@ def _task_examples(cfg: TrainConfig, model, ds, rng: SeededRng):
             return seq_step(model, [prefixes[i] for i in b], targets[b])
         return lambda: (len(prefixes), seq)
     neg_gen = rng.stream("negative-sampling")
-    rows = np.array(ds.train, dtype=np.int64).reshape(-1, 3)
-    positives, negatives = rows[rows[:, 2] != 0], rows[rows[:, 2] == 0]
+    positives, negatives = ds.train[ds.train[:, 2] != 0], ds.train[ds.train[:, 2] == 0]
     if cfg.task == "cf":
         def cf(b):
             users = positives[b, 0]

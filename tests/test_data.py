@@ -1,32 +1,36 @@
+import random
+import re
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from treequant.data import (InteractionRecord, Vocabulary,
-                            leave_one_out, load_interactions, load_lists,
-                            partition_lists, preprocess_lists,
+from treequant.config import config_from_dict
+from treequant.data import (Vocabulary, leave_one_out, load_interactions, load_lists,
+                            partition_lists, preprocess_lists, read_lines,
                             sample_negatives, split_list)
 from treequant.errors import DataError
 from treequant.rng import SeededRng
+from treequant.train import prepare_interactions
 
 
 class TestLoadInteractions:
     def test_single_generic_line(self, tmp_path):
         p = tmp_path / "i.tsv"
         p.write_text("u1\ti9\t1\n")
-        recs = load_interactions(p, "generic-tsv")
-        assert recs == [InteractionRecord(user="u1", item="i9", label=1, timestamp=None)]
+        cols = load_interactions(p, "generic-tsv")
+        assert _records(cols) == [("u1", "i9", 1, None)]
         # no label field, or an empty one, loads as label 1; a blank line is skipped
         p.write_text("u1\ti9\n\nu2\ti8\t\t4\n")
-        assert load_interactions(p, "generic-tsv") == [InteractionRecord("u1", "i9", 1, None),
-                                                       InteractionRecord("u2", "i8", 1, 4)]
+        assert _records(load_interactions(p, "generic-tsv")) == [("u1", "i9", 1, None), ("u2", "i8", 1, 4)]
 
     def test_movielens_binarization(self, tmp_path):
         p = tmp_path / "u.data"
         p.write_text("196\t242\t3\t881250949\n186\t302\t4\t891717742\n")
-        recs = load_interactions(p, "movielens-100k")
-        assert recs[0].label == 0  # rating 3 < threshold 4
-        assert recs[1].label == 1
-        assert recs[0].timestamp == 881250949
+        cols = load_interactions(p, "movielens-100k")
+        assert cols.labels[0] == 0  # rating 3 < threshold 4
+        assert cols.labels[1] == 1
+        assert cols.timestamps[0] == 881250949
 
     def test_malformed_line_names_line_number(self, tmp_path):
         p = tmp_path / "bad.tsv"
@@ -49,9 +53,9 @@ class TestLoadInteractions:
     def test_crlf_tolerated(self, tmp_path):
         p = tmp_path / "crlf.tsv"
         p.write_bytes(b"u1\ti1\t1\t5\r\nu2\ti2\t0\t6\r\n")
-        recs = load_interactions(p, "generic-tsv")
-        assert len(recs) == 2
-        assert recs[1].timestamp == 6
+        cols = load_interactions(p, "generic-tsv")
+        assert len(cols.users) == 2
+        assert cols.timestamps[1] == 6
 
     def test_unknown_format_rejected(self, tmp_path):
         p = tmp_path / "i.csv"
@@ -171,33 +175,33 @@ class TestPartition:
 
 
 class TestLeaveOneOut:
-    def _rec(self, user, item, ts=None, label=None):
-        return InteractionRecord(user=user, item=item, label=label, timestamp=ts)
+    def _split(self, rows):
+        """leave_one_out over (user, item, ts, label) rows; the items of train, validation and test."""
+        users, items, stamps, labels = zip(*rows)
+        ds = leave_one_out(Vocabulary(users).indices(users), np.array(labels), list(stamps))
+        return [[items[r] for r in part] for part in (ds.train, ds.validation, ds.test)]
 
     def test_three_positives(self):
-        recs = [self._rec("u", f"i{k}", ts=k) for k in range(3)]
-        ds = leave_one_out(recs)
-        assert [r.item for r in ds.train] == ["i0"]
-        assert [r.item for r in ds.validation] == ["i1"]
-        assert [r.item for r in ds.test] == ["i2"]
+        train, val, test = self._split([("u", f"i{k}", k, 1) for k in range(3)])
+        assert train == ["i0"]
+        assert val == ["i1"]
+        assert test == ["i2"]
 
     def test_two_positives_all_train(self):
-        recs = [self._rec("u", "a"), self._rec("u", "b")]
-        ds = leave_one_out(recs)
-        assert len(ds.train) == 2 and not ds.validation and not ds.test
+        train, val, test = self._split([("u", "a", None, 1), ("u", "b", None, 1)])
+        assert len(train) == 2 and not val and not test
 
     def test_timestamp_ties_use_file_order(self):
-        recs = [self._rec("u", f"i{k}", ts=7) for k in range(4)]
-        a, b = leave_one_out(recs), leave_one_out(recs)
-        assert [r.item for r in a.test] == [r.item for r in b.test] == ["i3"]
-        assert [r.item for r in a.validation] == ["i2"]
+        rows = [("u", f"i{k}", 7, 1) for k in range(4)]
+        a, b = self._split(rows), self._split(rows)
+        assert a[2] == b[2] == ["i3"]
+        assert a[1] == ["i2"]
 
     def test_negatives_stay_in_train(self):
-        recs = [self._rec("u", f"i{k}", ts=k, label=1) for k in range(3)]
-        recs.append(self._rec("u", "neg", ts=99, label=0))
-        ds = leave_one_out(recs)
-        assert any(r.item == "neg" for r in ds.train)
-        assert [r.item for r in ds.test] == ["i2"]
+        rows = [("u", f"i{k}", k, 1) for k in range(3)] + [("u", "neg", 99, 0)]
+        train, _, test = self._split(rows)
+        assert "neg" in train
+        assert test == ["i2"]
 
 
 class TestSampleNegatives:
@@ -240,7 +244,8 @@ class TestVocabulary:
 
     def test_first_seen_order(self):
         v = Vocabulary(["z", "m", "a"])
-        assert [v.raw(i) for i in range(3)] == ["z", "m", "a"]
+        assert [v.raw(i) for i in range(3)] == v.ids == ["z", "m", "a"]
+        assert v.indices(("a", "z", "a")).tolist() == [2, 0, 2]
 
     def test_unknown_id_raises_key_error(self):
         v = Vocabulary(["a"])
@@ -333,3 +338,246 @@ class TestBulkSamplingOracle:
         positives = {0, 1}
         sample_negatives("u", 3, 6, positives, np.random.default_rng(0))
         assert positives == {0, 1}
+
+
+def _records(cols) -> list:
+    """(user, item, label, timestamp) per loaded row, with Python ints."""
+    return list(zip(cols.users, cols.items, cols.labels.tolist(), cols.timestamps))
+
+
+# ---------------------------------------------------------------------------
+# The record-per-line loader and split that the columnar ones replaced, kept
+# as their oracle: a streamed line reader, one record per line, one Python
+# sort per user.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Record:
+    user: str
+    item: str
+    label: int
+    timestamp: int | None
+
+
+def oracle_read_lines(path, error=DataError):
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii() and re.search("[\udc80-\udcff]", line):
+                raise error(f"{path}: line {lineno}: not valid UTF-8")
+            yield lineno, line
+
+
+def oracle_load_interactions(path, fmt):
+    records = []
+    for lineno, line in oracle_read_lines(path):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        try:
+            if fmt == "generic-tsv":
+                if not 2 <= len(fields) <= 4:
+                    raise ValueError(f"expected 2-4 tab-separated fields, got {len(fields)}")
+                user, item = fields[0], fields[1]
+                label, ts = 1, None
+                if len(fields) >= 3 and fields[2] != "":
+                    label = int(fields[2])
+                    if label not in (0, 1):
+                        raise ValueError(f"label must be 0 or 1, got {label}")
+                if len(fields) == 4 and fields[3] != "":
+                    ts = int(fields[3])
+            else:
+                if len(fields) != 4:
+                    raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
+                user, item = fields[0], fields[1]
+                label = 1 if int(fields[2]) >= 4 else 0
+                ts = int(fields[3])
+            if not user or not item:
+                raise ValueError("empty user or item id")
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from exc
+        records.append(_Record(user, item, label, ts))
+    if not records:
+        raise DataError(f"{path}: no interaction records")
+    return records
+
+
+def oracle_leave_one_out(records):
+    by_user = {}
+    for pos_in_file, rec in enumerate(records):
+        by_user.setdefault(rec.user, []).append((pos_in_file, rec))
+    train, val, test = [], [], []
+    for entries in by_user.values():
+        positives = [(i, r) for i, r in entries if r.label != 0]
+        train.extend(r for _, r in entries if r.label == 0)
+        if len(positives) < 3:
+            train.extend(r for _, r in positives)
+            continue
+        positives.sort(key=lambda ir: (ir[1].timestamp if ir[1].timestamp is not None else 0, ir[0]))
+        train.extend(r for _, r in positives[:-2])
+        val.append(positives[-2][1])
+        test.append(positives[-1][1])
+    return train, val, test
+
+
+def oracle_prepare(path, fmt) -> dict:
+    records = oracle_load_interactions(path, fmt)
+    users = list(dict.fromkeys(r.user for r in records))
+    items = list(dict.fromkeys(r.item for r in records))
+    user_index = {u: k for k, u in enumerate(users)}
+    item_index = {i: k for k, i in enumerate(items)}
+    train, val, test = oracle_leave_one_out(records)
+    train = [(user_index[r.user], item_index[r.item], r.label) for r in train]
+    val = [(user_index[r.user], item_index[r.item]) for r in val]
+    test = [(user_index[r.user], item_index[r.item]) for r in test]
+    positives = {}
+    for user, item in [(u, i) for u, i, label in train if label != 0] + val + test:
+        positives.setdefault(user, set()).add(item)
+    return {"records": [(r.user, r.item, r.label, r.timestamp) for r in records], "users": users,
+            "items": items, "train": train, "val": val, "test": test, "positives": positives}
+
+
+def _config(path, fmt):
+    return config_from_dict({"task": "cf", "data": {"path": str(path), "format": fmt}, "model": {}})
+
+
+def _prepare(path, fmt) -> dict:
+    """prepare_interactions' dataset in the oracle's shape, with every value a Python int."""
+    ds = prepare_interactions(_config(path, fmt))
+    assert ds.train.dtype == np.int64 and ds.train.shape == (len(ds.train), 3)
+    for pairs in (ds.val_pairs, ds.test_pairs):
+        assert all(type(v) is int for pair in pairs for v in pair)
+    assert all(type(u) is int and all(type(i) is int for i in s) for u, s in ds.positives_by_user.items())
+    return {"records": _records(load_interactions(path, fmt)), "users": ds.user_vocab.ids,
+            "items": ds.item_vocab.ids, "train": [tuple(row) for row in ds.train.tolist()],
+            "val": ds.val_pairs, "test": ds.test_pairs, "positives": ds.positives_by_user}
+
+
+_STAMPS = ["0", "1", "2", "2", "5", "-3", "-1", str(2 ** 63), str(2 ** 63 + 1), str(2 ** 64), str(2 ** 70),
+           str(-2 ** 70), "007", "+4"]
+
+
+def _random_file(gen: random.Random, fmt: str) -> bytes:
+    """A valid file: up to 9 rows per user, labels and users interleaved, blank lines, mixed line endings."""
+    rows = []
+    n_items = gen.randint(1, 12)
+    timed = gen.random() < 0.8
+    for user in range(gen.randint(1, 8)):
+        for k in range(gen.choice([0, 1, 2, 3, 3, 4, 6]) + gen.randint(0, 3)):
+            rows.append([f"u{user}", f"i{gen.randrange(n_items)}", k])
+    gen.shuffle(rows)
+    lines = []
+    for user, item, _ in rows:
+        stamp = gen.choice(_STAMPS)
+        if fmt == "movielens-100k":
+            lines.append(f"{user}\t{item}\t{gen.randint(1, 5)}\t{stamp}")
+            continue
+        label = gen.choice(["0", "1", "1", "", None])
+        if not timed or label is None:
+            lines.append(f"{user}\t{item}" + ("" if label is None else f"\t{label}"))
+        else:
+            stamp = gen.choice([stamp, stamp, ""])
+            lines.append(f"{user}\t{item}\t{label}" + (f"\t{stamp}" if stamp or gen.random() < 0.5 else ""))
+    if not lines:
+        lines.append("u0\ti0")
+    out = []
+    for line in lines:
+        if gen.random() < 0.1:
+            out.append(gen.choice(["", "\r", "\n", "\r\n"]))
+        out.append(line + gen.choice(["\n", "\n", "\r\n", "\r"]))
+    if gen.random() < 0.3:
+        out[-1] = out[-1].rstrip("\r\n")
+    return "".join(out).encode()
+
+
+class TestColumnarOracle:
+    """load_interactions, leave_one_out and prepare_interactions against the record-per-line path."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_files_match_oracle(self, tmp_path, seed):
+        gen = random.Random(8100 + seed)
+        path = tmp_path / "d.tsv"
+        for case in range(20):
+            fmt = "generic-tsv" if case % 3 else "movielens-100k"
+            path.write_bytes(_random_file(gen, fmt))
+            want = oracle_prepare(path, fmt)
+            got = _prepare(path, fmt)
+            for key in want:
+                assert got[key] == want[key], (case, key, path.read_bytes())
+
+    def test_random_defects_match_oracle(self, tmp_path):
+        """Files with defects on several lines raise the oracle's error, naming the same line."""
+        gen = random.Random(8200)
+        path = tmp_path / "d.tsv"
+        defects = ["\t", "\t\t\t\t\t", "x\t", "\tx", "a\tb\t2", "a\tb\tx", "a\tb\t1\t1.5", "a\tb\t-1",
+                   "a\tb\t0\t" + "9" * 5000, "a\tb\t\t", "a\tb\t1\t", "a\t\t1\t3", "a\xe9b\tc",
+                   "a\tb\t1\t\xff", "a\tb\t\t\t", "a b\tc\t1\t1\t", "a\tb\t3\t"]
+        raised = 0
+        for case in range(200):
+            fmt = "generic-tsv" if case % 3 else "movielens-100k"
+            lines = _random_file(gen, fmt).splitlines(keepends=True)
+            for _ in range(gen.randint(1, 3)):
+                lines.insert(gen.randint(0, len(lines)), gen.choice(defects).encode("latin-1") + b"\n")
+            path.write_bytes(b"".join(lines))
+            try:
+                want = oracle_prepare(path, fmt)
+            except DataError as exc:
+                raised += 1
+                with pytest.raises(DataError) as got:
+                    _prepare(path, fmt)
+                assert str(got.value) == str(exc), (case, path.read_bytes())
+            else:
+                assert _prepare(path, fmt) == want, case
+        assert raised > 150
+
+    @pytest.mark.parametrize("text, error", [
+        # line 3's field count is checked before line 2's ids on a line, but line 2 comes first
+        ("u1\ti1\n\ti2\t1\nu3\ti3\t1\t1\t1\n", "line 2: empty user or item id"),
+        ("u1\ti1\t1\tx\nu2\ti2\t1\t1\t9\n", r"line 1: invalid literal for int\(\) with base 10: 'x'"),
+        ("u1\ti1\t1\t5\nu2\ti2\t7\nu3\n", "line 2: label must be 0 or 1, got 7"),
+        ("u1\ti1\nu2\ti2\t1\t1\t0\nu\xe93\ti3\n", "line 2: expected 2-4 tab-separated fields, got 5"),
+        ("u1\ti1\nu\xe92\ti2\nu3\ti3\t1\t1\t0\n", "line 2: not valid UTF-8"),
+        # on one line the field count is checked first
+        ("u1\ti1\n\t\t9\t1\t1\n", "line 2: expected 2-4 tab-separated fields, got 5"),
+    ])
+    def test_earliest_defect_wins(self, tmp_path, text, error):
+        path = tmp_path / "two.tsv"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(DataError, match=rf"two\.tsv: {error}$"):
+            load_interactions(path, "generic-tsv")
+        with pytest.raises(DataError, match=rf"two\.tsv: {error}$"):
+            oracle_load_interactions(path, "generic-tsv")
+
+    def test_timestamps_past_int64(self, tmp_path):
+        path = tmp_path / "big.tsv"
+        path.write_text(f"u\ta\t1\t{2 ** 70}\nu\tb\t1\t5\nu\tc\t1\t{2 ** 70 + 1}\nu\td\t1\t-1\n"
+                        f"u\te\t0\t{2 ** 71}\nu\tf\t1\t{2 ** 70}\nv\ta\t1\t{-2 ** 70}\n")
+        cols = load_interactions(path, "generic-tsv")
+        assert cols.timestamps == [2 ** 70, 5, 2 ** 70 + 1, -1, 2 ** 71, 2 ** 70, -2 ** 70]
+        ds = prepare_interactions(_config(path, "generic-tsv"))
+        items = ds.item_vocab.ids
+        # u: the negative e, then its positives by time: d (-1), b (5), a and f (2**70, in file order), c
+        assert [(u, items[i], label) for u, i, label in ds.train.tolist()] == [
+            (0, "e", 0), (0, "d", 1), (0, "b", 1), (0, "a", 1), (1, "a", 1)]
+        assert [(u, items[i]) for u, i in ds.val_pairs] == [(0, "f")]
+        assert [(u, items[i]) for u, i in ds.test_pairs] == [(0, "c")]
+        assert _prepare(path, "generic-tsv") == oracle_prepare(path, "generic-tsv")
+
+
+class TestReadLines:
+    @pytest.mark.parametrize("data", [b"", b"a\n", b"a", b"a\r\nb\rc\n\n", b"\r\r\n\n", b"a\rb\r",
+                                      "x\x0by\x1cz\x85\u2028w\u2029\n".encode()])
+    def test_lines_split_as_the_text_reader(self, tmp_path, data):
+        path = tmp_path / "t.txt"
+        path.write_bytes(data)
+        assert list(read_lines(path)) == [(n, line.rstrip("\r\n")) for n, line in oracle_read_lines(path)]
+
+    def test_non_utf8_line_follows_the_lines_before_it(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"a\r\nb\rc\xff\nd\n")
+        got = []
+        with pytest.raises(DataError, match=r"t\.txt: line 3: not valid UTF-8"):
+            for numbered in read_lines(path):
+                got.append(numbered)
+        assert got == [(1, "a"), (2, "b")]

@@ -1173,3 +1173,62 @@ class TestCliConfigFuzz:
                     assert code in (0, 2), f"case {case}: {argv[0]} on {doc!r} returned {code}"
         finally:
             signal.signal(signal.SIGALRM, previous)
+
+
+_BYTE_POOL = [b"\t", b"\n", b"\r", b"\r\n", b"\n\n", b" ", b"\t\t", b"0", b"1", b"-1", b"9" * 30, b"x",
+              b"\x00", b"\xff", "\u2028".encode()]
+
+
+class TestCliDataBytesFuzz:
+    """Seeded byte mutations of cf and ctr interaction files and of list files through train.
+
+    Each case must exit 0 or 2; a traceback or a hang fails the test.
+    """
+
+    def _raise_hang(self, signum, frame):
+        raise _Hang()
+
+    def _mutate(self, data: bytes, gen: random.Random) -> bytes:
+        data = bytearray(data)
+        for _ in range(gen.randint(1, 2)):
+            pos, op = gen.randrange(len(data) + 1), gen.random()
+            if op < 0.3 and pos < len(data):
+                data[pos] = gen.randrange(256) if gen.random() < 0.2 else gen.choice(b"\t\n\r 019-ux")
+            elif op < 0.7:
+                data[pos:pos] = gen.choice(_BYTE_POOL)
+            elif op < 0.85:
+                del data[pos:pos + gen.randint(1, 40)]
+            else:  # repeat a stretch, so an id or a line appears twice
+                data[pos:pos] = data[pos:pos + gen.randint(1, 60)] * gen.randint(1, 3)
+        return bytes(data)
+
+    def test_exit_code_is_0_or_2(self, tmp_path):
+        bases = {}
+        for task in ("cf", "ctr", "list-completion"):
+            data = tmp_path / f"{task}.data"
+            if task == "list-completion":
+                _write_lists(data, n_lists=20, n_items=20)
+            else:
+                _write_interactions(data, n_users=12, n_items=12, per_user=4, labels=task == "ctr")
+            doc = _cfg(data, task=task, epochs=1).to_dict()
+            doc["eval"] = {"ks": [3], "n_negatives": 3}
+            bases[task] = (data.read_bytes(), doc)
+        gen = random.Random(1719)
+        data, cfg_path = tmp_path / "case.data", tmp_path / "cfg.json"
+        previous = signal.signal(signal.SIGALRM, self._raise_hang)
+        try:
+            for case in range(150):
+                task = ("cf", "ctr", "list-completion")[case % 3]
+                original, doc = bases[task]
+                data.write_bytes(self._mutate(original, gen))
+                cfg_path.write_text(json.dumps({**doc, "data": {**doc["data"], "path": str(data)}}))
+                signal.alarm(10)
+                try:
+                    code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+                except Exception as exc:
+                    pytest.fail(f"case {case}: {task} on {data.read_bytes()!r} raised {exc!r}")
+                finally:
+                    signal.alarm(0)
+                assert code in (0, 2), f"case {case}: {task} on {data.read_bytes()!r} returned {code}"
+        finally:
+            signal.signal(signal.SIGALRM, previous)
