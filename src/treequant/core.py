@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, OracleError
-from .rng import normal_draw
+from .errors import ConfigError, DimensionError, DivergenceError, OracleError
 
 
 @dataclass
@@ -29,6 +28,28 @@ class Parameter:
 
     def zero_grad(self):
         self.grad[...] = 0.0
+
+    @classmethod
+    def made(cls, name: str, shape: tuple, draw, stored: dict | None = None) -> Parameter:
+        """The one maker of a model parameter: draw() when stored is None, else stored[name].
+
+        A loaded parameter holds the stored array itself, not a copy, when it
+        is float32 (load_checkpoint's tensors are), so training it changes the
+        checkpoint's tensor.  The stored tensor must exist and have shape (a
+        None dimension matches any count) with no empty dimension; nothing of
+        the configured shape is allocated before these checks pass.
+        """
+        if stored is None:
+            return cls(draw(), name)
+        if name not in stored:
+            raise ConfigError(f"checkpoint is missing tensor '{name}'")
+        got = stored[name].shape
+        want = tuple(g if w is None else w for w, g in zip(shape, got)) if len(got) == len(shape) else shape
+        if got != want:
+            raise ConfigError(f"tensor '{name}' has shape {got}, model expects {want}")
+        if not all(got):
+            raise ConfigError(f"tensor '{name}' has shape {got}, with no elements")
+        return cls(stored[name], name)
 
 
 @dataclass
@@ -148,26 +169,9 @@ def mlp_backward(tape: MlpTape, grad_out: np.ndarray):
     return param_grads, grad
 
 
-def mlp_init(rng_stream: np.random.Generator, sizes) -> list:
-    """Kaiming-style scaled-normal weights, zero biases, for layer widths ``sizes``."""
-    layers = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        std = float(np.sqrt(2.0 / fan_in))
-        w = normal_draw(rng_stream, std, fan_in, fan_out)
-        b = np.zeros(fan_out, dtype=np.float32)
-        layers.append((w, b))
-    return layers
-
-
 # ---------------------------------------------------------------------------
 # Loss primitives
 # ---------------------------------------------------------------------------
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_xent_batch(logits: np.ndarray, targets: np.ndarray):

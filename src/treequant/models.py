@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Adam, Parameter, bce_with_logits_batch, mlp_apply,
-                   mlp_backward, mlp_init, softmax_xent_batch)
+                   mlp_backward, softmax_xent_batch)
 from .errors import DimensionError, DivergenceError
 from .quantizer import (BatchTrace, CascadedQuantizer, batch_cage_loss_sum, quantize_batch,
                         ste_backward_batch)
@@ -33,9 +33,13 @@ class EmbeddingTable:
     role: str
 
     @classmethod
-    def create(cls, rng: SeededRng, count: int, dim: int, role: str, init_std: float = 0.01):
-        values = rng_normal_init(rng, count, dim, init_std, name=f"init/{role}_table")
-        return cls(count=count, dim=dim, rows=Parameter(values, name=f"{role}_table"), role=role)
+    def create(cls, rng: SeededRng, count: int | None, dim: int, role: str, init_std: float = 0.01,
+               stored: dict | None = None):
+        """A drawn table, or the stored one; a count of None takes the stored table's rows."""
+        name = f"{role}_table"
+        rows = Parameter.made(name, (count, dim), lambda: rng_normal_init(rng, count, dim, init_std, f"init/{name}"),
+                              stored)
+        return cls(count=rows.value.shape[0], dim=dim, rows=rows, role=role)
 
 
 def _check_indices(idx: np.ndarray, limit: int, what: str):
@@ -434,20 +438,24 @@ def seq_step(model: SeqModel, prefixes, targets) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def make_tree_heads(rng: SeededRng, dim: int, sizes) -> list:
-    heads = []
-    gen = rng.stream("init/tree_heads")
-    for i, v in enumerate(sizes, start=1):
-        std = float(np.sqrt(2.0 / dim))
-        w = Parameter(normal_draw(gen, std, dim, v), name=f"tree_head{i}.weight")
-        b = Parameter(np.zeros(v, dtype=np.float32), name=f"tree_head{i}.bias")
-        heads.append((w, b))
-    return heads
+def make_layers(rng: SeededRng, stream: str, layers, stored: dict | None = None) -> list:
+    """(weight, bias) Parameter pairs, one per (name, fan_in, fan_out) of layers.
+
+    Weights are Kaiming-normal, drawn in order from the one named stream, and
+    biases are zero; see Parameter.made for stored.
+    """
+    gen = rng.stream(stream)
+    return [(Parameter.made(f"{name}.weight", (fan_in, fan_out),
+                            lambda: normal_draw(gen, float(np.sqrt(2.0 / fan_in)), fan_in, fan_out), stored),
+             Parameter.made(f"{name}.bias", (fan_out,), lambda: np.zeros(fan_out, dtype=np.float32), stored))
+            for name, fan_in, fan_out in layers]
 
 
-def make_mlp_params(rng: SeededRng, sizes, name: str) -> list:
-    layers = mlp_init(rng.stream(f"init/{name}"), sizes)
-    return [
-        (Parameter(w, name=f"{name}.layer{i}.weight"), Parameter(b, name=f"{name}.layer{i}.bias"))
-        for i, (w, b) in enumerate(layers)
-    ]
+def make_tree_heads(rng: SeededRng, dim: int, sizes, stored: dict | None = None) -> list:
+    return make_layers(rng, "init/tree_heads", [(f"tree_head{i}", dim, v) for i, v in enumerate(sizes, start=1)],
+                       stored)
+
+
+def make_mlp_params(rng: SeededRng, sizes, name: str, stored: dict | None = None) -> list:
+    return make_layers(rng, f"init/{name}", [(f"{name}.layer{i}", fan_in, fan_out)
+                                             for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:]))], stored)

@@ -87,19 +87,18 @@ class CascadedQuantizer:
 
 
 def make_quantizer(rng: SeededRng, dim: int, sizes, alpha: float = 1.0, beta: float = 1.0,
-                   fusion_mode: str = AVERAGE, name: str = "cage", init_std: float = 0.01) -> CascadedQuantizer:
-    """Build a quantizer with normally initialized codebooks."""
-    books = []
-    for i, v in enumerate(sizes, start=1):
-        entries = Parameter(rng_normal_init(rng, v, dim, init_std, name=f"init/{name}/codebook{i}"),
-                            name=f"{name}.codebook{i}")
-        books.append(Codebook(level=i, entries=entries))
+                   fusion_mode: str = AVERAGE, name: str = "cage", init_std: float = 0.01,
+                   stored: dict | None = None) -> CascadedQuantizer:
+    """Build a quantizer with normally initialized codebooks; see Parameter.made for stored."""
+    books = [Codebook(level=i, entries=Parameter.made(
+        f"{name}.codebook{i}", (v, dim), lambda: rng_normal_init(rng, v, dim, init_std, f"init/{name}/codebook{i}"),
+        stored)) for i, v in enumerate(sizes, start=1)]
     proj = None
     if fusion_mode == CONCAT_PROJECT:
         h = len(sizes)
         std = float(np.sqrt(2.0 / (h * dim)))
-        proj = Parameter(rng_normal_init(rng, h * dim, dim, std, name=f"init/{name}/projection"),
-                         name=f"{name}.projection")
+        proj = Parameter.made(f"{name}.projection", (h * dim, dim),
+                              lambda: rng_normal_init(rng, h * dim, dim, std, f"init/{name}/projection"), stored)
     return CascadedQuantizer(codebooks=books, alpha=alpha, beta=beta, fusion_mode=fusion_mode, projection=proj)
 
 

@@ -88,73 +88,47 @@ def prepare_lists(cfg: TrainConfig, rng: SeededRng) -> ListData:
 # ---------------------------------------------------------------------------
 
 
-def _maybe_quantizer(cfg: TrainConfig, rng: SeededRng, enabled: bool, name: str):
-    if not enabled:
-        return None
-    return make_quantizer(
-        rng, cfg.model.dim, cfg.cage.levels,
-        alpha=cfg.cage.alpha, beta=cfg.cage.beta, fusion_mode=cfg.cage.fusion_mode,
-        name=name, init_std=cfg.model.init_std,
-    )
+def build_model(cfg: TrainConfig, n_users: int | None, n_items: int | None, stored: dict | None = None):
+    """The task's model: drawn when stored is None, else made of the checkpoint tensors in stored.
 
-
-def build_model(cfg: TrainConfig, n_users: int, n_items: int):
-    """The task's model; each initializer draws from its own named stream, so build order is free."""
+    Each initializer draws from its own named stream, so build order is free;
+    users come before items, so a defect of both tables names the user table.
+    A table count of None takes the stored table's rows.
+    """
     if cfg.task not in TASKS:
         raise ConfigError(f"unknown task {cfg.task!r}")
     rng = SeededRng(cfg.model.seed)
-    m = cfg.model
-    items = EmbeddingTable.create(rng, n_items, m.dim, "item", m.init_std)
-    item_cage = _maybe_quantizer(cfg, rng, cfg.cage.item_enabled, "item_cage")
+    m, c = cfg.model, cfg.cage
+
+    def side(role: str, count: int | None, quantized: bool):
+        table = EmbeddingTable.create(rng, count, m.dim, role, m.init_std, stored)
+        cage = make_quantizer(rng, m.dim, c.levels, alpha=c.alpha, beta=c.beta, fusion_mode=c.fusion_mode,
+                              name=f"{role}_cage", init_std=m.init_std, stored=stored) if quantized else None
+        return table, cage
+
     if cfg.task == "list-completion":
-        heads = make_tree_heads(rng, m.dim, cfg.cage.levels) if item_cage is not None else []
-        return SeqModel(items, make_mlp_params(rng, [m.dim, *m.hidden, m.dim], "encoder"),
-                        item_cage, heads, omega_c=cfg.cage.omega_c, omega_q=cfg.cage.omega_q, lr=m.lr)
-    users = EmbeddingTable.create(rng, n_users, m.dim, "user", m.init_std)
-    user_cage = _maybe_quantizer(cfg, rng, cfg.cage.user_enabled, "user_cage")
+        items, item_cage = side("item", n_items, c.item_enabled)
+        heads = make_tree_heads(rng, m.dim, c.levels, stored) if item_cage is not None else []
+        return SeqModel(items, make_mlp_params(rng, [m.dim, *m.hidden, m.dim], "encoder", stored),
+                        item_cage, heads, omega_c=c.omega_c, omega_q=c.omega_q, lr=m.lr)
+    users, user_cage = side("user", n_users, c.user_enabled)
+    items, item_cage = side("item", n_items, c.item_enabled)
     if cfg.task == "cf":
-        return CfModel(users, items, user_cage, item_cage, omega_q=cfg.cage.omega_q, lr=m.lr)
-    return CtrModel(users, items, make_mlp_params(rng, [2 * m.dim, *m.hidden, 1], "mlp"),
-                    user_cage, item_cage, omega_q=cfg.cage.omega_q, lr=m.lr)
-
-
-def _check_sizes(cfg: TrainConfig, tensors: dict):
-    """The config's sizes must give the stored shapes; checked before build_model allocates anything."""
-    d, seq = cfg.model.dim, cfg.task == "list-completion"
-    want = {name: None for name in (["item_table"] if seq else ["user_table", "item_table"])}
-    if cfg.task != "cf":
-        sizes = [d if seq else 2 * d, *cfg.model.hidden]
-        layers = "encoder" if seq else "mlp"
-        want.update({f"{layers}.layer{i}.weight": shape for i, shape in enumerate(zip(sizes, sizes[1:]))})
-    for cage, enabled in (("user_cage", cfg.cage.user_enabled), ("item_cage", cfg.cage.item_enabled)):
-        if enabled:
-            want.update({f"{cage}.codebook{i}": (v, d) for i, v in enumerate(cfg.cage.levels, start=1)})
-    for name, shape in want.items():
-        if name not in tensors:
-            raise ConfigError(f"checkpoint is missing tensor '{name}'")
-        got = tensors[name].shape
-        shape = shape or (*got[:1], d)  # a table may have any number of rows
-        if got != shape:
-            raise ConfigError(f"tensor '{name}' has shape {got}, but the config gives {shape}")
+        return CfModel(users, items, user_cage, item_cage, omega_q=c.omega_q, lr=m.lr)
+    return CtrModel(users, items, make_mlp_params(rng, [2 * m.dim, *m.hidden, 1], "mlp", stored),
+                    user_cage, item_cage, omega_q=c.omega_q, lr=m.lr)
 
 
 def model_from_checkpoint(ckpt: Checkpoint):
-    """Rebuild the model purely from the checkpoint (no data files needed)."""
+    """Rebuild the model purely from the checkpoint (no data files needed); nothing is drawn.
+
+    A stored vocabulary side fixes its table's row count.
+    """
     cfg = config_from_dict(ckpt.config)
-    _check_sizes(cfg, ckpt.tensors)
-    n_items = ckpt.tensors["item_table"].shape[0]
-    n_users = ckpt.tensors["user_table"].shape[0] if cfg.task != "list-completion" else 1
-    model = build_model(cfg, n_users, n_items)
-    named = model.named_parameters()
-    for name, param in named.items():
-        if name not in ckpt.tensors:
-            raise ConfigError(f"checkpoint is missing tensor '{name}'")
-        tensor = ckpt.tensors[name]
-        if tensor.shape != param.value.shape:
-            raise ConfigError(
-                f"tensor '{name}' has shape {tensor.shape}, model expects {param.value.shape}")
-        param.value[...] = tensor
-    extra = set(ckpt.tensors) - set(named)
+    vocab = ckpt.vocab or {}
+    n_users, n_items = (len(vocab[side]) if side in vocab else None for side in ("users", "items"))
+    model = build_model(cfg, n_users, n_items, stored=ckpt.tensors)
+    extra = set(ckpt.tensors) - set(model.named_parameters())
     if extra:
         raise ConfigError(f"checkpoint has unexpected tensor(s): {sorted(extra)}")
     return model, cfg
@@ -184,14 +158,15 @@ def _raw_ids(ds) -> dict:
     return {side: v.ids for side, v in vocabs.items()}
 
 
-def _check_vocab(ckpt: Checkpoint, ds, path):
-    """The data file must map raw ids to the rows the checkpoint was trained with."""
-    if ckpt.vocab is None:
-        return
-    for side, ids in _raw_ids(ds).items():
-        if ckpt.vocab.get(side) != ids:
+def _check_vocab(ckpt: Checkpoint, model, ds, path):
+    """The data file must map raw ids to the rows the checkpoint was trained with, one id per table row."""
+    for (side, ids), (table, _) in zip(_raw_ids(ds).items(), model.sides):
+        if ckpt.vocab is not None and ckpt.vocab.get(side) != ids:
             raise DataError(f"{path}: the {side} vocabulary differs from the one the checkpoint "
                             "was trained with (ids added, removed or reordered)")
+        if len(ids) != table.count:
+            raise DataError(f"{path}: the data has {len(ids)} {side}, but the checkpoint's "
+                            f"{table.rows.name} has {table.count} rows")
 
 
 def _bpr_negatives(users: np.ndarray, positives_by_user: dict, n_items: int,
@@ -402,7 +377,7 @@ def run_evaluate(checkpoint_path, split: str = "test", overrides: dict | None = 
         cfg = config_from_dict(doc)
 
     ds = _prepare(cfg)
-    _check_vocab(ckpt, ds, cfg.data.path)
+    _check_vocab(ckpt, model, ds, cfg.data.path)
     pairs = ds.val_pairs if split == "val" else ds.test_pairs
     if not pairs:
         raise ConfigError(f"{split} split is empty")

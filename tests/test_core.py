@@ -6,10 +6,9 @@ import pytest
 
 from treequant.core import (Adam, AdamState, Parameter, adam_step,
                             bce_with_logits_batch, finite_diff_gradient,
-                            mlp_apply, mlp_backward, mlp_init, softmax,
-                            softmax_xent_batch)
+                            mlp_apply, mlp_backward, softmax_xent_batch)
 from treequant.errors import DimensionError, DivergenceError, OracleError
-from treequant.rng import SeededRng, rng_normal_init
+from treequant.rng import SeededRng, normal_draw, rng_normal_init
 
 
 class TestNormalInit:
@@ -197,7 +196,9 @@ class TestMlp:
     def test_weight_gradients_match_finite_differences(self, trial):
         gen = np.random.default_rng(100 + trial)
         sizes = [int(gen.integers(2, 5)) for _ in range(int(gen.integers(2, 4)))]
-        layers = mlp_init(gen, sizes)
+        # the Kaiming-normal weights and zero biases that models.make_layers makes
+        layers = [(normal_draw(gen, float(np.sqrt(2.0 / fan_in)), fan_in, fan_out), np.zeros(fan_out, dtype=np.float32))
+                  for fan_in, fan_out in zip(sizes, sizes[1:])]
         x = gen.normal(size=(3, sizes[0])).astype(np.float32)
 
         out, tape = mlp_apply(layers, x)
@@ -218,6 +219,13 @@ class TestMlp:
                                      x.astype(np.float64), h=1e-3)
         denom = np.maximum(np.abs(fd_in), 1.0)
         assert np.max(np.abs(grad_in - fd_in) / denom) < 1e-4
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """The oracle of softmax_xent_batch's gradient, which is softmax(logits) - onehot."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def xent_row(logits, true_class):

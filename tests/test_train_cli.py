@@ -852,6 +852,73 @@ class TestCliCheckpointSizes:
         assert err.startswith(f"error: tensor '{tensor}' has shape ") and "1099511627776" in err
 
 
+class TestCliTableRows:
+    """A stored vocabulary side fixes its table's rows; without one, the data's vocabulary must fit the rows."""
+
+    @staticmethod
+    def _resize(ckpt, table, rows, keep_vocab):
+        """Rewrite ckpt with table cut by rows < 0, grown by rows > 0 or emptied by rows == 0."""
+        stored = load_checkpoint(ckpt)
+        good = stored.tensors[table]
+        stored.tensors[table] = good[:rows] if rows <= 0 else np.concatenate([good, good[:rows]])
+        save_checkpoint(ckpt, stored.config, stored.epoch, stored.seed_state, stored.tensors,
+                        vocab=stored.vocab if keep_vocab else None)
+        return stored, good.shape, stored.tensors[table].shape
+
+    @pytest.mark.parametrize("keep_vocab", [True, False], ids=["vocab", "no-vocab"])
+    @pytest.mark.parametrize("rows", [-1, 1], ids=["one-fewer", "one-more"])
+    @pytest.mark.parametrize("task, table", [("cf", "user_table"), ("cf", "item_table"), ("ctr", "user_table"),
+                                             ("list-completion", "item_table")])
+    def test_evaluate_is_typed_error(self, tmp_path, capsys, task, table, rows, keep_vocab):
+        ckpt = TestCli()._train(tmp_path, task=task)
+        stored, want, got = self._resize(ckpt, table, rows, keep_vocab)
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
+        side = table.replace("_table", "s")
+        assert capsys.readouterr().err == (
+            f"error: tensor '{table}' has shape {got}, model expects {want}\n" if keep_vocab else
+            f"error: {stored.config['data']['path']}: the data has {want[0]} {side}, "
+            f"but the checkpoint's {table} has {got[0]} rows\n")
+
+    @pytest.mark.parametrize("keep_vocab", [True, False], ids=["vocab", "no-vocab"])
+    @pytest.mark.parametrize("command", ["evaluate", "export-tree", "inspect-codes"])
+    def test_zero_rows_is_typed_error(self, tmp_path, capsys, command, keep_vocab):
+        ckpt = TestCli()._train(tmp_path)
+        _, want, got = self._resize(ckpt, "item_table", 0, keep_vocab)
+        capsys.readouterr()
+        tree = ["--json", str(tmp_path / "t.json"), "--dot", str(tmp_path / "t.dot")]
+        assert main([command, "--checkpoint", str(ckpt), *(tree if command == "export-tree" else [])]) == 2
+        assert capsys.readouterr().err == (
+            f"error: tensor 'item_table' has shape {got}, "
+            + (f"model expects {want}\n" if keep_vocab else "with no elements\n"))
+
+
+class _NoNormalDraw:
+    """A stand-in for a named stream: a normal draw from it fails the test."""
+
+    def normal(self, *args, **kwargs):
+        raise AssertionError("a normal draw while loading a checkpoint")
+
+
+@pytest.mark.parametrize("task, fusion_mode", [("cf", "concat-project"), ("ctr", "average"),
+                                               ("list-completion", "average")])
+def test_model_from_checkpoint_holds_the_stored_tensors(tmp_path, monkeypatch, task, fusion_mode):
+    """Every parameter of a reloaded model is its stored tensor, and nothing is drawn."""
+    data = tmp_path / "data"
+    if task == "list-completion":
+        _write_lists(data)
+    else:
+        _write_interactions(data)
+    doc = _cfg(data, task=task, epochs=1).to_dict()
+    doc["cage"].update(user_enabled=task != "list-completion", fusion_mode=fusion_mode)
+    ckpt = load_checkpoint(run_train(config_from_dict(doc), out_dir=str(tmp_path / "run")).checkpoint_path)
+    monkeypatch.setattr(SeededRng, "stream", lambda self, name: _NoNormalDraw())
+    named = model_from_checkpoint(ckpt)[0].named_parameters()
+    assert sorted(named) == sorted(ckpt.tensors)
+    for name, param in named.items():
+        assert param.value is ckpt.tensors[name]
+
+
 def test_inspect_codes_non_utf8_labels(tmp_path, capsys):
     ckpt = TestCli()._train(tmp_path)
     labels = tmp_path / "labels.tsv"
@@ -1230,5 +1297,123 @@ class TestCliDataBytesFuzz:
                 finally:
                     signal.alarm(0)
                 assert code in (0, 2), f"case {case}: {task} on {data.read_bytes()!r} returned {code}"
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+
+
+_CKPT_POOL = [-1, 0, 1.5, "x", [], None, True, 2 ** 62, 2 ** 64]
+
+
+class TestCliCheckpointFuzz:
+    """Seeded mutations of checkpoints and labels files through evaluate, export-tree and inspect-codes --labels.
+
+    A case mutates one of: a directory entry's shape, offset or name, a vocabulary list, a table's rows
+    or raw bytes of a checkpoint, or the bytes of the labels file.  The first cases resize each table by
+    -1, +1 and to 0 rows, with and without the stored vocabulary.  Each command must exit 0 or 2; a
+    traceback or a hang fails the test.
+    """
+
+    def _raise_hang(self, signum, frame):
+        raise _Hang()
+
+    @staticmethod
+    def _directory(meta, gen):
+        entry = gen.choice(meta["tensors"])
+        key = gen.choice(["shape", "offset", "name"])
+        if key == "shape" and gen.random() < 0.7:
+            dim = gen.randrange(len(entry["shape"]))
+            entry["shape"][dim] = gen.choice([entry["shape"][dim] - 1, entry["shape"][dim] + 1, *_CKPT_POOL])
+        elif key == "offset" and gen.random() < 0.5:
+            entry["offset"] += gen.choice([-4, 1, 4])
+        elif key == "name" and gen.random() < 0.5:
+            entry["name"] = gen.choice([other["name"] for other in meta["tensors"]] + ["renamed"])
+        else:
+            entry[key] = gen.choice(_CKPT_POOL)
+
+    @staticmethod
+    def _vocab(meta, gen):
+        vocab = meta["vocab"]
+        side = gen.choice(sorted(vocab))
+        ids, op = vocab[side], gen.randrange(6)
+        if op == 0:
+            del ids[gen.randrange(len(ids))]
+        elif op == 1:
+            ids.append(gen.choice(ids))
+        elif op == 2:
+            ids.append("new-id")
+        elif op == 3:
+            i, j = gen.randrange(len(ids)), gen.randrange(len(ids))
+            ids[i], ids[j] = ids[j], ids[i]
+        else:
+            vocab[side] = [] if op == 4 else gen.choice(_CKPT_POOL)
+
+    @staticmethod
+    def _bytes(blob: bytes, gen) -> bytes:
+        blob = bytearray(blob)
+        for _ in range(gen.randint(1, 3)):
+            pos, op = gen.randrange(len(blob)), gen.random()
+            if op < 0.6:
+                blob[pos] = gen.randrange(256)
+            elif op < 0.8:
+                del blob[pos:pos + gen.randint(1, 16)]
+            else:
+                blob[pos:pos] = bytes(gen.randrange(256) for _ in range(gen.randint(1, 8)))
+        return bytes(blob)
+
+    def test_exit_code_is_0_or_2(self, tmp_path):
+        bases = {}
+        for task in ("cf", "ctr", "list-completion"):
+            data = tmp_path / f"{task}.data"
+            if task == "list-completion":
+                _write_lists(data, n_lists=20, n_items=20)
+            else:
+                _write_interactions(data, n_users=12, n_items=20, per_user=5, labels=task == "ctr")
+            doc = _cfg(data, task=task, epochs=1).to_dict()
+            doc["cage"]["user_enabled"] = task == "cf"
+            doc["eval"] = {"ks": [3], "n_negatives": 3}
+            ckpt = run_train(config_from_dict(doc), out_dir=str(tmp_path / task)).checkpoint_path
+            items = load_checkpoint(ckpt).vocab["items"]
+            labels = "".join(f"{raw}\tcat{row % 3}\n" for row, raw in enumerate(items))
+            bases[task] = (Path(ckpt).read_bytes(), labels.encode())
+        tables = {task: ["item_table"] if task == "list-completion" else ["user_table", "item_table"]
+                  for task in bases}
+        resizes = [(task, table, rows, keep_vocab) for task in bases for table in tables[task]
+                   for rows in (-1, 1, 0) for keep_vocab in (True, False)]
+        gen = random.Random(1818)
+        ckpt, labels = tmp_path / "case.ckpt", tmp_path / "labels.tsv"
+        tree = ["--json", str(tmp_path / "t.json"), "--dot", str(tmp_path / "t.dot")]
+        previous = signal.signal(signal.SIGALRM, self._raise_hang)
+        try:
+            for case in range(len(resizes) + 300):
+                task = resizes[case][0] if case < len(resizes) else gen.choice(sorted(bases))
+                blob, label_bytes = bases[task]
+                ckpt.write_bytes(blob)
+                labels.write_bytes(label_bytes)
+                kind = "resize" if case < len(resizes) else gen.choice(
+                    ["directory", "vocab", "resize", "bytes", "labels"])
+                if kind == "resize":
+                    _, table, rows, keep_vocab = resizes[case] if case < len(resizes) else (
+                        task, gen.choice(tables[task]), gen.choice([-1, 1, 0]), gen.random() < 0.5)
+                    TestCliTableRows._resize(ckpt, table, rows, keep_vocab)
+                    kind = f"resize {table} {rows:+d} {'with' if keep_vocab else 'without'} vocab"
+                elif kind == "directory":
+                    _rewrite_meta(ckpt, lambda meta: self._directory(meta, gen))
+                elif kind == "vocab":
+                    _rewrite_meta(ckpt, lambda meta: self._vocab(meta, gen))
+                elif kind == "bytes":
+                    ckpt.write_bytes(self._bytes(blob, gen))
+                else:
+                    labels.write_bytes(TestCliDataBytesFuzz()._mutate(label_bytes, gen))
+                for argv in (["evaluate", "--checkpoint", str(ckpt)],
+                             ["export-tree", "--checkpoint", str(ckpt), *tree],
+                             ["inspect-codes", "--checkpoint", str(ckpt), "--labels", str(labels)]):
+                    signal.alarm(10)
+                    try:
+                        code = main(argv)
+                    except Exception as exc:
+                        pytest.fail(f"case {case} ({task}, {kind}): {argv[0]} raised {exc!r}")
+                    finally:
+                        signal.alarm(0)
+                    assert code in (0, 2), f"case {case} ({task}, {kind}): {argv[0]} returned {code}"
         finally:
             signal.signal(signal.SIGALRM, previous)
