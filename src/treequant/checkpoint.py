@@ -89,12 +89,14 @@ def load_checkpoint(path) -> Checkpoint:
     payload = blob[header_end + meta_len:]
 
     try:
-        config, epoch = meta["config"], int(meta["epoch"])
+        config, epoch = meta["config"], meta["epoch"]
         # the directory may appear in any order; offsets are authoritative
-        directory = [(int(e["offset"]), str(e["name"]), tuple(int(s) for s in e["shape"]))
-                     for e in meta.get("tensors", [])]
-    except (KeyError, TypeError, ValueError) as exc:
+        directory = [(e["offset"], str(e["name"]), e["shape"]) for e in meta.get("tensors", [])]
+    except (KeyError, TypeError) as exc:
         raise CorruptPayloadError(f"{path}: incomplete metadata: {exc!r}") from exc
+    # a JSON integer loads as int, never as float or bool: 1.5, 2.0, true and "12" are not integers
+    if type(epoch) is not int:
+        raise CorruptPayloadError(f"{path}: epoch must be an integer, got {json.dumps(epoch)}")
     vocab = meta.get("vocab")
     if vocab is not None and not _is_vocab(vocab):
         raise CorruptPayloadError(f"{path}: vocab must map 'users'/'items' to lists of raw-id strings")
@@ -105,8 +107,11 @@ def load_checkpoint(path) -> Checkpoint:
     for off, name, shape in directory:
         # Python ints never wrap; numpy describes no shape past 32 dimensions, nor one, even
         # with no elements, whose nonzero dimensions give more bytes than it can index
-        if len(shape) > 32 or min(shape, default=0) < 0 or 4 * math.prod(filter(None, shape)) > sys.maxsize:
-            raise CorruptPayloadError(f"{path}: tensor '{name}' has an invalid shape {list(shape)}")
+        if (type(shape) is not list or not all(type(s) is int for s in shape) or len(shape) > 32
+                or min(shape, default=0) < 0 or 4 * math.prod(filter(None, shape)) > sys.maxsize):
+            raise CorruptPayloadError(f"{path}: tensor '{name}' has an invalid shape {json.dumps(shape)}")
+        if type(off) is not int:
+            raise CorruptPayloadError(f"{path}: tensor '{name}' has an invalid offset {json.dumps(off)}")
         nbytes = math.prod(shape) * 4
         if off < 0 or off + nbytes > len(payload):
             raise CorruptPayloadError(f"{path}: tensor '{name}' overflows the payload")

@@ -81,11 +81,12 @@ def adam_step(param: Parameter, state: AdamState) -> None:
     g = param.grad
     if g.shape != param.value.shape:
         raise DimensionError(f"{param.name}: grad shape mismatch")
-    # a float64 sum of finite float32 values cannot overflow; NaN and inf propagate
-    if not math.isfinite(g.sum(dtype=np.float64)):
+    # NaN and inf propagate through max and min; a gradient of only +-0 is untouched
+    high, low = (g.max(), g.min()) if g.size else (0.0, 0.0)
+    if not (math.isfinite(high) and math.isfinite(low)):
         raise DivergenceError(f"non-finite gradient in parameter '{param.name}'")
     state.t += 1
-    if not g.any():
+    if high == low == 0:
         # untouched parameter: no update, no moment decay
         return
     b1, b2 = np.float32(state.beta1), np.float32(state.beta2)

@@ -6,7 +6,7 @@ import contextlib
 import math
 from dataclasses import dataclass
 
-from .data import sample_negatives
+from .data import BufferedDraws, sample_negatives
 
 
 @dataclass
@@ -68,12 +68,13 @@ def _evaluate(model, split, ks, rank_unit, hr_mode: str) -> MetricReport:
     if not split:
         raise ValueError("empty evaluation split")
     sums = {f"{m}@{k}": 0.0 for m in ("ndcg", "hr") for k in ks}
+    names = [(k, f"ndcg@{k}", f"hr@{k}") for k in dict.fromkeys(ks)]  # a repeated k is counted once
     with _frozen(model):
         for unit in split:
             result = rank_unit(*unit)
-            for k in dict.fromkeys(ks):  # a repeated k is counted once
-                sums[f"ndcg@{k}"] += ndcg_at_k(result, k)
-                sums[f"hr@{k}"] += hr_at_k(result, k, mode=hr_mode)
+            for k, ndcg, hr in names:
+                sums[ndcg] += ndcg_at_k(result, k)
+                sums[hr] += hr_at_k(result, k, mode=hr_mode)
     n = len(split)
     return MetricReport(values={name: s / n for name, s in sums.items()}, count=n)
 
@@ -84,15 +85,20 @@ def evaluate_ranking(model, split, n_negatives: int, ks, rng, positives_by_user=
 
     split is an iterable of (user index, positive item index) pairs.
     positives_by_user maps user index -> full positive set (all splits), used
-    to keep held-out items out of the negative pool.  rng is the
-    numpy Generator the negatives are drawn from.
+    to keep held-out items out of the negative pool.  rng is the numpy
+    Generator the negatives are drawn from, through one BufferedDraws: the
+    negatives are those of direct draws, but the generator ends up to one
+    chunk past the last one, so pass a stream that nothing draws from after
+    the pass.  Each unit's ranking holds its top max(ks) candidates, all
+    the metrics read.
     """
+    draws = BufferedDraws(rng, 0, model.n_items)
+    k = max(ks)
 
     def rank(user, pos_item):
         positives = positives_by_user.get(user, {pos_item}) if positives_by_user else {pos_item}
-        candidates = [pos_item] + sample_negatives(user, n_negatives, model.n_items, positives, rng)
-        ranking = model.predict_topk(user, candidates, k=len(candidates))
-        return RankedResult(ranking=list(ranking), relevant={pos_item})
+        candidates = [pos_item] + sample_negatives(user, n_negatives, model.n_items, positives, draws)
+        return RankedResult(ranking=model.predict_topk(user, candidates, k=k), relevant={pos_item})
 
     return _evaluate(model, split, ks, rank, "single")
 
@@ -104,8 +110,9 @@ def evaluate_completion(model, split, ks) -> MetricReport:
     input items are excluded from the candidate pool and the targets form the
     relevant set (multi-relevant HR).
     """
+    k = max(ks)
+
     def rank(prefix, targets):
-        ranking = model.predict_completion(prefix, k=max(ks), exclude=set(prefix))
-        return RankedResult(ranking=list(ranking), relevant=set(targets))
+        return RankedResult(ranking=model.predict_completion(prefix, k=k, exclude=set(prefix)), relevant=set(targets))
 
     return _evaluate(model, split, ks, rank, "multi")

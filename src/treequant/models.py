@@ -46,7 +46,7 @@ def _check_indices(idx: np.ndarray, limit: int, what: str):
     idx = np.asarray(idx)
     if idx.size and (idx.min() < 0 or idx.max() >= limit):
         raise IndexError(f"{what} index out of range [0, {limit})")
-    return idx.astype(np.int64).reshape(-1)
+    return idx.astype(np.int64, copy=False).reshape(-1)
 
 
 def _gather_rows(full: BatchTrace, idx: np.ndarray):
@@ -114,7 +114,7 @@ def _rank(candidates: np.ndarray, scores: np.ndarray, k: int):
     if not np.isfinite(scores).all():
         raise DivergenceError("non-finite ranking score; the model has diverged")
     order = np.lexsort((candidates, -scores.astype(np.float64)))
-    return [int(c) for c in candidates[order[:k]]]
+    return candidates[order[:k]].tolist()
 
 
 class _Model:

@@ -81,11 +81,11 @@ def write_tree_dot(tree: CategoryTree, path) -> None:
     for level, size in enumerate(tree.level_sizes, start=1):
         for idx in range(size):
             lines.append(f'  L{level}_{idx} [shape=box];')
-    for entity in range(tree.n_entities):
+    for entity, code in enumerate(tree.paths[:, 0].tolist()):
         lines.append(f"  E_{entity};")
-        lines.append(f"  E_{entity} -> L1_{tree.paths[entity, 0]};")
+        lines.append(f"  E_{entity} -> L1_{code};")
     for level, parents in enumerate(tree.parents, start=1):
-        for child, parent in enumerate(parents):
+        for child, parent in enumerate(parents.tolist()):
             lines.append(f"  L{level}_{child} -> L{level + 1}_{parent};")
     lines.append("}")
     with open(path, "w", encoding="utf-8") as fh:

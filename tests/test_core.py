@@ -83,6 +83,31 @@ class TestAdam:
         adam_step(p, s)
         assert not p.grad.any()
 
+    def test_signed_zero_gradient_is_untouched(self):
+        p = self._param([[1.0, -2.0, 3.0]])
+        s = AdamState.for_param(p, lr=0.1)
+        p.grad[...] = [[-0.0, 0.0, -0.0]]
+        adam_step(p, s)
+        assert s.t == 1 and not s.m.any() and not s.v.any()
+        assert np.array_equal(p.value, np.array([[1.0, -2.0, 3.0]], dtype=np.float32))
+
+    @pytest.mark.parametrize("touched", [-1.0, 1.0])
+    def test_one_signed_entry_is_an_update(self, touched):
+        """The other entries are 0, so max or min alone is 0: the update still equals the reference's."""
+        got, want = self._param([[1.0, -2.0, 3.0]]), self._param([[1.0, -2.0, 3.0]])
+        got_state, want_state = AdamState.for_param(got, lr=0.1), AdamState.for_param(want, lr=0.1)
+        got.grad[0, 1] = want.grad[0, 1] = touched
+        adam_step(got, got_state)
+        reference_adam_step(want, want_state)
+        assert got.value.tobytes() == want.value.tobytes() != self._param([[1.0, -2.0, 3.0]]).value.tobytes()
+        assert got_state.m.tobytes() == want_state.m.tobytes()
+
+    def test_empty_parameter_counts_the_step(self):
+        p = Parameter(np.zeros((0, 4), dtype=np.float32), name="p")
+        s = AdamState.for_param(p, lr=0.1)
+        adam_step(p, s)
+        assert s.t == 1 and p.value.shape == (0, 4)
+
 
 def reference_adam_step(param, state):
     """The whole-array Adam expression that the in-place update must reproduce bit for bit."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from treequant.config import config_from_dict
-from treequant.data import (Vocabulary, leave_one_out, load_interactions, load_lists,
+from treequant.data import (BufferedDraws, Vocabulary, leave_one_out, load_interactions, load_lists,
                             partition_lists, preprocess_lists, read_lines,
                             sample_negatives, split_list)
 from treequant.errors import DataError
@@ -338,6 +338,51 @@ class TestBulkSamplingOracle:
         positives = {0, 1}
         sample_negatives("u", 3, 6, positives, np.random.default_rng(0))
         assert positives == {0, 1}
+
+
+_DRAW_BOUNDS = [2, 3, 7, 100, 3000, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**33]
+
+
+class TestBufferedDraws:
+    """A BufferedDraws serves the values of direct rng.integers calls, in order, for any split into calls."""
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64, 4096])
+    @pytest.mark.parametrize("high", _DRAW_BOUNDS)
+    def test_equals_direct_calls(self, high, chunk):
+        sizes_gen = np.random.default_rng(high % 1000 + chunk)
+        sizes = sizes_gen.integers(0, 3 * chunk + 2, size=60).tolist() + [0, 1, 10 * chunk, 1]
+        got_gen, want_gen = np.random.default_rng(high), np.random.default_rng(high)
+        source = BufferedDraws(got_gen, 0, high, chunk=chunk)
+        for size in sizes:
+            got = source.integers(0, high, size=size)
+            want = want_gen.integers(0, high, size=size)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), (high, chunk, size)
+
+    @pytest.mark.parametrize("high", _DRAW_BOUNDS)
+    def test_equals_scalar_calls(self, high):
+        got_gen, want_gen = np.random.default_rng(7), np.random.default_rng(7)
+        source = BufferedDraws(got_gen, 0, high, chunk=32)
+        got = [v for size in (1, 31, 2, 40, 3) for v in source.integers(0, high, size=size).tolist()]
+        assert got == [int(want_gen.integers(0, high)) for _ in range(len(got))]
+
+    def test_sampler_over_a_source_equals_the_scalar_loop(self):
+        got_gen, want_gen = SeededRng(5).stream("eval-negatives"), SeededRng(5).stream("eval-negatives")
+        source = BufferedDraws(got_gen, 0, 3000)
+        for user in range(50):
+            positives = set(range(user, 3000, 41 + user))
+            assert (sample_negatives(user, 99, 3000, positives, source)
+                    == scalar_sample_negatives(user, 99, 3000, positives, want_gen))
+
+    @pytest.mark.parametrize("bounds", [(0, 11), (1, 10), (0, 9), (-1, 10)])
+    def test_other_bounds_raise(self, bounds):
+        gen = np.random.default_rng(0)
+        before = gen.bit_generator.state
+        source = BufferedDraws(gen, 0, 10)
+        with pytest.raises(ValueError, match=re.escape(f"draws from [0, 10), not [{bounds[0]}, {bounds[1]})")):
+            source.integers(*bounds, size=3)
+        assert gen.bit_generator.state == before
+        with pytest.raises(ValueError, match=re.escape("not [0, 5)")):  # a sampler over another vocabulary
+            sample_negatives("u", 3, 5, set(), source)
 
 
 def _records(cols) -> list:

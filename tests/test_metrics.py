@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -6,6 +7,9 @@ import pytest
 from treequant.metrics import (MetricReport, RankedResult, evaluate_completion,
                                evaluate_ranking, hr_at_k, ndcg_at_k)
 from treequant.rng import SeededRng
+
+from test_data import scalar_sample_negatives
+from test_models import _frozen_model
 
 
 class TestNdcg:
@@ -142,6 +146,68 @@ class TestEvaluateRanking:
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
             evaluate_ranking(_OracleScorer(5), [], 2, [1], SeededRng(0).stream("eval-negatives"))
+
+
+def reference_evaluate_ranking(model, split, n_negatives, ks, rng, positives_by_user):
+    """The sampled-candidates pass as one generator drawn scalar by scalar per user, each unit ranking
+    every candidate and scored by the public ndcg_at_k and hr_at_k: (metric values, unit count)."""
+    sums = {f"{m}@{k}": 0.0 for m in ("ndcg", "hr") for k in ks}
+    with getattr(model, "frozen", contextlib.nullcontext)():
+        for user, pos_item in split:
+            positives = positives_by_user[user]
+            candidates = [pos_item] + scalar_sample_negatives(user, n_negatives, model.n_items, positives, rng)
+            result = RankedResult(ranking=model.predict_topk(user, candidates, k=len(candidates)),
+                                  relevant={pos_item})
+            for k in dict.fromkeys(ks):
+                sums[f"ndcg@{k}"] += ndcg_at_k(result, k)
+                sums[f"hr@{k}"] += hr_at_k(result, k)
+    return {name: value / len(split) for name, value in sums.items()}, len(split)
+
+
+class TestEvaluateRankingOracle:
+    """evaluate_ranking equals the reference pass bit for bit, in every value and the count."""
+
+    N_ITEMS = 130
+
+    @classmethod
+    def _model(cls, kind):
+        if kind == "random":
+            return _RandomScorer(24, cls.N_ITEMS, seed=11)
+        return _frozen_model(kind, "concat-project", n_users=24, n_items=cls.N_ITEMS, dim=8)
+
+    @classmethod
+    def _split(cls, seed):
+        """One held-out item per user, and full positive sets of up to 30 items."""
+        gen = np.random.default_rng(seed)
+        positives_by_user = {u: set(gen.choice(cls.N_ITEMS, size=int(gen.integers(1, 31)), replace=False).tolist())
+                             for u in range(24)}
+        split = [(u, min(positives_by_user[u])) for u in range(24)] * 2
+        return split, positives_by_user
+
+    @pytest.mark.parametrize("ks", [[1, 5, 10], [10, 5, 5], [150]], ids=["1-5-10", "10-5-5", "150"])
+    @pytest.mark.parametrize("kind", ["random", "cf", "ctr"])
+    def test_equals_reference_pass(self, kind, ks):
+        model = self._model(kind)
+        split, positives_by_user = self._split(len(ks))
+        for n_negatives in (1, 2, 3, 10, 37, 64, 98, 99):
+            seed = 100 + n_negatives
+            report = evaluate_ranking(model, split, n_negatives, ks, SeededRng(seed).stream("eval"),
+                                      positives_by_user=positives_by_user)
+            values, count = reference_evaluate_ranking(model, split, n_negatives, ks,
+                                                       SeededRng(seed).stream("eval"), positives_by_user)
+            assert report.count == count == len(split)
+            assert list(report.values) == list(values)
+            assert [v.hex() for v in report.values.values()] == [v.hex() for v in values.values()], n_negatives
+
+    @pytest.mark.parametrize("n_negatives", range(1, 100))
+    def test_every_negative_count(self, n_negatives):
+        model = self._model("random")
+        split, positives_by_user = self._split(n_negatives)
+        report = evaluate_ranking(model, split[:6], n_negatives, [1, 5, 10], SeededRng(n_negatives).stream("eval"),
+                                  positives_by_user=positives_by_user)
+        values, _ = reference_evaluate_ranking(model, split[:6], n_negatives, [1, 5, 10],
+                                               SeededRng(n_negatives).stream("eval"), positives_by_user)
+        assert report.values == values
 
 
 class _CompletionOracle:

@@ -721,6 +721,44 @@ class TestCliDamagedCheckpoint:
         assert capsys.readouterr().err == f"error: {ckpt}: tensor '{last['name']}' has an invalid shape {shape}\n"
 
 
+class TestCliCheckpointIntegers:
+    """Directory shapes and offsets and the epoch must be JSON integers: int() would truncate 8.9 to 8,
+    read true as 1 and the string "81" as (8, 1), and each of these checkpoints would then evaluate."""
+
+    @staticmethod
+    def _damage(meta, case):
+        entries = {entry["name"]: entry for entry in meta["tensors"]}
+        layer0_bias, layer1_weight, layer1_bias = (entries[f"mlp.{name}"] for name in
+                                                   ("layer0.bias", "layer1.weight", "layer1.bias"))
+        assert (layer0_bias["shape"], layer1_weight["shape"], layer1_bias["shape"]) == ([8], [8, 1], [1])
+        if case == "float-shape":
+            layer0_bias.update(shape=[8.9], offset=layer0_bias["offset"] + 0.75)
+        elif case == "bool-dimension":
+            layer1_bias["shape"] = [True]
+        elif case == "string-shape":
+            layer1_weight["shape"] = "81"
+        elif case == "float-offset":
+            layer1_weight["offset"] = float(layer1_weight["offset"])
+        else:
+            meta["epoch"] = 1.5
+        return layer1_weight["offset"]
+
+    @pytest.mark.parametrize("case, error", [
+        ("float-shape", "tensor 'mlp.layer0.bias' has an invalid shape [8.9]"),
+        ("bool-dimension", "tensor 'mlp.layer1.bias' has an invalid shape [true]"),
+        ("string-shape", "tensor 'mlp.layer1.weight' has an invalid shape \"81\""),
+        ("float-offset", "tensor 'mlp.layer1.weight' has an invalid offset {offset}"),
+        ("float-epoch", "epoch must be an integer, got 1.5"),
+    ])
+    def test_evaluate_is_typed_error(self, tmp_path, capsys, case, error):
+        ckpt = TestCli()._train(tmp_path, task="ctr")
+        offsets = []
+        _rewrite_meta(ckpt, lambda meta: offsets.append(self._damage(meta, case)))
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: {error.format(offset=offsets[0])}\n"
+
+
 class TestCliEmptySplit:
     """With every user under 3 positives, leave-one-out holds nothing out: training runs, evaluation cannot."""
 

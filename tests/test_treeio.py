@@ -26,6 +26,22 @@ def _two_level_tree():
     )
 
 
+def _per_scalar_dot(tree) -> str:
+    """The DOT text as formatted from one numpy scalar per entity path and parent entry."""
+    lines = ["digraph category_tree {"]
+    for level, size in enumerate(tree.level_sizes, start=1):
+        for idx in range(size):
+            lines.append(f'  L{level}_{idx} [shape=box];')
+    for entity in range(tree.n_entities):
+        lines.append(f"  E_{entity};")
+        lines.append(f"  E_{entity} -> L1_{tree.paths[entity, 0]};")
+    for level, parents in enumerate(tree.parents, start=1):
+        for child, parent in enumerate(parents):
+            lines.append(f"  L{level}_{child} -> L{level + 1}_{parent};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 class TestValidate:
     def test_valid_trees_pass(self):
         validate_tree(_star_tree())
@@ -120,6 +136,16 @@ class TestDot:
         # 4 entity->level1 edges plus 3 level1->level2 edges
         assert sum("->" in l for l in text.splitlines()) == 7
         assert "L1_1 -> L2_1;" in text
+
+    def test_bytes_equal_the_per_scalar_writer(self, tmp_path):
+        """The writer formats Python ints; the bytes are those of formatting each numpy scalar."""
+        gen = np.random.default_rng(3000)
+        sizes = [256, 32, 8]
+        tree = CategoryTree(level_sizes=sizes, paths=gen.integers(0, sizes, size=(3000, 3)),
+                            parents=[gen.integers(0, high, size=low) for low, high in zip(sizes, sizes[1:])])
+        p = tmp_path / "tree.dot"
+        write_tree_dot(tree, p)
+        assert p.read_bytes() == _per_scalar_dot(tree).encode("utf-8")
 
     def test_invalid_tree_not_written(self, tmp_path):
         t = _two_level_tree()
