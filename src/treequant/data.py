@@ -293,8 +293,11 @@ def leave_one_out(users: np.ndarray, labels: np.ndarray, timestamps) -> SplitDat
     return SplitDataset(train=order[keep], validation=order[last - 1], test=order[last])
 
 
+_DRAW_CHUNK = 4096  # draws per Generator.integers call of a BufferedDraws
+
+
 class BufferedDraws:
-    """``rng.integers(low, high, size)`` for fixed bounds, served from chunks of one bulk call each.
+    """``rng.integers(0, high, size)`` served from chunks of one bulk call each.
 
     For fixed bounds numpy gives the same values however the draws are split
     into calls, so these are the values of direct calls, in order.  The
@@ -302,16 +305,16 @@ class BufferedDraws:
     value served.  Other bounds raise ValueError.
     """
 
-    def __init__(self, rng: np.random.Generator, low: int, high: int, chunk: int = 4096):
-        self._rng, self._bounds, self._chunk = rng, (low, high), chunk
+    def __init__(self, rng: np.random.Generator, high: int):
+        self._rng, self._high = rng, high
         self._buf, self._pos = np.empty(0, dtype=np.int64), 0
 
     def integers(self, low: int, high: int, size: int) -> np.ndarray:
-        if (low, high) != self._bounds:
-            raise ValueError(f"this source draws from [{self._bounds[0]}, {self._bounds[1]}), not [{low}, {high})")
+        if (low, high) != (0, self._high):
+            raise ValueError(f"this source draws from [0, {self._high}), not [{low}, {high})")
         left = self._buf[self._pos:]
         if left.size < size:
-            fresh = self._rng.integers(low, high, size=max(self._chunk, size - left.size))
+            fresh = self._rng.integers(0, high, size=max(_DRAW_CHUNK, size - left.size))
             self._buf, self._pos = np.concatenate([left, fresh]), 0
         out = self._buf[self._pos:self._pos + size]
         self._pos += size
@@ -324,9 +327,10 @@ def sample_negatives(user, n: int, vocab_size: int, positives, rng) -> list:
     Rejection sampling in bulk rounds: each round draws as many values as
     items are still missing and scans them in order.  A draw accepts at most
     one item, so no round draws past the value where one-at-a-time sampling
-    would stop; the result and the generator's final state equal those of n
-    accepted scalar ``rng.integers(0, vocab_size)`` calls.  rng is a numpy
-    Generator or a BufferedDraws over [0, vocab_size).
+    would stop, so the result equals that of n accepted scalar
+    ``rng.integers(0, vocab_size)`` calls.  rng is a numpy Generator, whose
+    final state is then that of those scalar calls too, or a BufferedDraws
+    over [0, vocab_size), whose generator runs ahead of the draws used.
     """
     seen = set(positives)
     eligible = vocab_size - len(seen)

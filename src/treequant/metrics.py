@@ -87,12 +87,12 @@ def evaluate_ranking(model, split, n_negatives: int, ks, rng, positives_by_user=
     positives_by_user maps user index -> full positive set (all splits), used
     to keep held-out items out of the negative pool.  rng is the numpy
     Generator the negatives are drawn from, through one BufferedDraws: the
-    negatives are those of direct draws, but the generator ends up to one
-    chunk past the last one, so pass a stream that nothing draws from after
-    the pass.  Each unit's ranking holds its top max(ks) candidates, all
-    the metrics read.
+    negatives are those of direct draws, but the pass leaves the generator
+    in an unspecified state, so pass a stream that nothing draws from after
+    it.  Each unit's ranking holds its top max(ks) candidates, all the
+    metrics read.
     """
-    draws = BufferedDraws(rng, 0, model.n_items)
+    draws = BufferedDraws(rng, model.n_items)
     k = max(ks)
 
     def rank(user, pos_item):

@@ -346,28 +346,29 @@ _DRAW_BOUNDS = [2, 3, 7, 100, 3000, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**32 + 
 class TestBufferedDraws:
     """A BufferedDraws serves the values of direct rng.integers calls, in order, for any split into calls."""
 
-    @pytest.mark.parametrize("chunk", [1, 5, 64, 4096])
     @pytest.mark.parametrize("high", _DRAW_BOUNDS)
-    def test_equals_direct_calls(self, high, chunk):
-        sizes_gen = np.random.default_rng(high % 1000 + chunk)
-        sizes = sizes_gen.integers(0, 3 * chunk + 2, size=60).tolist() + [0, 1, 10 * chunk, 1]
+    def test_equals_direct_calls(self, high):
+        # sizes around the 4,096-draw chunk: one short of it, refills that
+        # leave a remainder, a request larger than a chunk, then random sizes
+        sizes_gen = np.random.default_rng(high % 1000)
+        sizes = [4095, 1, 2, 0, 3 * 4096, 4094, 3, 4097] + sizes_gen.integers(0, 2 * 4096 + 2, size=40).tolist()
         got_gen, want_gen = np.random.default_rng(high), np.random.default_rng(high)
-        source = BufferedDraws(got_gen, 0, high, chunk=chunk)
+        source = BufferedDraws(got_gen, high)
         for size in sizes:
             got = source.integers(0, high, size=size)
             want = want_gen.integers(0, high, size=size)
-            assert got.dtype == want.dtype and got.tolist() == want.tolist(), (high, chunk, size)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), (high, size)
 
     @pytest.mark.parametrize("high", _DRAW_BOUNDS)
     def test_equals_scalar_calls(self, high):
         got_gen, want_gen = np.random.default_rng(7), np.random.default_rng(7)
-        source = BufferedDraws(got_gen, 0, high, chunk=32)
-        got = [v for size in (1, 31, 2, 40, 3) for v in source.integers(0, high, size=size).tolist()]
+        source = BufferedDraws(got_gen, high)
+        got = [v for size in (1, 4094, 2, 3) for v in source.integers(0, high, size=size).tolist()]
         assert got == [int(want_gen.integers(0, high)) for _ in range(len(got))]
 
     def test_sampler_over_a_source_equals_the_scalar_loop(self):
         got_gen, want_gen = SeededRng(5).stream("eval-negatives"), SeededRng(5).stream("eval-negatives")
-        source = BufferedDraws(got_gen, 0, 3000)
+        source = BufferedDraws(got_gen, 3000)
         for user in range(50):
             positives = set(range(user, 3000, 41 + user))
             assert (sample_negatives(user, 99, 3000, positives, source)
@@ -377,7 +378,7 @@ class TestBufferedDraws:
     def test_other_bounds_raise(self, bounds):
         gen = np.random.default_rng(0)
         before = gen.bit_generator.state
-        source = BufferedDraws(gen, 0, 10)
+        source = BufferedDraws(gen, 10)
         with pytest.raises(ValueError, match=re.escape(f"draws from [0, 10), not [{bounds[0]}, {bounds[1]})")):
             source.integers(*bounds, size=3)
         assert gen.bit_generator.state == before
