@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DivergenceError, OracleError
+from .errors import ConfigError, DimensionError, DivergenceError
 
 
 @dataclass
@@ -197,24 +197,3 @@ def bce_with_logits_batch(logits: np.ndarray, labels: np.ndarray):
     losses = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
     sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
     return losses, (sig - y).astype(np.float32)
-
-
-def finite_diff_gradient(f, x: np.ndarray, h: float = 1e-3) -> np.ndarray:
-    """Central-difference gradient of a scalar function, entry by entry."""
-    if h <= 0:
-        raise ValueError("h must be > 0")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        xp = x.copy()
-        xm = x.copy()
-        xp[idx] += h
-        xm[idx] -= h
-        fp, fm = f(xp), f(xm)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise OracleError(f"non-finite function value near index {idx}")
-        grad[idx] = (fp - fm) / (2.0 * h)
-        it.iternext()
-    return grad

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,53 +292,34 @@ def leave_one_out(users: np.ndarray, labels: np.ndarray, timestamps) -> SplitDat
     return SplitDataset(train=order[keep], validation=order[last - 1], test=order[last])
 
 
-_DRAW_CHUNK = 4096  # draws per Generator.integers call of a BufferedDraws
+def sample_negatives(excluded, n: int, n_items: int, rng: np.random.Generator) -> list:
+    """n distinct uniform items of [0, n_items) outside each row's excluded set, as one flat list.
 
-
-class BufferedDraws:
-    """``rng.integers(0, high, size)`` served from chunks of one bulk call each.
-
-    For fixed bounds numpy gives the same values however the draws are split
-    into calls, so these are the values of direct calls, in order.  The
-    generator runs up to one chunk (or one larger request) past the last
-    value served.  Other bounds raise ValueError.
+    excluded holds one set of items per row; row r's items are at
+    [r * n, (r + 1) * n).  Rejection sampling in bulk rounds over all rows:
+    each round draws as many values as slots are still open and scans them
+    in order, and a draw fills at most one slot.  So no round draws past the
+    value where one-at-a-time sampling would stop: the items, and the
+    generator's final state, are those of scalar ``rng.integers(0, n_items)``
+    calls made row after row.  A row with fewer than n items outside its
+    set raises DataError before anything is drawn.
     """
-
-    def __init__(self, rng: np.random.Generator, high: int):
-        self._rng, self._high = rng, high
-        self._buf, self._pos = np.empty(0, dtype=np.int64), 0
-
-    def integers(self, low: int, high: int, size: int) -> np.ndarray:
-        if (low, high) != (0, self._high):
-            raise ValueError(f"this source draws from [0, {self._high}), not [{low}, {high})")
-        left = self._buf[self._pos:]
-        if left.size < size:
-            fresh = self._rng.integers(0, high, size=max(_DRAW_CHUNK, size - left.size))
-            self._buf, self._pos = np.concatenate([left, fresh]), 0
-        out = self._buf[self._pos:self._pos + size]
-        self._pos += size
-        return out
-
-
-def sample_negatives(user, n: int, vocab_size: int, positives, rng) -> list:
-    """n distinct uniform draws from the items outside the user's positive set.
-
-    Rejection sampling in bulk rounds: each round draws as many values as
-    items are still missing and scans them in order.  A draw accepts at most
-    one item, so no round draws past the value where one-at-a-time sampling
-    would stop, so the result equals that of n accepted scalar
-    ``rng.integers(0, vocab_size)`` calls.  rng is a numpy Generator, whose
-    final state is then that of those scalar calls too, or a BufferedDraws
-    over [0, vocab_size), whose generator runs ahead of the draws used.
-    """
-    seen = set(positives)
-    eligible = vocab_size - len(seen)
-    if eligible < n:
-        raise DataError(f"user {user!r}: only {eligible} non-positive items, need {n}")
+    excluded = list(excluded)
+    for row, seen in enumerate(excluded):
+        if n_items - len(seen) < n:
+            raise DataError(f"row {row}: only {n_items - len(seen)} non-positive items, need {n}")
+    total = n * len(excluded)
     chosen = []
-    while len(chosen) < n:
-        for draw in rng.integers(0, vocab_size, size=n - len(chosen)).tolist():
-            if draw not in seen:
+    row, end, seen = 0, n, None
+    while len(chosen) < total:
+        for draw in rng.integers(0, n_items, size=total - len(chosen)).tolist():
+            if seen is None:  # the row's first draw; with n == 1 its set gets no additions, so it is not copied
+                seen = excluded[row] if n == 1 else set(excluded[row])
+            if draw in seen:
+                continue
+            chosen.append(draw)
+            if len(chosen) == end:
+                row, end, seen = row + 1, end + n, None
+            else:
                 seen.add(draw)
-                chosen.append(draw)
     return chosen

@@ -17,10 +17,6 @@ class DivergenceError(RuntimeError):
     """Training produced a non-finite value."""
 
 
-class OracleError(RuntimeError):
-    """A test oracle hit a non-finite function value."""
-
-
 class CheckpointError(RuntimeError):
     """Base for checkpoint container problems."""
 

@@ -6,7 +6,7 @@ import contextlib
 import math
 from dataclasses import dataclass
 
-from .data import BufferedDraws, sample_negatives
+from .data import sample_negatives
 
 
 @dataclass
@@ -86,21 +86,22 @@ def evaluate_ranking(model, split, n_negatives: int, ks, rng, positives_by_user=
     split is an iterable of (user index, positive item index) pairs.
     positives_by_user maps user index -> full positive set (all splits), used
     to keep held-out items out of the negative pool.  rng is the numpy
-    Generator the negatives are drawn from, through one BufferedDraws: the
-    negatives are those of direct draws, but the pass leaves the generator
-    in an unspecified state, so pass a stream that nothing draws from after
-    it.  Each unit's ranking holds its top max(ks) candidates, all the
-    metrics read.
+    Generator the negatives are drawn from, in one sample_negatives call for
+    the pass: the negatives and the generator's final state are those of
+    scalar draws unit after unit, so passes that share a generator draw one
+    continuous stream.  Each unit's ranking holds its top max(ks)
+    candidates, all the metrics read.
     """
-    draws = BufferedDraws(rng, model.n_items)
+    split = list(split)
+    excluded = [positives_by_user.get(user, {pos}) if positives_by_user else {pos} for user, pos in split]
+    negatives = sample_negatives(excluded, n_negatives, model.n_items, rng)
+    units = [(user, pos, negatives[i * n_negatives:(i + 1) * n_negatives]) for i, (user, pos) in enumerate(split)]
     k = max(ks)
 
-    def rank(user, pos_item):
-        positives = positives_by_user.get(user, {pos_item}) if positives_by_user else {pos_item}
-        candidates = [pos_item] + sample_negatives(user, n_negatives, model.n_items, positives, draws)
-        return RankedResult(ranking=model.predict_topk(user, candidates, k=k), relevant={pos_item})
+    def rank(user, pos_item, sampled):
+        return RankedResult(ranking=model.predict_topk(user, [pos_item] + sampled, k=k), relevant={pos_item})
 
-    return _evaluate(model, split, ks, rank, "single")
+    return _evaluate(model, units, ks, rank, "single")
 
 
 def evaluate_completion(model, split, ks) -> MetricReport:

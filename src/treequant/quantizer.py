@@ -289,7 +289,6 @@ class CategoryTree:
     level_sizes: list            # [v1, ..., vH]
     paths: np.ndarray            # (n_entities, H) int64
     parents: list                # parents[i][a] = parent at level i+2 of code a at level i+1
-    codes: list | None = None    # optional snapshot of the code vectors
 
     @property
     def depth(self) -> int:
@@ -306,8 +305,7 @@ def extract_tree(q: CascadedQuantizer, embeddings: np.ndarray) -> CategoryTree:
     if embeddings.ndim != 2 or embeddings.shape[0] == 0:
         raise ValueError("need a nonempty (n, d) embedding matrix")
     paths = quantize_batch(q, embeddings).indices.T.copy()
-    codes = [cb.entries.value.copy() for cb in q.codebooks]
-    return CategoryTree(level_sizes=q.level_sizes, paths=paths, parents=_code_paths(q)[2], codes=codes)
+    return CategoryTree(level_sizes=q.level_sizes, paths=paths, parents=_code_paths(q)[2])
 
 
 def codebook_utilization(trace: BatchTrace, q: CascadedQuantizer) -> list:

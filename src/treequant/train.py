@@ -169,29 +169,6 @@ def _check_vocab(ckpt: Checkpoint, model, ds, path):
                             f"{table.rows.name} has {table.count} rows")
 
 
-def _bpr_negatives(users: np.ndarray, positives_by_user: dict, n_items: int,
-                   gen: np.random.Generator) -> np.ndarray:
-    """One uniform non-positive item per row, drawn in bulk rounds.
-
-    Row r takes the first draw, after row r-1's accepted one, outside its
-    user's positive set.  Each round draws one value per row still open and a
-    draw accepts at most one row, so the draws and the generator's final state
-    equal those of scalar ``gen.integers(0, n_items)`` calls row by row.
-    """
-    users = users.tolist()
-    pos_sets = [positives_by_user.get(user, ()) for user in users]
-    stop = next((row for row, pos in enumerate(pos_sets) if len(pos) >= n_items), len(users))
-    chosen = []
-    while len(chosen) < stop:
-        for cand in gen.integers(0, n_items, size=stop - len(chosen)).tolist():
-            if cand not in pos_sets[len(chosen)]:
-                chosen.append(cand)
-    if stop < len(users):
-        raise DataError(f"user index {users[stop]} is positive on all {n_items} items; "
-                        "no negative item can be sampled")
-    return np.array(chosen, dtype=np.int64)
-
-
 def _check_eval_units(cfg: TrainConfig, ds, pairs, split: str):
     """Every unit of pairs must be rankable as evaluation ranks it; checked before training or ranking.
 
@@ -233,17 +210,27 @@ def _task_examples(cfg: TrainConfig, model, ds, rng: SeededRng):
         return lambda: (len(prefixes), seq)
     neg_gen = rng.stream("negative-sampling")
     positives, negatives = ds.train[ds.train[:, 2] != 0], ds.train[ds.train[:, 2] == 0]
+    if cfg.task == "cf" or not len(negatives):  # a negative is drawn for every user with a positive
+        full = [user for user, items in sorted(ds.positives_by_user.items()) if len(items) >= model.n_items]
+        if full:
+            raise DataError(f"user index {full[0]} is positive on all {model.n_items} items; "
+                            "no negative item can be sampled")
+
+    def negatives_for(users):
+        """One uniform non-positive item per user of an array."""
+        excluded = [ds.positives_by_user.get(user, ()) for user in users.tolist()]
+        return np.array(D.sample_negatives(excluded, 1, model.n_items, neg_gen), dtype=np.int64)
+
     if cfg.task == "cf":
         def cf(b):
             users = positives[b, 0]
-            neg = _bpr_negatives(users, ds.positives_by_user, model.n_items, neg_gen)
-            return cf_bpr_step(model, users, positives[b, 1], neg)
+            return cf_bpr_step(model, users, positives[b, 1], negatives_for(users))
         return lambda: (len(positives), cf)
 
     def ctr_epoch():
         sampled = negatives
         if not len(negatives):
-            neg_items = _bpr_negatives(positives[:, 0], ds.positives_by_user, model.n_items, neg_gen)
+            neg_items = negatives_for(positives[:, 0])
             sampled = np.column_stack([positives[:, 0], neg_items, np.zeros_like(neg_items)])
         samples = np.concatenate([positives, sampled])
         return len(samples), lambda b: ctr_step(model, samples[b, 0], samples[b, 1], samples[b, 2])

@@ -30,33 +30,23 @@ def validate_tree(tree: CategoryTree) -> None:
             raise ValueError(f"parent map at level {level + 1} must cover all {sizes[level]} codes")
         if parents.size and (parents.min() < 0 or parents.max() >= sizes[level + 1]):
             raise ValueError(f"parent index out of range at level {level + 1}")
-    if tree.codes is not None:
-        for level, codes in enumerate(tree.codes):
-            if codes.shape[0] != sizes[level]:
-                raise ValueError(f"code snapshot at level {level + 1} has wrong row count")
 
 
 def tree_to_dict(tree: CategoryTree) -> dict:
     validate_tree(tree)
-    doc = {
+    return {
         "level_sizes": [int(v) for v in tree.level_sizes],
         "paths": tree.paths.tolist(),
         "parents": [p.tolist() for p in tree.parents],
     }
-    if tree.codes is not None:
-        doc["codes"] = [c.tolist() for c in tree.codes]
-    return doc
 
 
 def tree_from_dict(doc: dict) -> CategoryTree:
-    codes = None
-    if "codes" in doc:
-        codes = [np.asarray(c, dtype=np.float32) for c in doc["codes"]]
+    """The tree of a document; other keys, such as the code snapshot older files hold, are ignored."""
     tree = CategoryTree(
         level_sizes=[int(v) for v in doc["level_sizes"]],
         paths=np.asarray(doc["paths"], dtype=np.int64).reshape(len(doc["paths"]), len(doc["level_sizes"])),
         parents=[np.asarray(p, dtype=np.int64) for p in doc["parents"]],
-        codes=codes,
     )
     validate_tree(tree)
     return tree

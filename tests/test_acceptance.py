@@ -26,6 +26,8 @@ from treequant.train import model_from_checkpoint, run_train
 from treequant.treeio import read_tree_json, validate_tree, write_tree_json
 from treequant.core import Parameter
 
+from oracles import finite_diff_gradient
+
 
 VERDICTS: list = []
 
@@ -105,19 +107,6 @@ def test_criterion_2_ste_identity():
 # ---------------------------------------------------------------------------
 
 
-def _central_diff(f, x, h=1e-3):
-    g = np.zeros_like(x, dtype=np.float64)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        xp, xm = x.copy(), x.copy()
-        xp[idx] += h
-        xm[idx] -= h
-        g[idx] = (f(xp) - f(xm)) / (2 * h)
-        it.iternext()
-    return g
-
-
 def test_criterion_3_finite_difference_gradients():
     started = time.monotonic()
     gen = np.random.default_rng(33)
@@ -150,7 +139,7 @@ def test_criterion_3_finite_difference_gradients():
                 delta = e64 - e.astype(np.float64)
                 return float(sum(((delta - off) ** 2).sum() for off in offsets))
 
-            fd_commit = _central_diff(commit_surrogate, e.astype(np.float64), h=1e-3)
+            fd_commit = finite_diff_gradient(commit_surrogate, e.astype(np.float64), h=1e-3)
             expected = q.beta * fd_commit  # ste_backward_batch applies weight_cage * beta
             denom = np.maximum(np.abs(expected), 1e-3)
             rel = np.max(np.abs(grad_e.astype(np.float64) - expected) / denom)
@@ -165,7 +154,7 @@ def test_criterion_3_finite_difference_gradients():
                 def quant_at_row(c64):
                     return float(((base_in - c64) ** 2).sum())
 
-                fd_row = _central_diff(quant_at_row, codes[level].astype(np.float64), h=1e-3)
+                fd_row = finite_diff_gradient(quant_at_row, codes[level].astype(np.float64), h=1e-3)
                 analytic_row = code_grads[level, 0].astype(np.float64)
                 denom = np.maximum(np.abs(fd_row), 1e-3)
                 rel = np.max(np.abs(analytic_row - fd_row) / denom)

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from treequant.core import (Adam, AdamState, Parameter, adam_step,
-                            bce_with_logits_batch, finite_diff_gradient,
+from treequant.core import (Adam, AdamState, Parameter, adam_step, bce_with_logits_batch,
                             mlp_apply, mlp_backward, softmax_xent_batch)
-from treequant.errors import DimensionError, DivergenceError, OracleError
+from treequant.errors import DimensionError, DivergenceError
 from treequant.rng import SeededRng, normal_draw, rng_normal_init
+
+from oracles import OracleError, finite_diff_gradient
 
 
 class TestNormalInit:

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from treequant.config import config_from_dict
-from treequant.data import (BufferedDraws, Vocabulary, leave_one_out, load_interactions, load_lists,
-                            partition_lists, preprocess_lists, read_lines,
-                            sample_negatives, split_list)
+from treequant.data import (Vocabulary, leave_one_out, load_interactions, load_lists, partition_lists,
+                            preprocess_lists, read_lines, sample_negatives, split_list)
 from treequant.errors import DataError
 from treequant.rng import SeededRng
 from treequant.train import prepare_interactions
@@ -207,30 +206,30 @@ class TestLeaveOneOut:
 class TestSampleNegatives:
     def test_forced_choice(self):
         gen = np.random.default_rng(0)
-        assert sample_negatives("u", 1, 5, {0, 1, 2, 3}, gen) == [4]
+        assert sample_negatives([{0, 1, 2, 3}], 1, 5, gen) == [4]
 
     def test_deterministic_under_seed(self):
-        a = sample_negatives("u", 5, 100, {3}, np.random.default_rng(42))
-        b = sample_negatives("u", 5, 100, {3}, np.random.default_rng(42))
+        a = sample_negatives([{3}, {4}], 5, 100, np.random.default_rng(42))
+        b = sample_negatives([{3}, {4}], 5, 100, np.random.default_rng(42))
         assert a == b
 
     def test_never_returns_positives(self):
         gen = np.random.default_rng(1)
         positives = set(range(0, 50, 2))
-        for _ in range(100):
-            sampled = sample_negatives("u", 10, 50, positives, gen)
-            assert not set(sampled) & positives
-            assert len(set(sampled)) == 10
+        sampled = sample_negatives([positives] * 100, 10, 50, gen)
+        assert len(sampled) == 1000
+        for row in range(100):
+            items = sampled[row * 10:(row + 1) * 10]
+            assert not set(items) & positives
+            assert len(set(items)) == 10
 
     def test_insufficient_pool(self):
         with pytest.raises(ValueError):
-            sample_negatives("u", 3, 5, {0, 1, 2}, np.random.default_rng(0))
+            sample_negatives([{0, 1, 2}], 3, 5, np.random.default_rng(0))
 
     def test_uniformity(self):
         gen = np.random.default_rng(7)
-        counts = np.zeros(10)
-        for _ in range(10000):
-            counts[sample_negatives("u", 1, 10, set(), gen)[0]] += 1
+        counts = np.bincount(sample_negatives([set()] * 10000, 1, 10, gen), minlength=10)
         # each ~ Binomial(10000, 0.1): 3 sigma ~ 90
         assert np.all(np.abs(counts - 1000) < 3 * np.sqrt(10000 * 0.1 * 0.9))
 
@@ -255,7 +254,7 @@ class TestVocabulary:
 
 def test_sample_negatives_shortage_is_data_error():
     with pytest.raises(DataError, match="only 2 non-positive items, need 3"):
-        sample_negatives(0, 3, 5, {0, 1, 2}, np.random.default_rng(0))
+        sample_negatives([{0, 1, 2}], 3, 5, np.random.default_rng(0))
 
 
 def scalar_sample_negatives(user, n, vocab_size, positives, rng):
@@ -295,6 +294,21 @@ def _sampler_cases(seed):
     ]
 
 
+def scalar_rows(excluded, n, vocab_size, rng):
+    """scalar_sample_negatives row after row on one generator, flattened as sample_negatives returns them."""
+    return [item for row, positives in enumerate(excluded)
+            for item in scalar_sample_negatives(row, n, vocab_size, positives, rng)]
+
+
+def _mixed_rows(seed, n, vocab_size):
+    """Excluded sets that mix empty, sparse, heavy and exactly-n-eligible rows, in a seeded order."""
+    gen = np.random.default_rng(30_000 + seed)
+    kinds = [set(), {0}, {vocab_size - 1},
+             set(gen.choice(min(vocab_size, 10**6), size=min(40, vocab_size - n), replace=False).tolist()),
+             set(range(vocab_size - n)) if vocab_size <= 10**4 else {5}]
+    return [kinds[k] for k in gen.integers(0, len(kinds), size=int(gen.integers(1, 30))).tolist()]
+
+
 class TestBulkSamplingOracle:
     """sample_negatives draws in bulk; the values and the generator state stay those of the scalar loop."""
 
@@ -302,7 +316,7 @@ class TestBulkSamplingOracle:
     def test_each_case_matches_scalar_loop(self, seed):
         for n, vocab_size, positives in _sampler_cases(seed):
             got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = sample_negatives("u", n, vocab_size, positives, got_gen)
+            got = sample_negatives([positives], n, vocab_size, got_gen)
             want = scalar_sample_negatives("u", n, vocab_size, positives, want_gen)
             assert got == want, (n, vocab_size)
             assert got_gen.bit_generator.state == want_gen.bit_generator.state, (n, vocab_size)
@@ -311,7 +325,7 @@ class TestBulkSamplingOracle:
     def test_consecutive_calls_share_one_generator(self, seed):
         got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
         for case, (n, vocab_size, positives) in enumerate(_sampler_cases(seed) * 2):
-            got = sample_negatives("u", n, vocab_size, positives, got_gen)
+            got = sample_negatives([positives], n, vocab_size, got_gen)
             want = scalar_sample_negatives("u", n, vocab_size, positives, want_gen)
             assert got == want
             if case % 3 == 0:  # other consumers draw from the same generator in between
@@ -319,24 +333,32 @@ class TestBulkSamplingOracle:
                 assert got_gen.random() == want_gen.random()
         assert got_gen.bit_generator.state == want_gen.bit_generator.state
 
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("n, vocab_size", [(1, 40), (3, 40), (99, 130), (99, 3000), (2, 2**33 + 5)])
+    def test_rows_with_mixed_sets_match_scalar_rows(self, seed, n, vocab_size):
+        excluded = _mixed_rows(seed, n, vocab_size)
+        got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_negatives(excluded, n, vocab_size, got_gen)
+        assert got == scalar_rows(excluded, n, vocab_size, want_gen)
+        assert got_gen.bit_generator.state == want_gen.bit_generator.state
+
     def test_project_stream_matches_scalar_loop(self):
         got_gen, want_gen = SeededRng(5).stream("eval-negatives"), SeededRng(5).stream("eval-negatives")
-        for user in range(50):
-            positives = set(range(user, 3000, 97))
-            assert (sample_negatives(user, 99, 3000, positives, got_gen)
-                    == scalar_sample_negatives(user, 99, 3000, positives, want_gen))
+        excluded = [set(range(user, 3000, 97)) for user in range(50)]
+        assert sample_negatives(excluded, 99, 3000, got_gen) == scalar_rows(excluded, 99, 3000, want_gen)
         assert got_gen.bit_generator.state == want_gen.bit_generator.state
 
     def test_shortage_draws_nothing(self):
         gen = np.random.default_rng(0)
         before = gen.bit_generator.state
-        with pytest.raises(DataError):
-            sample_negatives("u", 3, 5, {0, 1, 2}, gen)
+        with pytest.raises(DataError, match=re.escape("row 2: only 2 non-positive items, need 3")):
+            sample_negatives([set(), {4}, {0, 1, 2}, set()], 3, 5, gen)
         assert gen.bit_generator.state == before
 
     def test_positive_set_not_mutated(self):
         positives = {0, 1}
-        sample_negatives("u", 3, 6, positives, np.random.default_rng(0))
+        for n in (1, 3):  # n == 1 reads a row's own set
+            sample_negatives([positives, positives], n, 6, np.random.default_rng(0))
         assert positives == {0, 1}
 
 
@@ -344,46 +366,45 @@ _DRAW_BOUNDS = [2, 3, 7, 100, 3000, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**32 + 
 
 
 class TestBufferedDraws:
-    """A BufferedDraws serves the values of direct rng.integers calls, in order, for any split into calls."""
+    """One sample_negatives call draws all of its rows in bulk rounds; at every bound its values are those
+    of direct and of scalar rng.integers calls, however the rows are split into calls."""
 
     @pytest.mark.parametrize("high", _DRAW_BOUNDS)
     def test_equals_direct_calls(self, high):
-        # sizes around the 4,096-draw chunk: one short of it, refills that
-        # leave a remainder, a request larger than a chunk, then random sizes
+        # with nothing excluded and one item per row, a call of k rows is one integers(0, high, size=k)
         sizes_gen = np.random.default_rng(high % 1000)
         sizes = [4095, 1, 2, 0, 3 * 4096, 4094, 3, 4097] + sizes_gen.integers(0, 2 * 4096 + 2, size=40).tolist()
         got_gen, want_gen = np.random.default_rng(high), np.random.default_rng(high)
-        source = BufferedDraws(got_gen, high)
         for size in sizes:
-            got = source.integers(0, high, size=size)
-            want = want_gen.integers(0, high, size=size)
-            assert got.dtype == want.dtype and got.tolist() == want.tolist(), (high, size)
+            assert sample_negatives([()] * size, 1, high, got_gen) == want_gen.integers(0, high, size=size).tolist()
+        assert got_gen.bit_generator.state == want_gen.bit_generator.state
 
     @pytest.mark.parametrize("high", _DRAW_BOUNDS)
     def test_equals_scalar_calls(self, high):
+        # rows that reject the bound's first or last value, split into calls of 1, 40, 2 and 3 rows
+        rows = [set(), {0}, {high - 1}] * 16
         got_gen, want_gen = np.random.default_rng(7), np.random.default_rng(7)
-        source = BufferedDraws(got_gen, high)
-        got = [v for size in (1, 4094, 2, 3) for v in source.integers(0, high, size=size).tolist()]
-        assert got == [int(want_gen.integers(0, high)) for _ in range(len(got))]
+        got = [v for start, stop in ((0, 1), (1, 41), (41, 43), (43, 46))
+               for v in sample_negatives(rows[start:stop], 1, high, got_gen)]
+        assert got == scalar_rows(rows[:46], 1, high, want_gen)
+        assert got_gen.bit_generator.state == want_gen.bit_generator.state
 
     def test_sampler_over_a_source_equals_the_scalar_loop(self):
         got_gen, want_gen = SeededRng(5).stream("eval-negatives"), SeededRng(5).stream("eval-negatives")
-        source = BufferedDraws(got_gen, 3000)
-        for user in range(50):
-            positives = set(range(user, 3000, 41 + user))
-            assert (sample_negatives(user, 99, 3000, positives, source)
-                    == scalar_sample_negatives(user, 99, 3000, positives, want_gen))
+        excluded = [set(range(user, 3000, 41 + user)) for user in range(50)]
+        got = sample_negatives(excluded[:20], 99, 3000, got_gen) + sample_negatives(excluded[20:], 99, 3000, got_gen)
+        assert got == scalar_rows(excluded, 99, 3000, want_gen)
+        assert got_gen.bit_generator.state == want_gen.bit_generator.state
 
-    @pytest.mark.parametrize("bounds", [(0, 11), (1, 10), (0, 9), (-1, 10)])
+    @pytest.mark.parametrize("bounds", [(3, 5), (1, 3), (99, 100), (2, 2)])
     def test_other_bounds_raise(self, bounds):
+        # (n, bound) with a row that has n - 1 items outside its set, at the end of the call
+        n, high = bounds
         gen = np.random.default_rng(0)
         before = gen.bit_generator.state
-        source = BufferedDraws(gen, 10)
-        with pytest.raises(ValueError, match=re.escape(f"draws from [0, 10), not [{bounds[0]}, {bounds[1]})")):
-            source.integers(*bounds, size=3)
+        with pytest.raises(DataError, match=re.escape(f"row 2: only {n - 1} non-positive items, need {n}")):
+            sample_negatives([set(), set(), set(range(high - n + 1))], n, high, gen)
         assert gen.bit_generator.state == before
-        with pytest.raises(ValueError, match=re.escape("not [0, 5)")):  # a sampler over another vocabulary
-            sample_negatives("u", 3, 5, set(), source)
 
 
 def _records(cols) -> list:

@@ -199,6 +199,18 @@ class TestEvaluateRankingOracle:
             assert list(report.values) == list(values)
             assert [v.hex() for v in report.values.values()] == [v.hex() for v in values.values()], n_negatives
 
+    @pytest.mark.parametrize("kind", ["random", "cf", "ctr"])
+    def test_passes_on_one_generator_draw_one_stream(self, kind):
+        # two passes on one generator equal the reference over split + split on one scalar generator
+        model = self._model(kind)
+        split, positives_by_user = self._split(7)
+        got_gen, want_gen = SeededRng(7).stream("eval"), SeededRng(7).stream("eval")
+        for _ in range(2):
+            report = evaluate_ranking(model, split, 37, [1, 5, 10], got_gen, positives_by_user=positives_by_user)
+            values, _ = reference_evaluate_ranking(model, split, 37, [1, 5, 10], want_gen, positives_by_user)
+            assert [v.hex() for v in report.values.values()] == [v.hex() for v in values.values()]
+        assert got_gen.bit_generator.state == want_gen.bit_generator.state
+
     @pytest.mark.parametrize("n_negatives", range(1, 100))
     def test_every_negative_count(self, n_negatives):
         model = self._model("random")

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from treequant.core import Parameter, finite_diff_gradient
 from treequant.errors import DimensionError, DivergenceError
 from treequant.metrics import evaluate_completion, evaluate_ranking
 from treequant.models import (CfModel, CtrModel, EmbeddingTable, SeqModel,
@@ -13,6 +12,8 @@ from treequant.models import (CfModel, CtrModel, EmbeddingTable, SeqModel,
                               make_tree_heads, seq_step)
 from treequant.quantizer import make_quantizer, quantize_batch
 from treequant.rng import SeededRng
+
+from oracles import finite_diff_gradient
 
 
 def _tables(rng, n_users=8, n_items=12, dim=4, std=0.1):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from treequant.core import Parameter, finite_diff_gradient
+from treequant.core import Parameter
 from treequant.errors import ConfigError, DimensionError
 from treequant.models import EmbeddingTable, _route
 from treequant.quantizer import (_BLOCK, AVERAGE, CONCAT_PROJECT, CascadedQuantizer,
@@ -14,6 +14,7 @@ from treequant.quantizer import (_BLOCK, AVERAGE, CONCAT_PROJECT, CascadedQuanti
                                  ste_backward_batch, _nearest)
 from treequant.rng import SeededRng
 
+from oracles import finite_diff_gradient
 from test_acceptance import penalties
 
 

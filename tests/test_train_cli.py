@@ -17,8 +17,10 @@ from treequant.cli import main
 from treequant.config import config_from_dict
 from treequant import train
 from treequant.models import seq_step
+from treequant.quantizer import quantize_batch
 from treequant.errors import ConfigError, DataError, DivergenceError
-from treequant.train import _bpr_negatives, model_from_checkpoint, run_evaluate, run_train
+from treequant.data import sample_negatives
+from treequant.train import model_from_checkpoint, run_evaluate, run_train
 from treequant.rng import SeededRng
 
 from test_checkpoint import _rewrite_meta
@@ -376,17 +378,22 @@ class _CountingGen:
         return np.int64(high - 1) if size is None else np.full(size, high - 1, dtype=np.int64)
 
 
+def _one_negative_per_row(users, positives_by_user, n_items, gen) -> list:
+    """The training draw: one sample_negatives item per row of users, outside that user's positives."""
+    return sample_negatives([positives_by_user.get(user, ()) for user in users.tolist()], 1, n_items, gen)
+
+
 class TestBprNegatives:
     def test_user_positive_on_every_item_raises(self):
         gen = _CountingGen()
-        with pytest.raises(DataError, match="user index 1"):
-            _bpr_negatives(np.array([0, 1]), {0: {0}, 1: {0, 1, 2}}, 3, gen)
-        assert gen.draws == 1
+        with pytest.raises(DataError, match=re.escape("row 1: only 0 non-positive items, need 1")):
+            _one_negative_per_row(np.array([0, 1]), {0: {0}, 1: {0, 1, 2}}, 3, gen)
+        assert gen.draws == 0
 
     def test_draws_unchanged_for_other_users(self):
         positives = {0: {1, 2}, 1: {0}}
         users = np.array([0, 1, 0, 1, 1])
-        got = _bpr_negatives(users, positives, 5, np.random.default_rng(4))
+        got = _one_negative_per_row(users, positives, 5, np.random.default_rng(4))
         ref_gen = np.random.default_rng(4)
         want = []
         for user in users:
@@ -395,7 +402,7 @@ class TestBprNegatives:
                 if cand not in positives[int(user)]:
                     want.append(cand)
                     break
-        assert got.tolist() == want
+        assert got == want
 
     def test_cf_run_on_saturated_file_fails_fast(self, tmp_path, capsys):
         data = tmp_path / "d.tsv"
@@ -407,14 +414,29 @@ class TestBprNegatives:
         assert "positive on all 3 items" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("task", ["cf", "ctr"])
+    def test_saturated_training_user_is_named(self, tmp_path, capsys, task):
+        # no user has 3 positives, so there is no validation split to check first
+        data = tmp_path / "d.tsv"
+        data.write_text("u0\ti0\t1\t1\nu0\ti1\t1\t2\nu1\ti0\t1\t1\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_cfg(data, task=task, epochs=1, cage=False).to_dict()))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == ("error: user index 0 is positive on all 2 items; "
+                                           "no negative item can be sampled\n")
+
+
 def scalar_bpr_negatives(users, positives_by_user, n_items, gen):
-    """One scalar draw per attempt, row by row: the loop bulk sampling must reproduce."""
-    out = np.empty(users.shape[0], dtype=np.int64)
-    for row, user in enumerate(users):
-        pos = positives_by_user.get(int(user), set())
+    """One scalar draw per attempt, row by row: the loop bulk sampling must reproduce.
+
+    A row whose user is positive on every item raises before anything is drawn.
+    """
+    pos_sets = [positives_by_user.get(int(user), set()) for user in users]
+    for row, pos in enumerate(pos_sets):
         if len(pos) >= n_items:
-            raise DataError(f"user index {int(user)} is positive on all {n_items} items; "
-                            "no negative item can be sampled")
+            raise DataError(f"row {row}: only {n_items - len(pos)} non-positive items, need 1")
+    out = np.empty(users.shape[0], dtype=np.int64)
+    for row, pos in enumerate(pos_sets):
         while True:
             cand = int(gen.integers(0, n_items))
             if cand not in pos:
@@ -440,24 +462,24 @@ def _bpr_cases(seed):
 
 
 class TestBulkBprNegativesOracle:
-    """_bpr_negatives draws in bulk; the values and the generator state stay those of the scalar loop."""
+    """The training draw is bulk; the values and the generator state stay those of the scalar loop."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_each_case_matches_scalar_loop(self, seed):
         for users, positives, n_items in _bpr_cases(seed):
             got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = _bpr_negatives(users, positives, n_items, got_gen)
+            got = _one_negative_per_row(users, positives, n_items, got_gen)
             want = scalar_bpr_negatives(users, positives, n_items, want_gen)
-            assert got.dtype == np.int64 and got.tolist() == want.tolist(), n_items
+            assert got == want.tolist(), n_items
             assert got_gen.bit_generator.state == want_gen.bit_generator.state, n_items
 
     @pytest.mark.parametrize("seed", range(20))
     def test_consecutive_calls_share_one_generator(self, seed):
         got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
         for case, (users, positives, n_items) in enumerate(_bpr_cases(seed) * 2):
-            got = _bpr_negatives(users, positives, n_items, got_gen)
+            got = _one_negative_per_row(users, positives, n_items, got_gen)
             want = scalar_bpr_negatives(users, positives, n_items, want_gen)
-            assert got.tolist() == want.tolist()
+            assert got == want.tolist()
             if case % 2 == 0:  # the shuffle and other consumers may share a generator
                 assert got_gen.permutation(5).tolist() == want_gen.permutation(5).tolist()
         assert got_gen.bit_generator.state == want_gen.bit_generator.state
@@ -468,12 +490,13 @@ class TestBulkBprNegativesOracle:
         users = np.random.default_rng(seed).integers(0, 3, size=50)
         users[30] = 1
         got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        before = got_gen.bit_generator.state
         with pytest.raises(DataError) as got:
-            _bpr_negatives(users, positives, 4, got_gen)
+            _one_negative_per_row(users, positives, 4, got_gen)
         with pytest.raises(DataError) as want:
             scalar_bpr_negatives(users, positives, 4, want_gen)
-        assert str(got.value) == str(want.value)
-        assert got_gen.bit_generator.state == want_gen.bit_generator.state
+        assert str(got.value) == str(want.value) == f"row {users.tolist().index(1)}: only 0 non-positive items, need 1"
+        assert got_gen.bit_generator.state == want_gen.bit_generator.state == before
 
 
 def _move_line_to_front(path, lineno):
@@ -848,7 +871,9 @@ class TestCliQuantizerSide:
         stored = load_checkpoint(ckpt)
         doc = json.loads(jp.read_text())
         assert len(doc["paths"]) == len(stored.vocab[f"{side}s"])
-        assert doc["codes"][0] == stored.tensors[f"{side}_cage.codebook1"].tolist()
+        (table, cage), = [(t, q) for t, q in model_from_checkpoint(stored)[0].sides if t.role == side]
+        assert doc["paths"] == quantize_batch(cage, table.rows.value).indices.T.tolist()
+        assert sorted(doc) == ["level_sizes", "parents", "paths"]
         assert capsys.readouterr().out.startswith(f"exported {side} tree: ")
 
     @pytest.mark.parametrize("side, n_categories", [(None, 0), ("item", 0), ("user", 3)])
