@@ -22,7 +22,10 @@ CONCAT_PROJECT = "concat-project"
 
 _BLOCK = 1024  # rows per nearest-code search block; memory is O(block x codes)
 _PAIRS = 4096  # (row, code) pairs per direct recomputation chunk
-_UNIT_ROUNDOFF = 2.0 ** -53
+_F64_ROUNDOFF = 2.0 ** -53
+_F32_ROUNDOFF = 2.0 ** -24
+_ETA = 2.0 ** -150  # half float32's smallest subnormal: a product's absolute error when it underflows
+_F32_SAFE = 2.0 ** 126  # (|x| + max |c|)^2 up to which no float32 value of the ranking overflows
 
 
 @dataclass
@@ -107,56 +110,97 @@ def make_quantizer(rng: SeededRng, dim: int, sizes, alpha: float = 1.0, beta: fl
 # ---------------------------------------------------------------------------
 
 
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The direct formula, sum((a - b)^2) per row: float64 differences, einsum over d."""
+    diff = np.subtract(a, b, dtype=np.float64)
+    return np.einsum("nd,nd->n", diff, diff)
+
+
 def _direct_sq_dists(x: np.ndarray, entries: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """sum((x[r] - entries[c])^2) per (r, c) pair: float64 differences, einsum over d."""
+    """_sq_dists of x[r] and entries[c] per (r, c) pair, in chunks of _PAIRS pairs."""
     out = np.empty(rows.shape[0], dtype=np.float64)
     for start in range(0, rows.shape[0], _PAIRS):
-        diff = x[rows[start:start + _PAIRS]] - entries[cols[start:start + _PAIRS]]
-        out[start:start + _PAIRS] = np.einsum("nd,nd->n", diff, diff)
+        out[start:start + _PAIRS] = _sq_dists(x[rows[start:start + _PAIRS]], entries[cols[start:start + _PAIRS]])
     return out
+
+
+def _gamma(m: int, u: float) -> float:
+    """Higham's gamma_m = m u / (1 - m u): the relative error bound of m roundings at unit roundoff u."""
+    return m * u / (1.0 - m * u)
 
 
 def _nearest(entries: np.ndarray, x: np.ndarray):
     """Nearest code for every row of x: (int64 indices, float64 squared distances).
 
-    Codes are ranked by |c|^2 - 2 x.c, one float64 GEMM per block of rows
-    (|x|^2 is the same for every code of a row).  Up to that row constant,
-    the GEMM value and the direct formula sum((x - c)^2) each lie within
-    gamma_{d+2} (|x| + |c|)^2 of the exact squared distance (Higham, Accuracy
-    and Stability of Numerical Algorithms, 3.1), so every code the direct
-    formula could rank first lies within twice their sum of the row's GEMM
-    minimum.  Those codes are recomputed with the direct formula and the
-    lowest value wins, ties going to the lowest index; the returned distance
-    is that direct value, so the result equals the argmin over the direct
-    formula bit for bit.  A row whose bound is not finite (an inf or NaN in
-    the row or the codebook) recomputes every code.  Inputs are float32, so
-    no product of finite inputs overflows or underflows in float64.
+    The result equals, bit for bit, the first minimum over codes of the
+    direct formula sum((x - c)^2), float64 differences summed by einsum; a
+    float32 ranking picks the codes that formula is evaluated for.  The
+    bound below follows Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1, with u = 2^-24 for float32 and u = 2^-53 for float64.
+
+    * Ranking: R = |c|^2 - 2 x.c, one float32 GEMM per block of rows
+      (|x|^2 is the same for every code of a row).  With B = (|x| + max |c|)^2,
+      a computed R lies within gamma_{d+1} B + 3 d eta of the exact value:
+      gamma_d for each dot product and one rounding for their sum.  eta =
+      2^-150 is the absolute error of a product that falls into float32's
+      subnormals, where rounding has no relative bound.  |x| and max |c| are
+      bounded from above from their float32 sums of squares, which carry the
+      same two terms.
+    * Direct formula: float64 squares of float32 differences neither overflow
+      nor underflow, so it lies within gamma_{d+2} B of the exact distance.
+    * Candidates: every code the direct formula could rank first lies within
+      twice the sum of both bounds of the row's float32 minimum.  The slack
+      uses gamma_{d+6} for float32 rather than gamma_{d+1}, gamma_{d+4} for
+      float64 rather than gamma_{d+2}, and 8 d eta rather than 6 d eta, so it
+      also covers the float64 rounding of B and of the slack itself.  The threshold, minimum + slack, is rounded up to float32
+      before the float32 comparison: rounding is monotone, so every float32
+      R at or below the exact threshold stays at or below the rounded-up
+      one, whereas rounding to nearest could fall below a candidate.
+    * Fallback: a row whose B is not finite (an inf or NaN in the row or the
+      codebook), or exceeds 2^126, recomputes every code.  Below 2^126 no
+      float32 product, partial sum or threshold exceeds 2 B < float32's
+      largest value; above it, 2 x.c can overflow to +-inf or NaN and rank
+      the nearest code anywhere.
+
+    Among a row's candidates the first NaN wins if there is one, else the
+    first minimum, as argmin decides.
     """
-    c64 = entries.astype(np.float64)
-    k, d = c64.shape
-    c_sq = np.einsum("kd,kd->k", c64, c64)
-    c_norm = np.sqrt(c_sq.max())
-    m = d + 4  # gamma_{d+4} rather than gamma_{d+2} covers the rounding of the bound itself
-    gamma = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+    k, d = entries.shape
+    with np.errstate(invalid="ignore", over="ignore"):
+        c_sq = np.einsum("kd,kd->k", entries, entries)  # float32, within gamma_d |c|^2 + 2 d eta of |c|^2
+        minus_2c = np.float32(-2.0) * entries  # exact: scaling by -2 does not round
+    grow = 1.0 / (1.0 - _gamma(d, _F32_ROUNDOFF))  # |v|^2 <= (float32 sum of squares + 2 d eta) * grow
+    # an overflowed or NaN sum gives every row a non-finite B
+    c_norm = np.sqrt((float(c_sq.max()) + 2 * d * _ETA) * grow)
+    rel = 2.0 * (_gamma(d + 6, _F32_ROUNDOFF) + _gamma(d + 4, _F64_ROUNDOFF))
     n = x.shape[0]
     indices = np.empty(n, dtype=np.int64)
     dists = np.empty(n, dtype=np.float64)
     for start in range(0, n, _BLOCK):
-        block = x[start:start + _BLOCK].astype(np.float64)
-        slack = 4.0 * gamma * (np.sqrt(np.einsum("nd,nd->n", block, block)) + c_norm) ** 2
+        block = x[start:start + _BLOCK]
+        rows = np.arange(block.shape[0])
         with np.errstate(invalid="ignore", over="ignore"):
-            ranked = block @ c64.T
-            ranked *= -2.0
+            x_sq = np.einsum("nd,nd->n", block, block).astype(np.float64)
+            bound = (np.sqrt((x_sq + 2 * d * _ETA) * grow) + c_norm) ** 2
+            ranked = block @ minus_2c.T
             ranked += c_sq
-            cand = ranked <= (ranked.min(axis=1) + slack)[:, None]
-        cand[~np.isfinite(slack)] = True
-        rows, cols = np.divmod(np.flatnonzero(cand), k)
-        direct = ranked  # reuse the block's buffer; codes outside the bound stay +inf
-        direct.fill(np.inf)
-        direct[rows, cols] = _direct_sq_dists(block, c64, rows, cols)
-        j = direct.argmin(axis=1)  # argmin returns the first minimum
-        indices[start:start + _BLOCK] = j
-        dists[start:start + _BLOCK] = direct[np.arange(j.shape[0]), j]
+            cols = ranked.argmin(axis=1)
+            threshold = (ranked[rows, cols] + (rel * bound + 8 * d * _ETA)).astype(np.float32)
+            cand = ranked <= np.nextafter(threshold, np.float32(np.inf))[:, None]
+        full = ~(bound <= _F32_SAFE)  # also catches a NaN bound
+        if full.any():
+            cand[full] = True
+        if np.count_nonzero(cand) == rows.shape[0]:  # each row keeps only its float32 minimum
+            direct = _sq_dists(block, entries[cols])
+        else:
+            rows, cols = np.divmod(np.flatnonzero(cand), k)
+            direct = _direct_sq_dists(block, entries, rows, cols)
+            firsts = np.flatnonzero(np.diff(rows, prepend=-1))  # each row has at least one candidate
+            best = np.minimum.reduceat(direct, firsts)  # NaN if the row has a NaN
+            hit = np.flatnonzero((direct == best[rows]) | np.isnan(direct))
+            hit = hit[np.diff(rows[hit], prepend=-1) != 0]  # each row's first minimum, or first NaN
+            cols, direct = cols[hit], direct[hit]
+        indices[start:start + _BLOCK], dists[start:start + _BLOCK] = cols, direct
     return indices, dists
 
 
@@ -198,6 +242,13 @@ def _fuse(q: CascadedQuantizer, codes: np.ndarray) -> np.ndarray:
     return codes.transpose(1, 0, 2).reshape(codes.shape[1], -1) @ q.projection.value
 
 
+def _level1(q: CascadedQuantizer, x: np.ndarray):
+    """The level-1 search of float32 rows x: (code indices, squared distances)."""
+    if x.shape[1] != q.dim:
+        raise DimensionError(f"input dim {x.shape[1]} != quantizer dim {q.dim}")
+    return _nearest(q.codebooks[0].entries.value, x)
+
+
 def quantize_batch(q: CascadedQuantizer, x: np.ndarray) -> BatchTrace:
     """Run the cascade for every row of x; level i>1 searches with the level-(i-1) code.
 
@@ -205,9 +256,7 @@ def quantize_batch(q: CascadedQuantizer, x: np.ndarray) -> BatchTrace:
     so no row's result depends on the other rows of the call.
     """
     x = np.asarray(x, dtype=np.float32)
-    if x.shape[1] != q.dim:
-        raise DimensionError(f"input dim {x.shape[1]} != quantizer dim {q.dim}")
-    j1, d1 = _nearest(q.codebooks[0].entries.value, x)
+    j1, d1 = _level1(q, x)
     paths, dists, _ = _code_paths(q)
     codes = np.stack([cb.entries.value[row] for cb, row in zip(q.codebooks, paths)])  # (H, k1, d)
     return BatchTrace(input=x, indices=np.take(paths, j1, axis=1), codes=np.take(codes, j1, axis=1),
@@ -300,12 +349,17 @@ class CategoryTree:
 
 
 def extract_tree(q: CascadedQuantizer, embeddings: np.ndarray) -> CategoryTree:
-    """Freeze the current nearest-code assignments into a tree."""
+    """Freeze the current nearest-code assignments into a tree.
+
+    An entity's path is its level-1 code's path in the per-code table, as in
+    quantize_batch, and the parent maps come from the same table.
+    """
     embeddings = np.asarray(embeddings, dtype=np.float32)
     if embeddings.ndim != 2 or embeddings.shape[0] == 0:
         raise ValueError("need a nonempty (n, d) embedding matrix")
-    paths = quantize_batch(q, embeddings).indices.T.copy()
-    return CategoryTree(level_sizes=q.level_sizes, paths=paths, parents=_code_paths(q)[2])
+    j1, _ = _level1(q, embeddings)
+    paths, _, parents = _code_paths(q)
+    return CategoryTree(level_sizes=q.level_sizes, paths=paths[:, j1].T, parents=parents)
 
 
 def codebook_utilization(trace: BatchTrace, q: CascadedQuantizer) -> list:

@@ -1,4 +1,4 @@
-"""Numerical oracles shared by the gradient tests."""
+"""Numerical oracles shared by the gradient tests, and a draw-counting stand-in for a numpy Generator."""
 
 import numpy as np
 
@@ -26,3 +26,31 @@ def finite_diff_gradient(f, x: np.ndarray, h: float = 1e-3) -> np.ndarray:
         grad[idx] = (fp - fm) / (2.0 * h)
         it.iternext()
     return grad
+
+
+class CountingGen:
+    """Stands in for a numpy Generator; fails the test instead of looping forever.
+
+    integers counts the values it draws and fails once they pass limit.  The
+    values come from gen, and so do bit_generator and random; without gen,
+    every value is the bound's last one.
+    """
+
+    def __init__(self, gen=None, limit=1000):
+        self.gen = gen
+        self.draws = 0
+        self.limit = limit
+
+    def integers(self, low, high, size=None):
+        self.draws += 1 if size is None else size
+        assert self.draws <= self.limit, "negative sampling does not terminate"
+        if self.gen is not None:
+            return self.gen.integers(low, high, size=size)
+        return np.int64(high - 1) if size is None else np.full(size, high - 1, dtype=np.int64)
+
+    @property
+    def bit_generator(self):
+        return self.gen.bit_generator
+
+    def random(self):
+        return self.gen.random()

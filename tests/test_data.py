@@ -12,6 +12,10 @@ from treequant.errors import DataError
 from treequant.rng import SeededRng
 from treequant.train import prepare_interactions
 
+from oracles import CountingGen
+
+_DRAW_LIMIT = 300_000  # values one sampler test may draw; the most any test draws is about 212,000
+
 
 class TestLoadInteractions:
     def test_single_generic_line(self, tmp_path):
@@ -203,18 +207,24 @@ class TestLeaveOneOut:
         assert test == ["i2"]
 
 
+def _bounded(gen):
+    """A seed's generator, or gen, behind a draw count: a sampler that never terminates fails the test
+    instead of hanging the suite."""
+    return CountingGen(np.random.default_rng(gen) if isinstance(gen, int) else gen, limit=_DRAW_LIMIT)
+
+
 class TestSampleNegatives:
     def test_forced_choice(self):
-        gen = np.random.default_rng(0)
+        gen = _bounded(0)
         assert sample_negatives([{0, 1, 2, 3}], 1, 5, gen) == [4]
 
     def test_deterministic_under_seed(self):
-        a = sample_negatives([{3}, {4}], 5, 100, np.random.default_rng(42))
-        b = sample_negatives([{3}, {4}], 5, 100, np.random.default_rng(42))
+        a = sample_negatives([{3}, {4}], 5, 100, _bounded(42))
+        b = sample_negatives([{3}, {4}], 5, 100, _bounded(42))
         assert a == b
 
     def test_never_returns_positives(self):
-        gen = np.random.default_rng(1)
+        gen = _bounded(1)
         positives = set(range(0, 50, 2))
         sampled = sample_negatives([positives] * 100, 10, 50, gen)
         assert len(sampled) == 1000
@@ -225,10 +235,10 @@ class TestSampleNegatives:
 
     def test_insufficient_pool(self):
         with pytest.raises(ValueError):
-            sample_negatives([{0, 1, 2}], 3, 5, np.random.default_rng(0))
+            sample_negatives([{0, 1, 2}], 3, 5, _bounded(0))
 
     def test_uniformity(self):
-        gen = np.random.default_rng(7)
+        gen = _bounded(7)
         counts = np.bincount(sample_negatives([set()] * 10000, 1, 10, gen), minlength=10)
         # each ~ Binomial(10000, 0.1): 3 sigma ~ 90
         assert np.all(np.abs(counts - 1000) < 3 * np.sqrt(10000 * 0.1 * 0.9))
@@ -254,7 +264,7 @@ class TestVocabulary:
 
 def test_sample_negatives_shortage_is_data_error():
     with pytest.raises(DataError, match="only 2 non-positive items, need 3"):
-        sample_negatives([{0, 1, 2}], 3, 5, np.random.default_rng(0))
+        sample_negatives([{0, 1, 2}], 3, 5, _bounded(0))
 
 
 def scalar_sample_negatives(user, n, vocab_size, positives, rng):
@@ -315,7 +325,7 @@ class TestBulkSamplingOracle:
     @pytest.mark.parametrize("seed", range(40))
     def test_each_case_matches_scalar_loop(self, seed):
         for n, vocab_size, positives in _sampler_cases(seed):
-            got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            got_gen, want_gen = _bounded(seed), np.random.default_rng(seed)
             got = sample_negatives([positives], n, vocab_size, got_gen)
             want = scalar_sample_negatives("u", n, vocab_size, positives, want_gen)
             assert got == want, (n, vocab_size)
@@ -323,7 +333,7 @@ class TestBulkSamplingOracle:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_consecutive_calls_share_one_generator(self, seed):
-        got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        got_gen, want_gen = _bounded(seed), np.random.default_rng(seed)
         for case, (n, vocab_size, positives) in enumerate(_sampler_cases(seed) * 2):
             got = sample_negatives([positives], n, vocab_size, got_gen)
             want = scalar_sample_negatives("u", n, vocab_size, positives, want_gen)
@@ -337,19 +347,19 @@ class TestBulkSamplingOracle:
     @pytest.mark.parametrize("n, vocab_size", [(1, 40), (3, 40), (99, 130), (99, 3000), (2, 2**33 + 5)])
     def test_rows_with_mixed_sets_match_scalar_rows(self, seed, n, vocab_size):
         excluded = _mixed_rows(seed, n, vocab_size)
-        got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        got_gen, want_gen = _bounded(seed), np.random.default_rng(seed)
         got = sample_negatives(excluded, n, vocab_size, got_gen)
         assert got == scalar_rows(excluded, n, vocab_size, want_gen)
         assert got_gen.bit_generator.state == want_gen.bit_generator.state
 
     def test_project_stream_matches_scalar_loop(self):
-        got_gen, want_gen = SeededRng(5).stream("eval-negatives"), SeededRng(5).stream("eval-negatives")
+        got_gen, want_gen = _bounded(SeededRng(5).stream("eval-negatives")), SeededRng(5).stream("eval-negatives")
         excluded = [set(range(user, 3000, 97)) for user in range(50)]
         assert sample_negatives(excluded, 99, 3000, got_gen) == scalar_rows(excluded, 99, 3000, want_gen)
         assert got_gen.bit_generator.state == want_gen.bit_generator.state
 
     def test_shortage_draws_nothing(self):
-        gen = np.random.default_rng(0)
+        gen = _bounded(0)
         before = gen.bit_generator.state
         with pytest.raises(DataError, match=re.escape("row 2: only 2 non-positive items, need 3")):
             sample_negatives([set(), {4}, {0, 1, 2}, set()], 3, 5, gen)
@@ -358,7 +368,7 @@ class TestBulkSamplingOracle:
     def test_positive_set_not_mutated(self):
         positives = {0, 1}
         for n in (1, 3):  # n == 1 reads a row's own set
-            sample_negatives([positives, positives], n, 6, np.random.default_rng(0))
+            sample_negatives([positives, positives], n, 6, _bounded(0))
         assert positives == {0, 1}
 
 
@@ -374,7 +384,7 @@ class TestBufferedDraws:
         # with nothing excluded and one item per row, a call of k rows is one integers(0, high, size=k)
         sizes_gen = np.random.default_rng(high % 1000)
         sizes = [4095, 1, 2, 0, 3 * 4096, 4094, 3, 4097] + sizes_gen.integers(0, 2 * 4096 + 2, size=40).tolist()
-        got_gen, want_gen = np.random.default_rng(high), np.random.default_rng(high)
+        got_gen, want_gen = _bounded(high), np.random.default_rng(high)
         for size in sizes:
             assert sample_negatives([()] * size, 1, high, got_gen) == want_gen.integers(0, high, size=size).tolist()
         assert got_gen.bit_generator.state == want_gen.bit_generator.state
@@ -383,14 +393,14 @@ class TestBufferedDraws:
     def test_equals_scalar_calls(self, high):
         # rows that reject the bound's first or last value, split into calls of 1, 40, 2 and 3 rows
         rows = [set(), {0}, {high - 1}] * 16
-        got_gen, want_gen = np.random.default_rng(7), np.random.default_rng(7)
+        got_gen, want_gen = _bounded(7), np.random.default_rng(7)
         got = [v for start, stop in ((0, 1), (1, 41), (41, 43), (43, 46))
                for v in sample_negatives(rows[start:stop], 1, high, got_gen)]
         assert got == scalar_rows(rows[:46], 1, high, want_gen)
         assert got_gen.bit_generator.state == want_gen.bit_generator.state
 
     def test_sampler_over_a_source_equals_the_scalar_loop(self):
-        got_gen, want_gen = SeededRng(5).stream("eval-negatives"), SeededRng(5).stream("eval-negatives")
+        got_gen, want_gen = _bounded(SeededRng(5).stream("eval-negatives")), SeededRng(5).stream("eval-negatives")
         excluded = [set(range(user, 3000, 41 + user)) for user in range(50)]
         got = sample_negatives(excluded[:20], 99, 3000, got_gen) + sample_negatives(excluded[20:], 99, 3000, got_gen)
         assert got == scalar_rows(excluded, 99, 3000, want_gen)
@@ -400,7 +410,7 @@ class TestBufferedDraws:
     def test_other_bounds_raise(self, bounds):
         # (n, bound) with a row that has n - 1 items outside its set, at the end of the call
         n, high = bounds
-        gen = np.random.default_rng(0)
+        gen = _bounded(0)
         before = gen.bit_generator.state
         with pytest.raises(DataError, match=re.escape(f"row 2: only {n - 1} non-positive items, need {n}")):
             sample_negatives([set(), set(), set(range(high - n + 1))], n, high, gen)

@@ -110,6 +110,40 @@ def assert_same_search(entries, x):
     assert np.array_equal(d2.view(np.uint64), want_d2.view(np.uint64))
 
 
+def _hazard_codes(gen, k, d, scale):
+    """k codes at scale with exact duplicates (exact ties) and two codes one ulp apart."""
+    entries = (gen.normal(size=(k, d)) * scale).astype(np.float32)
+    entries[gen.integers(0, k, k // 3)] = entries[0]
+    entries[-1] = np.nextafter(entries[1], np.float32(np.inf))
+    return entries
+
+
+def _hazard_rows(gen, entries, n):
+    """n rows equal to, one ulp from and between codes, in a seeded order."""
+    kinds = ("equal", "ulp", "midpoint")
+    rows = np.concatenate([_adversarial_rows(gen, entries, n, kind) for kind in kinds])
+    return rows[gen.permutation(rows.shape[0])[:n]]
+
+
+def _overflow_case(gen, k, d):
+    """k codes of norm up to 1.7e19, so |c|^2 stays finite in float32, and three trap rows of norm 1.5e19.
+
+    Codes 2-7 are three pairs (a, b), one per trap row x: b is nearer to x, but -2 x.a overflows
+    float32 while |a|^2 and -2 x.b do not, so a float32 ranking alone puts a first.
+    """
+    entries = _hazard_codes(gen, k, d, 1.0)
+    entries *= (gen.uniform(0.02, 1.0, size=(k, 1)) * 1.7e19 / np.linalg.norm(entries, axis=1, keepdims=True)
+                ).astype(np.float32)
+    x_norm, traps = 1.5e19, []
+    for pair in range(3):
+        e, f = np.linalg.qr(gen.normal(size=(d, 2)))[0].T
+        a1 = 2e38 / x_norm  # x.a = 2e38, |a|^2 = 2.8e38
+        entries[2 + 2 * pair] = a1 * e + np.sqrt(2.8e38 - a1 ** 2) * f
+        entries[3 + 2 * pair] = 1.5e38 / x_norm * e  # x.b = 1.5e38: |b|^2 - 2 x.b < |a|^2 - 2 x.a
+        traps.append(x_norm * e)
+    return entries, np.array(traps, dtype=np.float32)
+
+
 def _adversarial_rows(gen, entries, n, kind):
     k, d = entries.shape
     picks = gen.integers(0, k, n)
@@ -133,10 +167,7 @@ class TestSearchEquivalence:
     def test_adversarial_inputs(self, k, d):
         gen = np.random.default_rng(1000 * k + d)
         for case, n in enumerate([1, 7, _BLOCK, _BLOCK + 1, 3000]):
-            scale = [1e-3, 1.0, 1e3][case % 3]
-            entries = (gen.normal(size=(k, d)) * scale).astype(np.float32)
-            entries[gen.integers(0, k, k // 3)] = entries[0]  # duplicated codes: exact ties
-            entries[-1] = np.nextafter(entries[1], np.float32(np.inf))  # two codes one ulp apart
+            entries = _hazard_codes(gen, k, d, [1e-3, 1.0, 1e3][case % 3])
             for kind in ("random", "equal", "ulp", "midpoint"):
                 assert_same_search(entries, _adversarial_rows(gen, entries, n, kind))
 
@@ -172,6 +203,64 @@ class TestSearchEquivalence:
         entries[3, 0] = bad
         x = gen.normal(size=(7, 3)).astype(np.float32)
         x[6, 0] = np.inf
+        assert_same_search(entries, x)
+
+    # float32 hazards of the ranking: each case below fails against a search that drops the
+    # absolute subnormal term of the bound or the fallback for rows whose float32 sums can overflow
+
+    @pytest.mark.parametrize("scale", [1e19, 3e19, 1e20])
+    @pytest.mark.parametrize("d", [2, 3, 16, 64])
+    def test_float32_overflow_scales(self, scale, d):
+        # float32 ranks a code +inf, -inf or NaN whatever its distance once 2 x.c overflows
+        gen = np.random.default_rng(int(scale / 1e18) + d)
+        entries, traps = _overflow_case(gen, 24, d)
+        rows = (gen.normal(size=(40, d)) * scale).astype(np.float32)
+        along = entries[gen.integers(0, 24, 20)] * np.float32(scale / 1e19)  # far out along a code
+        assert_same_search(entries, np.concatenate([rows, along, _hazard_rows(gen, entries, 40), traps]))
+
+    @pytest.mark.parametrize("scale", [1e-21, 1e-22, 1e-23])
+    @pytest.mark.parametrize("d", [8, 16, 64])
+    def test_float32_subnormal_scales(self, scale, d):
+        # every product x_i c_i falls below float32's normal range, where rounding has no relative bound
+        gen = np.random.default_rng(int(-np.log10(scale)) * 100 + d)
+        entries = _hazard_codes(gen, 32, d, scale)
+        rows = (gen.normal(size=(150, d)) * scale).astype(np.float32)
+        assert_same_search(entries, np.concatenate([rows, _hazard_rows(gen, entries, 150)]))
+
+    @pytest.mark.parametrize("kind", ["subnormal", "overflow"])
+    @pytest.mark.parametrize("d", [3, 16, 64])
+    def test_rows_mixing_huge_and_tiny_values(self, kind, d):
+        gen = np.random.default_rng(50 + d)
+        if kind == "overflow":
+            entries, traps = _overflow_case(gen, 24, d)
+        else:
+            entries, traps = _hazard_codes(gen, 24, d, 1e-22), np.empty((0, d), dtype=np.float32)
+        rows = _hazard_rows(gen, entries, 60)
+        # within a row: coordinates at scale 1e19 beside ones at scale 1e-25
+        mixed = rows.copy()
+        mixed[:, ::2] = (gen.normal(size=mixed[:, ::2].shape) * 1e19).astype(np.float32)
+        mixed[1::2, 1::2] = (gen.normal(size=mixed[1::2, 1::2].shape) * 1e-25).astype(np.float32)
+        # within a call: huge and tiny rows between rows at the codes' scale
+        huge = (gen.normal(size=(20, d)) * 1e20).astype(np.float32)
+        tiny = (gen.normal(size=(20, d)) * 1e-25).astype(np.float32)
+        x = np.concatenate([rows, mixed, huge, tiny, traps])
+        assert_same_search(entries, x[gen.permutation(x.shape[0])])
+
+    @pytest.mark.parametrize("kind", ["subnormal", "overflow"])
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_calls_straddling_blocks(self, kind, n):
+        gen = np.random.default_rng(n)
+        if kind == "overflow":
+            entries, traps = _overflow_case(gen, 16, 8)
+            x = (gen.normal(size=(n, 8)) * 1e19).astype(np.float32)
+        else:
+            entries, traps = _hazard_codes(gen, 16, 8, 1e-22), np.empty((0, 8), dtype=np.float32)
+            x = (gen.normal(size=(n, 8)) * 1e-22).astype(np.float32)
+        # rows on, one ulp from and between codes, and the traps, on both sides of every block edge
+        for edge in list(range(0, n, _BLOCK)) + [n]:
+            lo, hi = max(edge - 4, 0), min(edge + 4, n)
+            edge_rows = np.concatenate([traps, _hazard_rows(gen, entries, hi - lo)])
+            x[lo:hi] = edge_rows[gen.permutation(edge_rows.shape[0])[:hi - lo]]
         assert_same_search(entries, x)
 
     def test_quantize_batch_uses_the_search(self):

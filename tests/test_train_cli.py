@@ -23,6 +23,7 @@ from treequant.data import sample_negatives
 from treequant.train import model_from_checkpoint, run_evaluate, run_train
 from treequant.rng import SeededRng
 
+from oracles import CountingGen
 from test_checkpoint import _rewrite_meta
 
 
@@ -365,19 +366,6 @@ class TestTaskFormatPairs:
                                                   'set data.format to "lists"')
 
 
-class _CountingGen:
-    """Stands in for a numpy Generator; fails the test instead of looping forever."""
-
-    def __init__(self, limit=1000):
-        self.draws = 0
-        self.limit = limit
-
-    def integers(self, low, high, size=None):
-        self.draws += 1 if size is None else size
-        assert self.draws <= self.limit, "negative sampling does not terminate"
-        return np.int64(high - 1) if size is None else np.full(size, high - 1, dtype=np.int64)
-
-
 def _one_negative_per_row(users, positives_by_user, n_items, gen) -> list:
     """The training draw: one sample_negatives item per row of users, outside that user's positives."""
     return sample_negatives([positives_by_user.get(user, ()) for user in users.tolist()], 1, n_items, gen)
@@ -385,7 +373,7 @@ def _one_negative_per_row(users, positives_by_user, n_items, gen) -> list:
 
 class TestBprNegatives:
     def test_user_positive_on_every_item_raises(self):
-        gen = _CountingGen()
+        gen = CountingGen()
         with pytest.raises(DataError, match=re.escape("row 1: only 0 non-positive items, need 1")):
             _one_negative_per_row(np.array([0, 1]), {0: {0}, 1: {0, 1, 2}}, 3, gen)
         assert gen.draws == 0
