@@ -16,14 +16,15 @@ rng = SeededRng(7)
 q = make_quantizer(rng, dim=2, sizes=[4, 2], alpha=1.0, beta=1.0, init_std=1.0)
 
 print("codebook sizes:", q.level_sizes)
-for book in q.codebooks:
-    print(f"  level {book.level}:\n{book.entries.value}")
+for level, book in enumerate(q.codebooks, start=1):
+    print(f"  level {level}:\n{book.value}")
 
 # Quantize one embedding, a batch of one row: level 1 searches with e, level 2
 # searches with the level-1 winner, producing a fine-to-coarse path of indices.
+# The trace holds the indices; each chosen code is a row of its level's codebook.
 e = np.array([0.4, -0.3], dtype=np.float32)
 trace = quantize_batch(q, e[None, :])
-codes = trace.codes[:, 0]  # (levels, dim): the chosen code per level
+codes = np.stack([book.value[j] for book, j in zip(q.codebooks, trace.indices[:, 0])])  # (levels, dim)
 print("\ninput e:", e)
 print("chosen path (fine -> coarse):", trace.indices[:, 0].tolist())
 print("chosen codes:", [c.round(3) for c in codes])

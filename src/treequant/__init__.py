@@ -14,11 +14,11 @@ from .data import (InteractionColumns, SplitDataset, Vocabulary,
                    leave_one_out, load_interactions, load_lists,
                    partition_lists, preprocess_lists, sample_negatives,
                    split_list)
-from .metrics import (MetricReport, RankedResult, evaluate_completion,
-                      evaluate_ranking, hr_at_k, ndcg_at_k)
+from .metrics import (MetricReport, evaluate_completion, evaluate_ranking,
+                      hr_at_k, ndcg_at_k)
 from .models import (CfModel, CtrModel, EmbeddingTable, SeqModel, cf_bpr_step,
                      ctr_step, seq_step)
-from .quantizer import (CascadedQuantizer, CategoryTree, Codebook, code_purity,
+from .quantizer import (CascadedQuantizer, CategoryTree, code_purity,
                         codebook_utilization, extract_tree, make_quantizer,
                         quantize_batch, ste_backward_batch)
 from .rng import SeededRng, rng_normal_init

@@ -10,12 +10,6 @@ from .data import sample_negatives
 
 
 @dataclass
-class RankedResult:
-    ranking: list       # candidate items, best first
-    relevant: set
-
-
-@dataclass
 class MetricReport:
     values: dict        # "ndcg@5" -> mean value
     count: int          # number of evaluation units
@@ -24,37 +18,33 @@ class MetricReport:
         return {"count": self.count, "metrics": dict(sorted(self.values.items()))}
 
 
-def _check(result: RankedResult, k: int):
+def _check(relevant, k: int):
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not result.relevant:
+    if not relevant:
         raise ValueError("relevant set is empty")
 
 
-def ndcg_at_k(result: RankedResult, k: int) -> float:
-    """Binary-relevance NDCG over the top-k ranked candidates."""
-    _check(result, k)
+def ndcg_at_k(ranking, relevant, k: int) -> float:
+    """Binary-relevance NDCG over the top-k of ranking (candidate items, best first)."""
+    _check(relevant, k)
     dcg = 0.0
-    for pos, item in enumerate(result.ranking[:k], start=1):
-        if item in result.relevant:
+    for pos, item in enumerate(ranking[:k], start=1):
+        if item in relevant:
             dcg += 1.0 / math.log2(pos + 1)
-    ideal = sum(1.0 / math.log2(p + 1) for p in range(1, min(k, len(result.relevant)) + 1))
+    ideal = sum(1.0 / math.log2(p + 1) for p in range(1, min(k, len(relevant)) + 1))
     return dcg / ideal
 
 
-def hr_at_k(result: RankedResult, k: int, mode: str = "single") -> float:
-    """Hit ratio over the top-k.
+def hr_at_k(ranking, relevant, k: int) -> float:
+    """Hit ratio over the top-k of ranking: hits / min(k, |relevant|).
 
-    single mode: 1 if any relevant item appears in the top-k.
-    multi mode: hits / min(k, |relevant|).
+    With one relevant item among distinct candidates it is 1.0 on a hit and
+    0.0 otherwise.
     """
-    _check(result, k)
-    hits = sum(1 for item in result.ranking[:k] if item in result.relevant)
-    if mode == "single":
-        return 1.0 if hits > 0 else 0.0
-    if mode != "multi":
-        raise ValueError(f"unknown HR mode {mode!r}")
-    return hits / min(k, len(result.relevant))
+    _check(relevant, k)
+    hits = sum(1 for item in ranking[:k] if item in relevant)
+    return hits / min(k, len(relevant))
 
 
 def _frozen(model):
@@ -62,8 +52,8 @@ def _frozen(model):
     return getattr(model, "frozen", contextlib.nullcontext)()
 
 
-def _evaluate(model, split, ks, rank_unit, hr_mode: str) -> MetricReport:
-    """Mean NDCG@k and HR@k over the units of split, each ranked by rank_unit(*unit)."""
+def _evaluate(model, split, ks, rank_unit) -> MetricReport:
+    """Mean NDCG@k and HR@k over the units of split; rank_unit(*unit) gives (ranking, relevant set)."""
     split = list(split)
     if not split:
         raise ValueError("empty evaluation split")
@@ -71,10 +61,10 @@ def _evaluate(model, split, ks, rank_unit, hr_mode: str) -> MetricReport:
     names = [(k, f"ndcg@{k}", f"hr@{k}") for k in dict.fromkeys(ks)]  # a repeated k is counted once
     with _frozen(model):
         for unit in split:
-            result = rank_unit(*unit)
+            ranking, relevant = rank_unit(*unit)
             for k, ndcg, hr in names:
-                sums[ndcg] += ndcg_at_k(result, k)
-                sums[hr] += hr_at_k(result, k, mode=hr_mode)
+                sums[ndcg] += ndcg_at_k(ranking, relevant, k)
+                sums[hr] += hr_at_k(ranking, relevant, k)
     n = len(split)
     return MetricReport(values={name: s / n for name, s in sums.items()}, count=n)
 
@@ -99,9 +89,9 @@ def evaluate_ranking(model, split, n_negatives: int, ks, rng, positives_by_user=
     k = max(ks)
 
     def rank(user, pos_item, sampled):
-        return RankedResult(ranking=model.predict_topk(user, [pos_item] + sampled, k=k), relevant={pos_item})
+        return model.predict_topk(user, [pos_item] + sampled, k=k), {pos_item}
 
-    return _evaluate(model, units, ks, rank, "single")
+    return _evaluate(model, units, ks, rank)
 
 
 def evaluate_completion(model, split, ks) -> MetricReport:
@@ -109,11 +99,11 @@ def evaluate_completion(model, split, ks) -> MetricReport:
 
     split is an iterable of (input item indices, target item indices) pairs;
     input items are excluded from the candidate pool and the targets form the
-    relevant set (multi-relevant HR).
+    relevant set.
     """
     k = max(ks)
 
     def rank(prefix, targets):
-        return RankedResult(ranking=model.predict_completion(prefix, k=k, exclude=set(prefix)), relevant=set(targets))
+        return model.predict_completion(prefix, k=k, exclude=set(prefix)), set(targets)
 
-    return _evaluate(model, split, ks, rank, "multi")
+    return _evaluate(model, split, ks, rank)

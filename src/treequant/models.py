@@ -54,8 +54,7 @@ def _gather_rows(full: BatchTrace, idx: np.ndarray):
     # np.take keeps the C layout that whole-trace reductions such as
     # batch_cage_loss_sum sum in; full.sq_dists[:, idx] would come out F-ordered
     trace = BatchTrace(input=full.input[idx], indices=np.take(full.indices, idx, axis=1),
-                       codes=np.take(full.codes, idx, axis=1), sq_dists=np.take(full.sq_dists, idx, axis=1),
-                       fused=full.fused[idx])
+                       sq_dists=np.take(full.sq_dists, idx, axis=1), fused=full.fused[idx])
     return trace.fused, trace
 
 
@@ -100,7 +99,7 @@ def _route(cage: CascadedQuantizer | None, table: EmbeddingTable, idx: np.ndarra
         cage.projection.grad += grad_proj
     if scale != 0.0:
         for cb, rows, grad in zip(cage.codebooks, trace.indices, code_grads):
-            _scatter_rows(cb.entries.grad, rows, grad)
+            _scatter_rows(cb.grad, rows, grad)
     return batch_cage_loss_sum(trace, cage.beta)
 
 

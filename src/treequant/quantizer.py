@@ -29,24 +29,8 @@ _F32_SAFE = 2.0 ** 126  # (|x| + max |c|)^2 up to which no float32 value of the 
 
 
 @dataclass
-class Codebook:
-    """One tree level: a (size x dim) matrix of learnable code vectors."""
-
-    level: int
-    entries: Parameter
-
-    @property
-    def size(self) -> int:
-        return self.entries.value.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.entries.value.shape[1]
-
-
-@dataclass
 class CascadedQuantizer:
-    codebooks: list
+    codebooks: list  # level i+1's (size x dim) code vectors at position i, sizes decreasing
     alpha: float = 1.0
     beta: float = 1.0
     fusion_mode: str = AVERAGE
@@ -55,7 +39,7 @@ class CascadedQuantizer:
     def __post_init__(self):
         if not self.codebooks:
             raise ConfigError("need at least one codebook")
-        sizes = [cb.size for cb in self.codebooks]
+        sizes = self.level_sizes
         if any(a <= b for a, b in zip(sizes, sizes[1:])):
             raise ConfigError(f"codebook sizes must be strictly decreasing, got {sizes}")
         if self.alpha < 0 or self.beta < 0:
@@ -65,8 +49,7 @@ class CascadedQuantizer:
         if self.fusion_mode == CONCAT_PROJECT:
             if self.projection is None:
                 raise ConfigError("concat-project fusion requires a projection parameter")
-            d = self.codebooks[0].dim
-            want = (len(self.codebooks) * d, d)
+            want = (self.depth * self.dim, self.dim)
             if self.projection.value.shape != want:
                 raise DimensionError(f"projection shape {self.projection.value.shape} != {want}")
 
@@ -76,14 +59,14 @@ class CascadedQuantizer:
 
     @property
     def dim(self) -> int:
-        return self.codebooks[0].dim
+        return self.codebooks[0].value.shape[1]
 
     @property
     def level_sizes(self) -> list:
-        return [cb.size for cb in self.codebooks]
+        return [cb.value.shape[0] for cb in self.codebooks]
 
     def parameters(self) -> list:
-        params = [cb.entries for cb in self.codebooks]
+        params = list(self.codebooks)
         if self.projection is not None:
             params.append(self.projection)
         return params
@@ -93,9 +76,9 @@ def make_quantizer(rng: SeededRng, dim: int, sizes, alpha: float = 1.0, beta: fl
                    fusion_mode: str = AVERAGE, name: str = "cage", init_std: float = 0.01,
                    stored: dict | None = None) -> CascadedQuantizer:
     """Build a quantizer with normally initialized codebooks; see Parameter.made for stored."""
-    books = [Codebook(level=i, entries=Parameter.made(
-        f"{name}.codebook{i}", (v, dim), lambda: rng_normal_init(rng, v, dim, init_std, f"init/{name}/codebook{i}"),
-        stored)) for i, v in enumerate(sizes, start=1)]
+    books = [Parameter.made(f"{name}.codebook{i}", (v, dim),
+                            lambda: rng_normal_init(rng, v, dim, init_std, f"init/{name}/codebook{i}"), stored)
+             for i, v in enumerate(sizes, start=1)]
     proj = None
     if fusion_mode == CONCAT_PROJECT:
         h = len(sizes)
@@ -149,13 +132,16 @@ def _nearest(entries: np.ndarray, x: np.ndarray):
     * Direct formula: float64 squares of float32 differences neither overflow
       nor underflow, so it lies within gamma_{d+2} B of the exact distance.
     * Candidates: every code the direct formula could rank first lies within
-      twice the sum of both bounds of the row's float32 minimum.  The slack
-      uses gamma_{d+6} for float32 rather than gamma_{d+1}, gamma_{d+4} for
-      float64 rather than gamma_{d+2}, and 8 d eta rather than 6 d eta, so it
-      also covers the float64 rounding of B and of the slack itself.  The threshold, minimum + slack, is rounded up to float32
-      before the float32 comparison: rounding is monotone, so every float32
-      R at or below the exact threshold stays at or below the rounded-up
-      one, whereas rounding to nearest could fall below a candidate.
+      2 (gamma_{d+1} + gamma_{d+2}) B + 6 d eta, twice both bounds, of the
+      row's float32 minimum m.  The slack S = rel B + 8 d eta has gamma_{d+6}
+      (float32) and gamma_{d+4} (float64) in rel instead.  The float64
+      surplus, >= 4 2^-53 B, covers the float64 rounding of B, S and m + S.
+      Rounding the threshold m + S to the nearest float32 moves it by at most
+      2^-24 |m + S| + eta, the eta only where it is subnormal.  As |R| <= B,
+      |m| + S <= (1 + gamma_{d+1} + rel) B + 11 d eta < 2 B + 11 d eta for d
+      below 4 million.  The float32 surplus, 2 (gamma_{d+6} - gamma_{d+1}) B
+      >= 10 2^-24 B, and the absolute one, 2 d eta >= eta + 11 2^-24 d eta,
+      cover that: no candidate's R exceeds the rounded threshold.
     * Fallback: a row whose B is not finite (an inf or NaN in the row or the
       codebook), or exceeds 2^126, recomputes every code.  Below 2^126 no
       float32 product, partial sum or threshold exceeds 2 B < float32's
@@ -186,7 +172,7 @@ def _nearest(entries: np.ndarray, x: np.ndarray):
             ranked += c_sq
             cols = ranked.argmin(axis=1)
             threshold = (ranked[rows, cols] + (rel * bound + 8 * d * _ETA)).astype(np.float32)
-            cand = ranked <= np.nextafter(threshold, np.float32(np.inf))[:, None]
+            cand = ranked <= threshold[:, None]
         full = ~(bound <= _F32_SAFE)  # also catches a NaN bound
         if full.any():
             cand[full] = True
@@ -211,11 +197,10 @@ def _nearest(entries: np.ndarray, x: np.ndarray):
 
 @dataclass
 class BatchTrace:
-    """Vectorized trace over a batch of embeddings."""
+    """Vectorized trace over a batch of embeddings; row r's level-i code is q.codebooks[i].value[indices[i, r]]."""
 
     input: np.ndarray    # (n, d)
     indices: np.ndarray  # (H, n) int64
-    codes: np.ndarray    # (H, n, d)
     sq_dists: np.ndarray  # (H, n) float64
     fused: np.ndarray    # (n, d)
 
@@ -225,11 +210,11 @@ def _code_paths(q: CascadedQuantizer):
 
     Level i+1 searches with a row of codebook i, so all three are functions of the level-1 code.
     """
-    k1, h = q.codebooks[0].size, q.depth
+    k1, h = q.level_sizes[0], q.depth
     paths, dists, parents = np.empty((h, k1), dtype=np.int64), np.empty((h - 1, k1), dtype=np.float64), []
     paths[0] = np.arange(k1)
     for i in range(h - 1):
-        parent, d2 = _nearest(q.codebooks[i + 1].entries.value, q.codebooks[i].entries.value)
+        parent, d2 = _nearest(q.codebooks[i + 1].value, q.codebooks[i].value)
         paths[i + 1], dists[i] = parent[paths[i]], d2[paths[i]]
         parents.append(parent)
     return paths, dists, parents
@@ -246,7 +231,7 @@ def _level1(q: CascadedQuantizer, x: np.ndarray):
     """The level-1 search of float32 rows x: (code indices, squared distances)."""
     if x.shape[1] != q.dim:
         raise DimensionError(f"input dim {x.shape[1]} != quantizer dim {q.dim}")
-    return _nearest(q.codebooks[0].entries.value, x)
+    return _nearest(q.codebooks[0].value, x)
 
 
 def quantize_batch(q: CascadedQuantizer, x: np.ndarray) -> BatchTrace:
@@ -258,8 +243,8 @@ def quantize_batch(q: CascadedQuantizer, x: np.ndarray) -> BatchTrace:
     x = np.asarray(x, dtype=np.float32)
     j1, d1 = _level1(q, x)
     paths, dists, _ = _code_paths(q)
-    codes = np.stack([cb.entries.value[row] for cb, row in zip(q.codebooks, paths)])  # (H, k1, d)
-    return BatchTrace(input=x, indices=np.take(paths, j1, axis=1), codes=np.take(codes, j1, axis=1),
+    codes = np.stack([cb.value[row] for cb, row in zip(q.codebooks, paths)])  # (H, k1, d)
+    return BatchTrace(input=x, indices=np.take(paths, j1, axis=1),
                       sq_dists=np.concatenate([d1[None, :], np.take(dists, j1, axis=1)]),
                       fused=x + np.float32(q.alpha) * _fuse(q, codes)[j1])
 
@@ -275,8 +260,7 @@ def batch_cage_loss_sum(trace: BatchTrace, beta: float) -> float:
     Both penalties are sums of the same per-level squared distances; they
     differ only in which side the gradient reaches (see ste_backward_batch).
     """
-    total = float(trace.sq_dists.sum())
-    return total * (1.0 + beta)
+    return float(trace.sq_dists.sum()) * (1.0 + beta)
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +293,17 @@ def ste_backward_batch(q: CascadedQuantizer, trace: BatchTrace, grad_z: np.ndarr
     if q.fusion_mode == AVERAGE:
         grad_e = (np.float32(1.0) + alpha) * grad_z
     else:
-        concat = trace.codes.transpose(1, 0, 2).reshape(n, -1)
+        concat = np.concatenate([cb.value[rows] for cb, rows in zip(q.codebooks, trace.indices)], axis=1)
         grad_proj = alpha * (concat.T @ grad_z)
         chunks = (alpha * (grad_z @ q.projection.value.T)).reshape(n, h, q.dim)
         grad_e = grad_z + chunks.sum(axis=1)
 
     w = np.float32(weight_cage)
     wb = np.float32(weight_cage * q.beta)
-    code_grads = np.empty_like(trace.codes)
+    code_grads = np.empty((h, n, q.dim), dtype=np.float32)
     prev = trace.input
     for i in range(h):
-        c = trace.codes[i]
+        c = q.codebooks[i].value[trace.indices[i]]
         code_grads[i] = w * np.float32(2.0) * (c - prev)
         grad_e = grad_e + wb * np.float32(2.0) * (prev - c)
         prev = c
@@ -367,7 +351,7 @@ def codebook_utilization(trace: BatchTrace, q: CascadedQuantizer) -> list:
     if trace.indices.shape[1] == 0:
         raise ValueError("empty batch")
     per_level = [np.unique(trace.indices[i]).size for i in range(q.depth)]
-    return [used / cb.size for used, cb in zip(per_level, q.codebooks)]
+    return [used / size for used, size in zip(per_level, q.level_sizes)]
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Numerical oracles shared by the gradient tests, and a draw-counting stand-in for a numpy Generator."""
+"""Numerical oracles shared by the gradient tests, a trace's codes, and a draw-counting stand-in for a numpy Generator."""
 
 import numpy as np
 
@@ -26,6 +26,11 @@ def finite_diff_gradient(f, x: np.ndarray, h: float = 1e-3) -> np.ndarray:
         grad[idx] = (fp - fm) / (2.0 * h)
         it.iternext()
     return grad
+
+
+def trace_codes(q, trace) -> np.ndarray:
+    """A quantize_batch trace's chosen codes (H, n, d): row r's level-i code is q.codebooks[i].value[trace.indices[i, r]]."""
+    return np.stack([cb.value[rows] for cb, rows in zip(q.codebooks, trace.indices)])
 
 
 class CountingGen:

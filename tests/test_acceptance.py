@@ -17,16 +17,16 @@ import pytest
 from treequant.config import config_from_dict
 from treequant.checkpoint import load_checkpoint, save_checkpoint
 from treequant.data import preprocess_lists
-from treequant.metrics import RankedResult, evaluate_ranking, ndcg_at_k
+from treequant.metrics import evaluate_ranking, ndcg_at_k
 from treequant.models import CfModel, CtrModel, EmbeddingTable, cf_bpr_step
-from treequant.quantizer import (CascadedQuantizer, Codebook, make_quantizer,
+from treequant.quantizer import (CascadedQuantizer, make_quantizer,
                                  quantize_batch, ste_backward_batch)
 from treequant.rng import SeededRng
 from treequant.train import model_from_checkpoint, run_train
 from treequant.treeio import read_tree_json, validate_tree, write_tree_json
 from treequant.core import Parameter
 
-from oracles import finite_diff_gradient
+from oracles import finite_diff_gradient, trace_codes
 
 
 VERDICTS: list = []
@@ -55,7 +55,7 @@ def test_criterion_1_nearest_search_oracle():
             if trial % 7 == 0 and k >= 2:
                 entries[1] = entries[0]  # force an exact tie
                 query = entries[0] + np.float32(0.5)
-            book = Codebook(level=1, entries=Parameter(entries, name="cb"))
+            book = Parameter(entries, name="cb")
             j = int(quantize_batch(CascadedQuantizer(codebooks=[book]), query[None, :]).indices[0, 0])
 
             # independent oracle: per-row float64 squared distance, first minimum
@@ -122,7 +122,7 @@ def test_criterion_3_finite_difference_gradients():
             trace = quantize_batch(q, e[None, :])
             grad_e, code_grads, _ = ste_backward_batch(q, trace, np.zeros((1, d), dtype=np.float32),
                                                        weight_cage=1.0)
-            grad_e, codes = grad_e[0], trace.codes[:, 0]
+            grad_e, codes = grad_e[0], trace_codes(q, trace)[:, 0]
 
             # Commitment gradient w.r.t. e: differentiate the straight-through
             # surrogate, freezing each level's offset at the base point.
@@ -172,8 +172,8 @@ def test_criterion_3_finite_difference_gradients():
 # ---------------------------------------------------------------------------
 
 
-def penalties(trace, i):
-    """(l_quant, l_commit) of row i of a BatchTrace, in float64.
+def penalties(q, trace, i):
+    """(l_quant, l_commit) of row i of a BatchTrace of q, in float64.
 
     l_quant sums the distances the search returned; l_commit recomputes each
     level's squared offset from its input (the row, then the code above) to
@@ -181,7 +181,7 @@ def penalties(trace, i):
     """
     l_quant = float(trace.sq_dists[:, i].sum())
     l_commit, prev = 0.0, trace.input[i].astype(np.float64)
-    for c in trace.codes[:, i].astype(np.float64):
+    for c in trace_codes(q, trace)[:, i].astype(np.float64):
         l_commit += float(((prev - c) ** 2).sum())
         prev = c
     return l_quant, l_commit
@@ -201,7 +201,7 @@ def test_criterion_4_forward_loss_identity():
             x = gen.normal(size=(batch, d)).astype(np.float32)
             trace = quantize_batch(q, x)
             for i in range(batch):
-                l_quant, l_commit = penalties(trace, i)
+                l_quant, l_commit = penalties(q, trace, i)
                 assert abs(l_quant - l_commit) < 1e-6, f"trace {checked + i}: {l_quant} vs {l_commit}"
             checked += batch
     except AssertionError as exc:
@@ -441,8 +441,7 @@ def test_criterion_8_metric_closed_forms():
         closed = []
         for rank, expected in ((1, 1.0), (2, 0.6309), (3, 0.5)):
             ranking = list(range(10))
-            r = RankedResult(ranking=ranking, relevant={ranking[rank - 1]})
-            value = ndcg_at_k(r, 5)
+            value = ndcg_at_k(ranking, {ranking[rank - 1]}, 5)
             closed.append(value)
             assert abs(value - expected) < 1e-4, f"rank {rank}: {value}"
 

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from treequant.metrics import (MetricReport, RankedResult, evaluate_completion,
-                               evaluate_ranking, hr_at_k, ndcg_at_k)
+from treequant.metrics import (MetricReport, evaluate_completion, evaluate_ranking,
+                               hr_at_k, ndcg_at_k)
 from treequant.rng import SeededRng
 
 from test_data import scalar_sample_negatives
@@ -14,38 +14,38 @@ from test_models import _frozen_model
 
 class TestNdcg:
     def test_single_relevant_at_rank_one(self):
-        r = RankedResult(ranking=[7, 1, 2], relevant={7})
-        assert ndcg_at_k(r, 3) == pytest.approx(1.0)
+        ranking, relevant = [7, 1, 2], {7}
+        assert ndcg_at_k(ranking, relevant, 3) == pytest.approx(1.0)
 
     def test_single_relevant_at_rank_two(self):
-        r = RankedResult(ranking=[1, 7, 2], relevant={7})
-        assert ndcg_at_k(r, 3) == pytest.approx(1.0 / math.log2(3), abs=1e-4)
-        assert ndcg_at_k(r, 3) == pytest.approx(0.6309, abs=1e-4)
+        ranking, relevant = [1, 7, 2], {7}
+        assert ndcg_at_k(ranking, relevant, 3) == pytest.approx(1.0 / math.log2(3), abs=1e-4)
+        assert ndcg_at_k(ranking, relevant, 3) == pytest.approx(0.6309, abs=1e-4)
 
     def test_single_relevant_at_rank_three(self):
-        r = RankedResult(ranking=[1, 2, 7], relevant={7})
-        assert ndcg_at_k(r, 3) == pytest.approx(0.5, abs=1e-4)
+        ranking, relevant = [1, 2, 7], {7}
+        assert ndcg_at_k(ranking, relevant, 3) == pytest.approx(0.5, abs=1e-4)
 
     def test_relevant_outside_top_k(self):
-        r = RankedResult(ranking=[1, 2, 3, 7], relevant={7})
-        assert ndcg_at_k(r, 3) == 0.0
+        ranking, relevant = [1, 2, 3, 7], {7}
+        assert ndcg_at_k(ranking, relevant, 3) == 0.0
 
     def test_perfect_multi_relevant(self):
-        r = RankedResult(ranking=[1, 2, 3, 4], relevant={1, 2})
-        assert ndcg_at_k(r, 4) == pytest.approx(1.0)
+        ranking, relevant = [1, 2, 3, 4], {1, 2}
+        assert ndcg_at_k(ranking, relevant, 4) == pytest.approx(1.0)
 
     def test_idcg_truncates_at_k(self):
         # 5 relevant items but k=2: ideal DCG only counts 2 positions
-        r = RankedResult(ranking=[1, 2], relevant={1, 2, 3, 4, 5})
-        assert ndcg_at_k(r, 2) == pytest.approx(1.0)
+        ranking, relevant = [1, 2], {1, 2, 3, 4, 5}
+        assert ndcg_at_k(ranking, relevant, 2) == pytest.approx(1.0)
 
     def test_empty_relevant_rejected(self):
         with pytest.raises(ValueError):
-            ndcg_at_k(RankedResult(ranking=[1], relevant=set()), 1)
+            ndcg_at_k([1], set(), 1)
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
-            ndcg_at_k(RankedResult(ranking=[1], relevant={1}), 0)
+            ndcg_at_k([1], {1}, 0)
 
     def test_bounded_in_unit_interval(self):
         gen = np.random.default_rng(0)
@@ -53,33 +53,39 @@ class TestNdcg:
             n = int(gen.integers(1, 20))
             ranking = list(gen.permutation(n))
             relevant = set(gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False).tolist())
-            v = ndcg_at_k(RankedResult(ranking=ranking, relevant=relevant), int(gen.integers(1, 25)))
+            v = ndcg_at_k(ranking, relevant, int(gen.integers(1, 25)))
             assert 0.0 <= v <= 1.0 + 1e-12
 
 
 class TestHr:
     def test_single_hit(self):
-        r = RankedResult(ranking=[3, 1, 2], relevant={1})
-        assert hr_at_k(r, 2, mode="single") == 1.0
+        ranking, relevant = [3, 1, 2], {1}
+        assert hr_at_k(ranking, relevant, 2) == 1.0
 
     def test_single_miss(self):
-        r = RankedResult(ranking=[3, 1, 2], relevant={2})
-        assert hr_at_k(r, 2, mode="single") == 0.0
+        ranking, relevant = [3, 1, 2], {2}
+        assert hr_at_k(ranking, relevant, 2) == 0.0
 
     def test_multi_two_of_four(self):
         # 4 relevant, 2 in the top-10 -> 2/4
-        ranking = [1, 2] + list(range(100, 108))
-        r = RankedResult(ranking=ranking, relevant={1, 2, 50, 51})
-        assert hr_at_k(r, 10, mode="multi") == pytest.approx(0.5)
+        ranking, relevant = [1, 2] + list(range(100, 108)), {1, 2, 50, 51}
+        assert hr_at_k(ranking, relevant, 10) == pytest.approx(0.5)
 
     def test_multi_denominator_is_min_k_relevant(self):
         # 8 relevant, k=4, all top-4 relevant -> 4/min(4,8) = 1
-        r = RankedResult(ranking=[1, 2, 3, 4], relevant=set(range(1, 9)))
-        assert hr_at_k(r, 4, mode="multi") == pytest.approx(1.0)
+        ranking, relevant = [1, 2, 3, 4], set(range(1, 9))
+        assert hr_at_k(ranking, relevant, 4) == pytest.approx(1.0)
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            hr_at_k(RankedResult(ranking=[1], relevant={1}), 1, mode="triple")
+    def test_one_relevant_item_is_a_hit_indicator(self):
+        # the sampled protocol's units: distinct candidates, one relevant item
+        gen = np.random.default_rng(15)
+        for _ in range(500):
+            ranking = gen.choice(40, size=int(gen.integers(1, 30)), replace=False).tolist()
+            item = int(gen.integers(0, 40))
+            k = int(gen.integers(1, 35))
+            want = 1.0 if item in ranking[:k] else 0.0
+            got = hr_at_k(ranking, {item}, k)
+            assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class _RandomScorer:
@@ -150,17 +156,16 @@ class TestEvaluateRanking:
 
 def reference_evaluate_ranking(model, split, n_negatives, ks, rng, positives_by_user):
     """The sampled-candidates pass as one generator drawn scalar by scalar per user, each unit ranking
-    every candidate and scored by the public ndcg_at_k and hr_at_k: (metric values, unit count)."""
+    every candidate and scored by the public ndcg_at_k and a hit indicator: (metric values, unit count)."""
     sums = {f"{m}@{k}": 0.0 for m in ("ndcg", "hr") for k in ks}
     with getattr(model, "frozen", contextlib.nullcontext)():
         for user, pos_item in split:
             positives = positives_by_user[user]
             candidates = [pos_item] + scalar_sample_negatives(user, n_negatives, model.n_items, positives, rng)
-            result = RankedResult(ranking=model.predict_topk(user, candidates, k=len(candidates)),
-                                  relevant={pos_item})
+            ranking = model.predict_topk(user, candidates, k=len(candidates))
             for k in dict.fromkeys(ks):
-                sums[f"ndcg@{k}"] += ndcg_at_k(result, k)
-                sums[f"hr@{k}"] += hr_at_k(result, k)
+                sums[f"ndcg@{k}"] += ndcg_at_k(ranking, {pos_item}, k)
+                sums[f"hr@{k}"] += 1.0 if pos_item in ranking[:k] else 0.0
     return {name: value / len(split) for name, value in sums.items()}, len(split)
 
 

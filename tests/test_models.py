@@ -13,7 +13,7 @@ from treequant.models import (CfModel, CtrModel, EmbeddingTable, SeqModel,
 from treequant.quantizer import make_quantizer, quantize_batch
 from treequant.rng import SeededRng
 
-from oracles import finite_diff_gradient
+from oracles import finite_diff_gradient, trace_codes
 
 
 def _tables(rng, n_users=8, n_items=12, dim=4, std=0.1):
@@ -113,7 +113,7 @@ class TestCfModel:
         sides = [quantize_batch(cage, items.rows.value[np.array(idx)]) for idx in (p, n)]
 
         def fused(trace, proj):
-            concat = trace.codes.transpose(1, 0, 2).reshape(len(u), -1).astype(np.float64)
+            concat = trace_codes(cage, trace).transpose(1, 0, 2).reshape(len(u), -1).astype(np.float64)
             return trace.input.astype(np.float64) + 0.8 * concat @ proj
 
         def f(proj):

@@ -8,22 +8,22 @@ from treequant.core import Parameter
 from treequant.errors import ConfigError, DimensionError
 from treequant.models import EmbeddingTable, _route
 from treequant.quantizer import (_BLOCK, AVERAGE, CONCAT_PROJECT, CascadedQuantizer,
-                                 Codebook, batch_cage_loss_sum, code_purity,
+                                 batch_cage_loss_sum, code_purity,
                                  codebook_utilization, extract_tree,
                                  make_quantizer, quantize_batch,
                                  ste_backward_batch, _nearest)
 from treequant.rng import SeededRng
 
-from oracles import finite_diff_gradient
+from oracles import finite_diff_gradient, trace_codes
 from test_acceptance import penalties
 
 
-def book(rows, level=1, name="cb"):
-    return Codebook(level=level, entries=Parameter(np.array(rows, dtype=np.float32), name=name))
+def book(rows, name="cb"):
+    return Parameter(np.array(rows, dtype=np.float32), name=name)
 
 
 def quantizer(levels, alpha=1.0, beta=1.0, fusion_mode=AVERAGE, projection=None):
-    books = [book(rows, level=i + 1, name=f"cb{i + 1}") for i, rows in enumerate(levels)]
+    books = [book(rows, name=f"cb{i + 1}") for i, rows in enumerate(levels)]
     return CascadedQuantizer(codebooks=books, alpha=alpha, beta=beta,
                              fusion_mode=fusion_mode, projection=projection)
 
@@ -43,8 +43,9 @@ def oracle_nearest(entries, e):
 
 def nearest_row(cb, e):
     """One row through a one-codebook cascade: (index, code, squared distance)."""
-    trace = quantize_batch(CascadedQuantizer(codebooks=[cb]), np.asarray(e, dtype=np.float32)[None, :])
-    return int(trace.indices[0, 0]), trace.codes[0, 0], float(trace.sq_dists[0, 0])
+    q = CascadedQuantizer(codebooks=[cb])
+    trace = quantize_batch(q, np.asarray(e, dtype=np.float32)[None, :])
+    return int(trace.indices[0, 0]), trace_codes(q, trace)[0, 0], float(trace.sq_dists[0, 0])
 
 
 class TestNearestCode:
@@ -267,10 +268,10 @@ class TestSearchEquivalence:
         q = make_quantizer(SeededRng(31), 8, [16, 4])
         x = np.random.default_rng(31).normal(size=(50, 8)).astype(np.float32) * 0.01
         trace = quantize_batch(q, x)
-        want_j, want_d2 = direct_nearest(q.codebooks[0].entries.value, x)
+        want_j, want_d2 = direct_nearest(q.codebooks[0].value, x)
         assert np.array_equal(trace.indices[0], want_j)
         assert np.array_equal(trace.sq_dists[0], want_d2)
-        want_j, want_d2 = direct_nearest(q.codebooks[1].entries.value, trace.codes[0])
+        want_j, want_d2 = direct_nearest(q.codebooks[1].value, trace_codes(q, trace)[0])
         assert np.array_equal(trace.indices[1], want_j)
         assert np.array_equal(trace.sq_dists[1], want_d2)
         one = quantize_batch(q, x[:1])
@@ -279,26 +280,29 @@ class TestSearchEquivalence:
 
     def test_extract_tree_parents_equal_direct_argmin(self):
         q = make_quantizer(SeededRng(32), 64, [256, 32, 8])
-        coarse = q.codebooks[1].entries.value
+        coarse = q.codebooks[1].value
         coarse[5] = coarse[2]  # duplicated parents: ties go to the lowest index
-        fine = q.codebooks[0].entries.value
+        fine = q.codebooks[0].value
         fine[:4] = coarse[2]  # children sitting exactly on a duplicated parent
         tree = extract_tree(q, np.random.default_rng(32).normal(size=(40, 64)).astype(np.float32))
         for i in range(q.depth - 1):
-            want, _ = direct_nearest(q.codebooks[i + 1].entries.value, q.codebooks[i].entries.value)
+            want, _ = direct_nearest(q.codebooks[i + 1].value, q.codebooks[i].value)
             assert np.array_equal(tree.parents[i], want)
         assert tree.parents[0][:4].tolist() == [2, 2, 2, 2]
 
     def test_quantize_batch_memory_is_bounded(self):
+        # at 8,192 rows the bound is one (H, n, d) float32 array: a trace's (n, d) rows and
+        # (H, n) indices and distances fit under it, a per-row copy of every chosen code does not
         q = make_quantizer(SeededRng(33), 64, [256, 32, 8])
-        x = np.random.default_rng(33).normal(size=(2048, 64)).astype(np.float32) * 0.01
-        tracemalloc.start()
-        try:
-            quantize_batch(q, x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2 ** 20
+        for n, bound in ((2048, 32 * 2 ** 20), (8192, q.depth * 8192 * 64 * 4)):
+            x = np.random.default_rng(33).normal(size=(n, 64)).astype(np.float32) * 0.01
+            tracemalloc.start()
+            try:
+                quantize_batch(q, x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, f"{n} rows: peak {peak / 2 ** 20:.2f} MiB"
 
 
 class TestQuantizeCascade:
@@ -306,9 +310,9 @@ class TestQuantizeCascade:
         q = quantizer([[[0, 0], [1, 1]]])
         e = np.array([0.9, 0.8], dtype=np.float32)
         trace = quantize_batch(q, e[None, :])
-        j, dist = _nearest(q.codebooks[0].entries.value, e[None, :])
+        j, dist = _nearest(q.codebooks[0].value, e[None, :])
         assert trace.indices.tolist() == [[j[0]]]
-        assert np.array_equal(trace.codes[0, 0], q.codebooks[0].entries.value[j[0]])
+        assert np.array_equal(trace_codes(q, trace)[0, 0], q.codebooks[0].value[j[0]])
         assert trace.sq_dists[0, 0] == dist[0]
 
     def test_level_two_searches_with_level_one_code(self):
@@ -377,7 +381,7 @@ class TestFuseCodes:
         q = make_quantizer(SeededRng(4), 4, [4, 2], alpha=1.3)
         e = (np.arange(4, dtype=np.float32) / 4)[None, :]
         trace = quantize_batch(q, e)
-        assert np.allclose(trace.fused, e + np.float32(1.3) * trace.codes.mean(axis=0), atol=1e-7)
+        assert np.allclose(trace.fused, e + np.float32(1.3) * trace_codes(q, trace).mean(axis=0), atol=1e-7)
 
 
 class TestCagePenalties:
@@ -385,13 +389,13 @@ class TestCagePenalties:
         e = [1.0, 2.0]
         q = quantizer([[e]], beta=0.5)
         trace = quantize_batch(q, np.array([e], dtype=np.float32))
-        assert penalties(trace, 0) == (0.0, 0.0)
+        assert penalties(q, trace, 0) == (0.0, 0.0)
         assert batch_cage_loss_sum(trace, beta=0.5) == 0.0
 
     def test_single_level_arithmetic(self):
         q = quantizer([[[0.0, 0.0]]], beta=0.5)
         trace = quantize_batch(q, np.array([[1.0, 0.0]], dtype=np.float32))
-        l_quant, l_commit = penalties(trace, 0)
+        l_quant, l_commit = penalties(q, trace, 0)
         assert l_quant == pytest.approx(1.0)
         assert l_commit == pytest.approx(1.0)
         assert batch_cage_loss_sum(trace, beta=0.5) == pytest.approx(1.5)
@@ -403,18 +407,18 @@ class TestCagePenalties:
             sizes = sorted(gen.choice(np.arange(2, 30), size=h, replace=False), reverse=True)
             q = make_quantizer(SeededRng(int(gen.integers(1 << 30))), 6, [int(s) for s in sizes])
             e = gen.normal(size=(1, 6)).astype(np.float32)
-            l_quant, l_commit = penalties(quantize_batch(q, e), 0)
+            l_quant, l_commit = penalties(q, quantize_batch(q, e), 0)
             assert abs(l_quant - l_commit) < 1e-6
 
 
-def commit_surrogate(trace, weight):
+def commit_surrogate(q, trace, weight):
     """Straight-through surrogate of the commitment penalty of a 1-row trace as a function of e.
 
     The per-level offsets captured at the base point are constants; the
     perturbation of e rides the chain into every level input.
     """
     base = trace.input[0].astype(np.float64)
-    codes = trace.codes[:, 0].astype(np.float64)
+    codes = trace_codes(q, trace)[:, 0].astype(np.float64)
 
     def f(e64):
         shift = e64.reshape(-1) - base
@@ -433,7 +437,7 @@ def reference_ste_backward(trace, i, q, grad_z, weight_cage):
     grad_z = np.asarray(grad_z, dtype=np.float32).reshape(-1)
     h = q.depth
     alpha = np.float32(q.alpha)
-    codes = trace.codes[:, i]
+    codes = trace_codes(q, trace)[:, i]
     code_grads = {}
     grad_proj = None
     if q.fusion_mode == AVERAGE:
@@ -509,7 +513,7 @@ class TestSteBackward:
         trace = quantize_batch(q, e[None, :])
         grad_e, _, _ = ste_backward_batch(q, trace, np.zeros((1, d)), weight_cage=omega_q)
         # remove the quantization term's absence: grad_e here is commit-only
-        fd = finite_diff_gradient(commit_surrogate(trace, omega_q * beta),
+        fd = finite_diff_gradient(commit_surrogate(q, trace, omega_q * beta),
                                   e.astype(np.float64), h=1e-3).reshape(-1)
         denom = np.maximum(np.abs(fd), 1e-3)
         assert np.max(np.abs(grad_e[0] - fd) / denom) < 1e-4
@@ -526,7 +530,7 @@ class TestSteBackward:
         e = gen.normal(size=(1, d)).astype(np.float32)
         trace = quantize_batch(q, e)
         _, code_grads, _ = ste_backward_batch(q, trace, np.zeros((1, d)), weight_cage=omega_q)
-        codes = trace.codes[:, 0].astype(np.float64)
+        codes = trace_codes(q, trace)[:, 0].astype(np.float64)
         inputs = [e[0].astype(np.float64)] + list(codes[:-1])
         for level in range(1, h + 1):
             prev = inputs[level - 1]
@@ -546,9 +550,9 @@ class TestSteBackward:
         _route(q, table, np.arange(16), bt, gen.normal(size=(16, 4)).astype(np.float32), 1.0)
         for level, cb in enumerate(q.codebooks):
             selected = set(int(j) for j in bt.indices[level])
-            for row in range(cb.size):
+            for row in range(cb.value.shape[0]):
                 if row not in selected:
-                    assert not cb.entries.grad[row].any()
+                    assert not cb.grad[row].any()
 
     def test_batch_routing_matches_single(self):
         for fusion_mode in (AVERAGE, CONCAT_PROJECT):
@@ -585,7 +589,7 @@ class TestSteBackward:
         q.beta = 0.0
         grad_e, _, grad_proj = ste_backward_batch(q, trace, grad_z[None, :], weight_cage=0.0)
 
-        concat = trace.codes[:, 0].reshape(-1).astype(np.float64)
+        concat = trace_codes(q, trace)[:, 0].reshape(-1).astype(np.float64)
 
         def fused_surrogate(p64):
             # z as a function of the projection, selections frozen
@@ -621,7 +625,7 @@ class TestExtractTree:
         emb = np.random.default_rng(21).normal(size=(9, 4)).astype(np.float32)
         tree = extract_tree(q, emb)
         for child in range(6):
-            j, _ = _nearest(q.codebooks[1].entries.value, q.codebooks[0].entries.value[child][None, :])
+            j, _ = _nearest(q.codebooks[1].value, q.codebooks[0].value[child][None, :])
             assert tree.parents[0][child] == j[0]
 
     def test_pure_function(self):
@@ -652,7 +656,7 @@ class TestTreeIsTheCascade:
     @pytest.mark.parametrize("fusion_mode", [AVERAGE, CONCAT_PROJECT])
     def test_duplicated_codes(self, fusion_mode):
         q = make_quantizer(SeededRng(34), 16, [64, 8, 2], fusion_mode=fusion_mode)
-        coarse, fine = q.codebooks[1].entries.value, q.codebooks[0].entries.value
+        coarse, fine = q.codebooks[1].value, q.codebooks[0].value
         coarse[5] = coarse[2]
         fine[:6] = coarse[2]  # children on a duplicated parent: ties go to the lowest index
         fine[10:13] = fine[9]  # duplicated level-1 codes
@@ -692,7 +696,7 @@ class TestRowCountIndependence:
             part = quantize_batch(q, table[idx])
             assert np.array_equal(part.indices, full.indices[:, idx])
             assert np.array_equal(part.sq_dists, full.sq_dists[:, idx])
-            assert np.array_equal(part.codes, full.codes[:, idx])
+            assert np.array_equal(trace_codes(q, part), trace_codes(q, full)[:, idx])
             assert np.array_equal(part.fused, full.fused[idx])
 
 
