@@ -47,7 +47,7 @@ for epoch, report in enumerate(result.epoch_metrics, start=1):
 # complete a held-out prefix
 prefix, targets = ds.test_pairs[0]
 completion = model.predict_completion(prefix, k=5, exclude=set(prefix))
-readable = lambda idx_list: [ds.item_vocab.raw(i) for i in idx_list]
+readable = lambda idx_list: [ds.item_vocab.ids[i] for i in idx_list]
 print("\nprefix:", readable(prefix))
 print("true continuation:", readable(targets))
 print("predicted top-5:", readable(completion))

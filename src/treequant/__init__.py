@@ -8,8 +8,8 @@ assignments export as an explicit category tree.
 """
 
 from .config import TrainConfig, config_from_dict, load_config
-from .core import (Adam, AdamState, Parameter, adam_step, bce_with_logits_batch,
-                   mlp_apply, mlp_backward, softmax_xent_batch)
+from .core import (Adam, Parameter, bce_with_logits_batch, mlp_apply, mlp_backward,
+                   softmax_xent_batch)
 from .data import (InteractionColumns, SplitDataset, Vocabulary,
                    leave_one_out, load_interactions, load_lists,
                    partition_lists, preprocess_lists, sample_negatives,

@@ -26,9 +26,6 @@ class Parameter:
         self.value = np.asarray(self.value, dtype=np.float32)
         self.grad = np.zeros_like(self.value)
 
-    def zero_grad(self):
-        self.grad[...] = 0.0
-
     @classmethod
     def made(cls, name: str, shape: tuple, draw, stored: dict | None = None) -> Parameter:
         """The one maker of a model parameter: draw() when stored is None, else stored[name].
@@ -52,71 +49,61 @@ class Parameter:
         return cls(stored[name], name)
 
 
-@dataclass
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-    t: int
-    lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    @classmethod
-    def for_param(cls, param: Parameter, lr: float, eps: float = 1e-8):
-        if eps <= 0:
-            raise ValueError("eps must be > 0")
-        return cls(m=np.zeros_like(param.value), v=np.zeros_like(param.value), t=0, lr=lr, eps=eps)
-
-
-def adam_step(param: Parameter, state: AdamState) -> None:
-    """One Adam update with bias correction; zeroes the gradient afterwards.
-
-    In place, with one parameter-sized temporary and the gradient buffer as
-    scratch, the float32 operations and their order are those of
-        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
-        value = value - lr*m_hat / (sqrt(v_hat) + eps)
-    with m_hat = m / (1 - b1**t) and v_hat = v / (1 - b2**t).
-    """
-    g = param.grad
-    if g.shape != param.value.shape:
-        raise DimensionError(f"{param.name}: grad shape mismatch")
-    # NaN and inf propagate through max and min; a gradient of only +-0 is untouched
-    high, low = (g.max(), g.min()) if g.size else (0.0, 0.0)
-    if not (math.isfinite(high) and math.isfinite(low)):
-        raise DivergenceError(f"non-finite gradient in parameter '{param.name}'")
-    state.t += 1
-    if high == low == 0:
-        # untouched parameter: no update, no moment decay
-        return
-    b1, b2 = np.float32(state.beta1), np.float32(state.beta2)
-    m, v, tmp = state.m, state.v, np.empty_like(param.value)
-    np.multiply(np.float32(1.0) - b1, g, out=tmp)
-    m *= b1
-    m += tmp
-    np.multiply(g, g, out=tmp)
-    tmp *= np.float32(1.0) - b2
-    v *= b2
-    v += tmp
-    np.divide(m, np.float32(1.0 - state.beta1 ** state.t), out=tmp)
-    tmp *= np.float32(state.lr)
-    np.divide(v, np.float32(1.0 - state.beta2 ** state.t), out=g)
-    np.sqrt(g, out=g)
-    g += np.float32(state.eps)
-    tmp /= g
-    param.value -= tmp
-    param.zero_grad()
+# Adam's moment decays and denominator offset
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Convenience wrapper holding one AdamState per parameter."""
+    """Adam with bias correction over a list of parameters, at one learning rate.
+
+    slots pairs each parameter with its (m, v) moments; t counts the steps.
+    """
 
     def __init__(self, params, lr: float):
-        self.slots = [(p, AdamState.for_param(p, lr)) for p in params]
+        self.lr = lr
+        self.t = 0
+        self.slots = [(p, (np.zeros_like(p.value), np.zeros_like(p.value))) for p in params]
 
     def step(self):
-        for p, s in self.slots:
-            adam_step(p, s)
+        """One update of every parameter whose gradient is not all zero; zeroes the gradients.
+
+        Every gradient is checked finite before anything changes.  An all-zero
+        gradient (+-0 only) leaves its parameter and moments untouched.  In
+        place, with one parameter-sized temporary and the gradient buffer as
+        scratch, the float32 operations and their order are those of
+            m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+            value = value - lr*m_hat / (sqrt(v_hat) + eps)
+        with m_hat = m / (1 - b1**t) and v_hat = v / (1 - b2**t).
+        """
+        touched = []
+        for p, _ in self.slots:
+            g = p.grad
+            # NaN and inf propagate through max and min; a gradient of only +-0 is untouched
+            high, low = (g.max(), g.min()) if g.size else (0.0, 0.0)
+            if not (math.isfinite(high) and math.isfinite(low)):
+                raise DivergenceError(f"non-finite gradient in parameter '{p.name}'")
+            touched.append(not high == low == 0)
+        self.t += 1
+        b1, b2 = np.float32(BETA1), np.float32(BETA2)
+        for (p, (m, v)), moved in zip(self.slots, touched):
+            if not moved:
+                continue
+            g, tmp = p.grad, np.empty_like(p.value)
+            np.multiply(np.float32(1.0) - b1, g, out=tmp)
+            m *= b1
+            m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp *= np.float32(1.0) - b2
+            v *= b2
+            v += tmp
+            np.divide(m, np.float32(1.0 - BETA1 ** self.t), out=tmp)
+            tmp *= np.float32(self.lr)
+            np.divide(v, np.float32(1.0 - BETA2 ** self.t), out=g)
+            np.sqrt(g, out=g)
+            g += np.float32(EPS)
+            tmp /= g
+            p.value -= tmp
+            g[...] = 0.0
 
 
 # ---------------------------------------------------------------------------

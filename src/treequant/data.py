@@ -36,15 +36,9 @@ class Vocabulary:
         self.ids = list(dict.fromkeys(ids))  # the raw id of each index
         self._to_index = dict(zip(self.ids, range(len(self.ids))))
 
-    def index(self, raw: str) -> int:
-        return self._to_index[raw]
-
     def indices(self, raws) -> np.ndarray:
         """The index of each raw id of a sequence, as an int64 array."""
         return np.fromiter(map(self._to_index.__getitem__, raws), np.int64, len(raws))
-
-    def raw(self, idx: int) -> str:
-        return self.ids[idx]
 
     def __len__(self) -> int:
         return len(self.ids)

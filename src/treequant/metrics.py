@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -47,11 +46,6 @@ def hr_at_k(ranking, relevant, k: int) -> float:
     return hits / min(k, len(relevant))
 
 
-def _frozen(model):
-    """The model's frozen-weight scope; scorers without one run as they are."""
-    return getattr(model, "frozen", contextlib.nullcontext)()
-
-
 def _evaluate(model, split, ks, rank_unit) -> MetricReport:
     """Mean NDCG@k and HR@k over the units of split; rank_unit(*unit) gives (ranking, relevant set)."""
     split = list(split)
@@ -59,7 +53,7 @@ def _evaluate(model, split, ks, rank_unit) -> MetricReport:
         raise ValueError("empty evaluation split")
     sums = {f"{m}@{k}": 0.0 for m in ("ndcg", "hr") for k in ks}
     names = [(k, f"ndcg@{k}", f"hr@{k}") for k in dict.fromkeys(ks)]  # a repeated k is counted once
-    with _frozen(model):
+    with model.frozen():
         for unit in split:
             ranking, relevant = rank_unit(*unit)
             for k, ndcg, hr in names:
@@ -75,7 +69,8 @@ def evaluate_ranking(model, split, n_negatives: int, ks, rng, positives_by_user=
 
     split is an iterable of (user index, positive item index) pairs.
     positives_by_user maps user index -> full positive set (all splits), used
-    to keep held-out items out of the negative pool.  rng is the numpy
+    to keep held-out items out of the negative pool; a unit's own positive is
+    never a negative, whether or not its user's set holds it.  rng is the numpy
     Generator the negatives are drawn from, in one sample_negatives call for
     the pass: the negatives and the generator's final state are those of
     scalar draws unit after unit, so passes that share a generator draw one
@@ -83,7 +78,10 @@ def evaluate_ranking(model, split, n_negatives: int, ks, rng, positives_by_user=
     candidates, all the metrics read.
     """
     split = list(split)
-    excluded = [positives_by_user.get(user, {pos}) if positives_by_user else {pos} for user, pos in split]
+    excluded = []
+    for user, pos in split:  # a user's set is shared, not copied, when it holds the positive
+        positives = positives_by_user.get(user, set()) if positives_by_user else set()
+        excluded.append(positives if pos in positives else positives | {pos})
     negatives = sample_negatives(excluded, n_negatives, model.n_items, rng)
     units = [(user, pos, negatives[i * n_negatives:(i + 1) * n_negatives]) for i, (user, pos) in enumerate(split)]
     k = max(ks)

@@ -369,8 +369,6 @@ class SeqModel(_Model):
         return self._pool(self._fused_rows(self.item_cage, self.items, flat)[0], lens)
 
     def predict_completion(self, prefix, k: int, exclude=()):
-        if len(prefix) == 0:
-            raise ValueError("prefix must be nonempty")
         exclude = set(int(e) for e in exclude)
         if k > self.n_items - len(exclude):
             raise ValueError(f"k={k} exceeds the {self.n_items - len(exclude)} rankable items")

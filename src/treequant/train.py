@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import json
 import logging
 import math
@@ -74,11 +75,11 @@ def prepare_lists(cfg: TrainConfig, rng: SeededRng) -> ListData:
     lists = D.preprocess_lists(lists, cfg.data.min_freq, max(cfg.data.min_len, 2), cfg.data.max_len)
     if not lists:
         raise ConfigError("preprocessing removed every list")
-    vocab = D.Vocabulary(it for items in lists for it in items)
-    pairs = []
-    for items in lists:
-        prefix, target = D.split_list(items)
-        pairs.append(([vocab.index(i) for i in prefix], [vocab.index(i) for i in target]))
+    flat = [it for items in lists for it in items]
+    vocab = D.Vocabulary(flat)
+    ids = vocab.indices(flat).tolist()  # one call for all lists: a call per list costs more than its lookups
+    ends = itertools.accumulate(map(len, lists))
+    pairs = [D.split_list(ids[end - len(items):end]) for items, end in zip(lists, ends)]
     split = D.partition_lists(pairs, rng)
     return ListData(vocab, split.train, split.validation, split.test)
 

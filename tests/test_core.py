@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from treequant.core import (Adam, AdamState, Parameter, adam_step, bce_with_logits_batch,
-                            mlp_apply, mlp_backward, softmax_xent_batch)
+from treequant import core
+from treequant.core import Adam, Parameter, bce_with_logits_batch, mlp_apply, mlp_backward, softmax_xent_batch
 from treequant.errors import DimensionError, DivergenceError
 from treequant.rng import SeededRng, normal_draw, rng_normal_init
 
@@ -41,101 +41,123 @@ class TestNormalInit:
 
 
 class TestAdam:
-    def _param(self, value):
-        return Parameter(np.array(value, dtype=np.float32), name="p")
+    def _param(self, value, name="p"):
+        return Parameter(np.array(value, dtype=np.float32), name=name)
 
     def test_zero_gradient_keeps_value(self):
         p = self._param([[1.0, -2.0]])
-        s = AdamState.for_param(p, lr=0.1)
-        adam_step(p, s)
-        assert s.t == 1
+        opt = Adam([p], lr=0.1)
+        opt.step()
+        assert opt.t == 1
         assert np.array_equal(p.value, np.array([[1.0, -2.0]], dtype=np.float32))
 
     def test_hand_evaluated_first_step(self):
         # m_hat = v_hat = 1 after bias correction, so the step is ~ -lr
         p = self._param([[1.0]])
-        s = AdamState.for_param(p, lr=0.001)
+        opt = Adam([p], lr=0.001)
         p.grad[...] = 1.0
-        adam_step(p, s)
+        opt.step()
         assert p.value[0, 0] == pytest.approx(1.0 - 0.001, abs=1e-6)
 
     def test_two_identical_steps_monotone(self):
         p = self._param([[0.5]])
-        s = AdamState.for_param(p, lr=0.001)
+        opt = Adam([p], lr=0.001)
         values = [0.5]
         for _ in range(2):
             p.grad[...] = 1.0
-            adam_step(p, s)
+            opt.step()
             values.append(float(p.value[0, 0]))
         assert values[0] - values[1] == pytest.approx(0.001, abs=1e-5)
         assert values[1] - values[2] == pytest.approx(0.001, abs=1e-5)
 
     def test_nonfinite_gradient_names_parameter(self):
         p = Parameter(np.ones((2, 2), dtype=np.float32), name="item_table")
-        s = AdamState.for_param(p, lr=0.01)
+        opt = Adam([p], lr=0.01)
         p.grad[0, 0] = np.nan
         with pytest.raises(DivergenceError, match="item_table"):
-            adam_step(p, s)
+            opt.step()
 
     def test_grad_zeroed_after_step(self):
         p = self._param([[1.0, 2.0]])
-        s = AdamState.for_param(p, lr=0.01)
+        opt = Adam([p], lr=0.01)
         p.grad[...] = 3.0
-        adam_step(p, s)
+        opt.step()
         assert not p.grad.any()
 
     def test_signed_zero_gradient_is_untouched(self):
         p = self._param([[1.0, -2.0, 3.0]])
-        s = AdamState.for_param(p, lr=0.1)
+        opt = Adam([p], lr=0.1)
         p.grad[...] = [[-0.0, 0.0, -0.0]]
-        adam_step(p, s)
-        assert s.t == 1 and not s.m.any() and not s.v.any()
+        opt.step()
+        (_, (m, v)), = opt.slots
+        assert opt.t == 1 and not m.any() and not v.any()
         assert np.array_equal(p.value, np.array([[1.0, -2.0, 3.0]], dtype=np.float32))
 
     @pytest.mark.parametrize("touched", [-1.0, 1.0])
     def test_one_signed_entry_is_an_update(self, touched):
         """The other entries are 0, so max or min alone is 0: the update still equals the reference's."""
         got, want = self._param([[1.0, -2.0, 3.0]]), self._param([[1.0, -2.0, 3.0]])
-        got_state, want_state = AdamState.for_param(got, lr=0.1), AdamState.for_param(want, lr=0.1)
+        opt = Adam([got], lr=0.1)
+        want_m, want_v = np.zeros_like(want.value), np.zeros_like(want.value)
         got.grad[0, 1] = want.grad[0, 1] = touched
-        adam_step(got, got_state)
-        reference_adam_step(want, want_state)
+        opt.step()
+        reference_adam_step(want, want_m, want_v, 1, 0.1)
         assert got.value.tobytes() == want.value.tobytes() != self._param([[1.0, -2.0, 3.0]]).value.tobytes()
-        assert got_state.m.tobytes() == want_state.m.tobytes()
+        assert opt.slots[0][1][0].tobytes() == want_m.tobytes()
 
     def test_empty_parameter_counts_the_step(self):
         p = Parameter(np.zeros((0, 4), dtype=np.float32), name="p")
-        s = AdamState.for_param(p, lr=0.1)
-        adam_step(p, s)
-        assert s.t == 1 and p.value.shape == (0, 4)
+        opt = Adam([p], lr=0.1)
+        opt.step()
+        assert opt.t == 1 and p.value.shape == (0, 4)
+
+    def test_zero_gradient_parameter_beside_a_moving_one(self):
+        """One step counts once for every parameter; only the one with a gradient moves."""
+        gen = np.random.default_rng(5)
+        value = gen.normal(size=(7, 3)).astype(np.float32)
+        still, moving, want = self._param(np.ones((2, 3)), "still"), self._param(value), self._param(value)
+        opt = Adam([still, moving], lr=0.05)
+        want_m, want_v = np.zeros_like(value), np.zeros_like(value)
+        for t in (1, 2):
+            moving.grad[...] = want.grad[...] = gen.normal(size=value.shape)
+            opt.step()
+            reference_adam_step(want, want_m, want_v, t, 0.05)
+            assert opt.t == t
+            (_, (still_m, still_v)), (_, (m, v)) = opt.slots
+            assert not still_m.any() and not still_v.any()
+            assert np.array_equal(still.value, np.ones((2, 3), dtype=np.float32))
+            assert moving.value.tobytes() == want.value.tobytes()
+            assert m.tobytes() == want_m.tobytes() and v.tobytes() == want_v.tobytes()
 
 
-def reference_adam_step(param, state):
-    """The whole-array Adam expression that the in-place update must reproduce bit for bit."""
+def reference_adam_step(param, m, v, t, lr, eps=1e-8):
+    """Step t of the whole-array Adam expression that the in-place update must reproduce bit for bit."""
     g = param.grad
     if not np.all(np.isfinite(g)):
         raise DivergenceError(f"non-finite gradient in parameter '{param.name}'")
-    state.t += 1
     if not g.any():
         return
-    b1, b2 = np.float32(state.beta1), np.float32(state.beta2)
-    state.m[...] = b1 * state.m + (np.float32(1.0) - b1) * g
-    state.v[...] = b2 * state.v + (np.float32(1.0) - b2) * (g * g)
-    m_hat = state.m / np.float32(1.0 - state.beta1 ** state.t)
-    v_hat = state.v / np.float32(1.0 - state.beta2 ** state.t)
-    param.value[...] = param.value - np.float32(state.lr) * m_hat / (np.sqrt(v_hat) + np.float32(state.eps))
-    param.zero_grad()
+    b1, b2 = np.float32(0.9), np.float32(0.999)
+    m[...] = b1 * m + (np.float32(1.0) - b1) * g
+    v[...] = b2 * v + (np.float32(1.0) - b2) * (g * g)
+    m_hat = m / np.float32(1.0 - 0.9 ** t)
+    v_hat = v / np.float32(1.0 - 0.999 ** t)
+    param.value[...] = param.value - np.float32(lr) * m_hat / (np.sqrt(v_hat) + np.float32(eps))
+    param.grad[...] = 0.0
 
 
 class TestAdamOracle:
     @pytest.mark.parametrize("lr, eps", [(0.01, 1e-8), (0.3, 1e-3)])
     @pytest.mark.parametrize("seed", range(4))
-    def test_bit_equal_to_reference_over_five_steps(self, lr, eps, seed):
+    def test_bit_equal_to_reference_over_five_steps(self, lr, eps, seed, monkeypatch):
+        # eps is a module constant; 1e-3 moves the bits, so it checks where eps enters the update
+        monkeypatch.setattr(core, "EPS", eps)
         gen = np.random.default_rng(seed)
         value = gen.normal(0.0, 0.1, size=(300, 16)).astype(np.float32)
         got, want = Parameter(value.copy(), name="p"), Parameter(value.copy(), name="p")
-        got_state = AdamState.for_param(got, lr=lr, eps=eps)
-        want_state = AdamState.for_param(want, lr=lr, eps=eps)
+        opt = Adam([got], lr=lr)
+        (_, (got_m, got_v)), = opt.slots
+        want_m, want_v = np.zeros_like(value), np.zeros_like(value)
         for step in range(5):
             grad = np.zeros_like(value)
             if step != 2:  # step 2 is an all-zero gradient
@@ -143,22 +165,22 @@ class TestAdamOracle:
                 grad[rows] = gen.normal(0.0, 10.0 ** gen.integers(-6, 2), size=(rows.size, 16))
             got.grad[...] = grad
             want.grad[...] = grad
-            adam_step(got, got_state)
-            reference_adam_step(want, want_state)
+            opt.step()
+            reference_adam_step(want, want_m, want_v, step + 1, lr, eps)
             assert got.value.tobytes() == want.value.tobytes()
-            assert got_state.m.tobytes() == want_state.m.tobytes()
-            assert got_state.v.tobytes() == want_state.v.tobytes()
-            assert got_state.t == want_state.t == step + 1
+            assert got_m.tobytes() == want_m.tobytes()
+            assert got_v.tobytes() == want_v.tobytes()
+            assert opt.t == step + 1
             assert not got.grad.any()
 
     def test_one_step_peaks_under_two_parameters(self):
         p = Parameter(np.random.default_rng(0).normal(size=(3000, 64)).astype(np.float32), name="p")
-        s = AdamState.for_param(p, lr=0.01)
+        opt = Adam([p], lr=0.01)
         p.grad[...] = np.random.default_rng(1).normal(size=p.value.shape)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            adam_step(p, s)
+            opt.step()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -166,25 +188,29 @@ class TestAdamOracle:
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_nonfinite_gradient_leaves_state_alone(self, bad):
-        p = Parameter(np.ones((4, 3), dtype=np.float32), name="w")
-        s = AdamState.for_param(p, lr=0.01)
+        """The finite gradient before the bad one is not applied either: a step that raises changes nothing."""
+        ok, p = (Parameter(np.ones((4, 3), dtype=np.float32), name=name) for name in ("ok", "w"))
+        opt = Adam([ok, p], lr=0.01)
+        ok.grad[...] = 1.0
         p.grad[...] = np.float32(3.0e38)  # finite, and its float32 sum would overflow
         p.grad[2, 1] = bad
         with pytest.raises(DivergenceError, match="'w'"):
-            adam_step(p, s)
-        assert s.t == 0 and not s.m.any() and np.array_equal(p.value, np.ones((4, 3), dtype=np.float32))
+            opt.step()
+        assert opt.t == 0 and not any(mv.any() for _, moments in opt.slots for mv in moments)
+        assert np.array_equal(ok.value, np.ones((4, 3), dtype=np.float32)) and ok.grad.all()
+        assert np.array_equal(p.value, np.ones((4, 3), dtype=np.float32))
 
     def test_large_finite_gradient_is_accepted(self):
-        params = [Parameter(np.ones((4, 3), dtype=np.float32), name="w") for _ in range(2)]
-        states = [AdamState.for_param(p, lr=0.01) for p in params]
-        for p in params:
-            p.grad[...] = np.float32(3.0e38)
+        got, want = (Parameter(np.ones((4, 3), dtype=np.float32), name="w") for _ in range(2))
+        opt = Adam([got], lr=0.01)
+        want_m, want_v = np.zeros_like(want.value), np.zeros_like(want.value)
+        got.grad[...] = want.grad[...] = np.float32(3.0e38)
         with np.errstate(over="ignore"):  # g*g overflows to inf in both
-            adam_step(params[0], states[0])
-            reference_adam_step(params[1], states[1])
-        assert states[0].t == 1
-        assert params[0].value.tobytes() == params[1].value.tobytes()
-        assert states[0].v.tobytes() == states[1].v.tobytes()
+            opt.step()
+            reference_adam_step(want, want_m, want_v, 1, 0.01)
+        assert opt.t == 1
+        assert got.value.tobytes() == want.value.tobytes()
+        assert opt.slots[0][1][1].tobytes() == want_v.tobytes()
 
 
 class TestMlp:

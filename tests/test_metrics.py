@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from treequant.errors import DataError
 from treequant.metrics import (MetricReport, evaluate_completion, evaluate_ranking,
                                hr_at_k, ndcg_at_k)
 from treequant.rng import SeededRng
@@ -95,6 +96,9 @@ class _RandomScorer:
         self.n_items = n_items
         self.scores = np.random.default_rng(seed).normal(size=(n_users, n_items))
 
+    def frozen(self):
+        return contextlib.nullcontext()
+
     def predict_topk(self, user, candidates, k):
         cand = np.asarray(candidates)
         s = self.scores[user, cand]
@@ -149,6 +153,26 @@ class TestEvaluateRanking:
                                   positives_by_user={0: {0, 1, 2, 3, 4}})
         assert report.values["hr@1"] == 1.0
 
+    def test_own_positive_never_a_negative(self):
+        # user 0's set lacks the held-out item 4, which is excluded all the same: the
+        # 4 negatives of each unit are exactly items 0, 2, 3 and 5, and 5 are more than there are
+        model = _frozen_model("cf", "average", n_users=2, n_items=6, dim=8)
+        ranked, predict_topk = [], model.predict_topk
+
+        def recorded(user, candidates, k):
+            ranked.append(sorted(candidates))
+            return predict_topk(user, candidates, k)
+
+        model.predict_topk = recorded
+        report = evaluate_ranking(model, [(0, 4)] * 10, 4, [5], SeededRng(0).stream("eval-negatives"),
+                                  positives_by_user={0: {1}})
+        assert ranked == [[0, 2, 3, 4, 5]] * 10
+        assert all(0.0 < value <= 1.0 for value in report.values.values())
+        assert report.values["hr@5"] == 1.0
+        with pytest.raises(DataError, match="only 4 non-positive items, need 5"):
+            evaluate_ranking(model, [(0, 4)], 5, [6], SeededRng(0).stream("eval-negatives"),
+                             positives_by_user={0: {1}})
+
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
             evaluate_ranking(_OracleScorer(5), [], 2, [1], SeededRng(0).stream("eval-negatives"))
@@ -158,7 +182,7 @@ def reference_evaluate_ranking(model, split, n_negatives, ks, rng, positives_by_
     """The sampled-candidates pass as one generator drawn scalar by scalar per user, each unit ranking
     every candidate and scored by the public ndcg_at_k and a hit indicator: (metric values, unit count)."""
     sums = {f"{m}@{k}": 0.0 for m in ("ndcg", "hr") for k in ks}
-    with getattr(model, "frozen", contextlib.nullcontext)():
+    with model.frozen():
         for user, pos_item in split:
             positives = positives_by_user[user]
             candidates = [pos_item] + scalar_sample_negatives(user, n_negatives, model.n_items, positives, rng)
@@ -231,6 +255,9 @@ class _CompletionOracle:
     def __init__(self, n_items, scores):
         self.n_items = n_items
         self.scores = np.asarray(scores, dtype=float)
+
+    def frozen(self):
+        return contextlib.nullcontext()
 
     def predict_completion(self, prefix, k, exclude=()):
         s = self.scores.copy()

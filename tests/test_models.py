@@ -258,6 +258,8 @@ class TestSeqModel:
         model = _seq()
         with pytest.raises(ValueError):
             seq_step(model, [[]], [0])
+        with pytest.raises(ValueError, match="nonempty"):
+            model.predict_completion([], k=1)
 
     def test_head_width_validated(self):
         rng = SeededRng(0)
@@ -375,6 +377,9 @@ class _PerCall:
     def __init__(self, model):
         self.model = model
         self.n_items = model.n_items
+
+    def frozen(self):
+        return contextlib.nullcontext()
 
     def predict_topk(self, user, candidates, k):
         return self.model.predict_topk(user, candidates, k)
@@ -631,11 +636,11 @@ def _assert_steps_match_oracle(model, task, count_quantize, monkeypatch):
         assert got_step.keys() == want_step.keys()
         for name in got_step:
             assert np.array_equal(got_step[name], want_step[name]), name
-    for (p, s), (q, r) in zip(model.optimizer.slots, oracle.optimizer.slots, strict=True):
+    for (p, (m, v)), (q, (oracle_m, oracle_v)) in zip(model.optimizer.slots, oracle.optimizer.slots, strict=True):
         assert p.name == q.name
-        for a, b in ((p.value, q.value), (s.m, r.m), (s.v, r.v)):
+        for a, b in ((p.value, q.value), (m, oracle_m), (v, oracle_v)):
             assert np.array_equal(a, b), p.name
-        assert s.t == r.t
+    assert model.optimizer.t == oracle.optimizer.t
 
 
 class TestStepEqualsPerOccurrence:
