@@ -1,10 +1,11 @@
-"""Binary checkpoint container.
+"""Binary checkpoint container, version 2.
 
-Layout: 8 ASCII magic bytes "CAGECKPT", a 32-bit little-endian version (1),
+Layout: 8 ASCII magic bytes "CAGECKPT", a 32-bit little-endian version (2),
 a 64-bit little-endian metadata byte length, UTF-8 JSON metadata, then a
-contiguous little-endian float32 payload.  The metadata's tensor directory
-declares name/shape/byte-offset for every tensor; the declared extents must
-tile the payload exactly.
+little-endian float32 payload.  The metadata holds the run's `config`, its
+raw-id `vocab` (which id is which table row, per side) and `tensors`, a list
+of {name, shape} in payload order: the tensors fill the payload exactly, one
+after another.  A file of any other version, version 1 included, is refused.
 """
 
 from __future__ import annotations
@@ -21,38 +22,24 @@ import numpy as np
 from .errors import BadMagicError, CorruptPayloadError, UnsupportedVersionError
 
 MAGIC = b"CAGECKPT"
-VERSION = 1
+VERSION = 2
 
 
 @dataclass
 class Checkpoint:
     config: dict
-    epoch: int
-    seed_state: dict
     tensors: dict          # name -> float32 ndarray
-    vocab: dict = None     # optional raw-id lists, e.g. {"items": [...], "users": [...]}
+    vocab: dict            # raw-id lists per side, e.g. {"items": [...], "users": [...]}
 
 
-def save_checkpoint(path, config: dict, epoch: int, seed_state: dict, tensors: dict,
-                    vocab: dict | None = None) -> None:
-    """Write the container; tensor order in the payload follows the directory."""
-    directory = []
-    offset = 0
-    blobs = []
-    for name in tensors:
-        arr = np.ascontiguousarray(tensors[name], dtype=np.float32)
-        raw = arr.astype("<f4", copy=False).tobytes()
-        directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += len(raw)
-        blobs.append(raw)
+def save_checkpoint(path, config: dict, tensors: dict, vocab: dict) -> None:
+    """Write the container; the payload holds the tensors in the directory's order."""
+    arrays = {name: np.asarray(arr, dtype="<f4") for name, arr in tensors.items()}
     meta = {
         "config": config,
-        "epoch": int(epoch),
-        "seed_state": seed_state,
-        "tensors": directory,
+        "tensors": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()],
+        "vocab": vocab,
     }
-    if vocab is not None:
-        meta["vocab"] = vocab
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     # write a sibling file, then rename it over the target: a crash never leaves a truncated checkpoint
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
@@ -62,8 +49,8 @@ def save_checkpoint(path, config: dict, epoch: int, seed_state: dict, tensors: d
             fh.write(struct.pack("<I", VERSION))
             fh.write(struct.pack("<Q", len(meta_bytes)))
             fh.write(meta_bytes)
-            for raw in blobs:
-                fh.write(raw)
+            for arr in arrays.values():
+                fh.write(arr.tobytes())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # only when writing or renaming failed
@@ -86,57 +73,38 @@ def load_checkpoint(path) -> Checkpoint:
         meta = json.loads(blob[header_end:header_end + meta_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CorruptPayloadError(f"{path}: bad metadata: {exc}") from exc
-    payload = blob[header_end + meta_len:]
 
     try:
-        config, epoch = meta["config"], meta["epoch"]
-        # the directory may appear in any order; offsets are authoritative
-        directory = [(e["offset"], str(e["name"]), e["shape"]) for e in meta.get("tensors", [])]
+        config, vocab = meta["config"], meta["vocab"]
+        directory = [(str(e["name"]), e["shape"]) for e in meta["tensors"]]
     except (KeyError, TypeError) as exc:
         raise CorruptPayloadError(f"{path}: incomplete metadata: {exc!r}") from exc
-    # a JSON integer loads as int, never as float or bool: 1.5, 2.0, true and "12" are not integers
-    if type(epoch) is not int:
-        raise CorruptPayloadError(f"{path}: epoch must be an integer, got {json.dumps(epoch)}")
-    vocab = meta.get("vocab")
-    if vocab is not None and not _is_vocab(vocab):
+    if not _is_vocab(vocab):
         raise CorruptPayloadError(f"{path}: vocab must map 'users'/'items' to lists of raw-id strings")
-    names = [name for _, name, _ in directory]
+    names = [name for name, _ in directory]
     if len(set(names)) != len(names):
         raise CorruptPayloadError(f"{path}: duplicate tensor names in the directory")
-    spans = []
-    for off, name, shape in directory:
+    start = cursor = header_end + meta_len
+    tensors = {}
+    for name, shape in directory:
+        # a JSON integer loads as int, never as float or bool: 1.5, 2.0, true and "12" are not integers;
         # Python ints never wrap; numpy describes no shape past 32 dimensions, nor one, even
         # with no elements, whose nonzero dimensions give more bytes than it can index
         if (type(shape) is not list or not all(type(s) is int for s in shape) or len(shape) > 32
                 or min(shape, default=0) < 0 or 4 * math.prod(filter(None, shape)) > sys.maxsize):
             raise CorruptPayloadError(f"{path}: tensor '{name}' has an invalid shape {json.dumps(shape)}")
-        if type(off) is not int:
-            raise CorruptPayloadError(f"{path}: tensor '{name}' has an invalid offset {json.dumps(off)}")
-        nbytes = math.prod(shape) * 4
-        if off < 0 or off + nbytes > len(payload):
+        count = math.prod(shape)
+        if cursor + 4 * count > len(blob):
             raise CorruptPayloadError(f"{path}: tensor '{name}' overflows the payload")
-        spans.append((off, nbytes, name, shape))
-    spans.sort()
-    cursor = 0
-    for off, nbytes, name, _ in spans:
-        if off != cursor:
-            raise CorruptPayloadError(f"{path}: payload gap/overlap at tensor '{name}'")
-        cursor += nbytes
-    if cursor != len(payload):
-        raise CorruptPayloadError(f"{path}: payload size {len(payload)} does not match directory ({cursor})")
-
-    tensors = {}
-    for off, nbytes, name, shape in spans:
-        tensors[name] = np.frombuffer(payload[off:off + nbytes], dtype="<f4").reshape(shape).copy()
-        if not np.isfinite(tensors[name]).all():
+        tensors[name] = np.frombuffer(blob, "<f4", count, cursor).reshape(shape).copy()
+        cursor += 4 * count
+    if cursor != len(blob):
+        raise CorruptPayloadError(f"{path}: payload size {len(blob) - start} does not match directory "
+                                  f"({cursor - start})")
+    for name, arr in tensors.items():
+        if not np.isfinite(arr).all():
             raise CorruptPayloadError(f"{path}: tensor '{name}' holds a non-finite value")
-    return Checkpoint(
-        config=config,
-        epoch=epoch,
-        seed_state=meta.get("seed_state", {}),
-        tensors=tensors,
-        vocab=vocab,
-    )
+    return Checkpoint(config=config, tensors=tensors, vocab=vocab)
 
 
 def _is_vocab(vocab) -> bool:

@@ -81,7 +81,7 @@ def cmd_inspect_codes(args) -> int:
         print(f"level {level}: {size} codes, utilization {frac:.4f}")
 
     if args.labels:
-        raw_ids = (ckpt.vocab or {}).get("items" if side == "item" else f"{side}s", [])
+        raw_ids = ckpt.vocab[f"{side}s"]
         id_to_row = {raw: row for row, raw in enumerate(raw_ids)}
         level1 = trace.indices[0]
         codes, labels, skipped = [], [], 0

@@ -32,18 +32,17 @@ class Parameter:
 
         A loaded parameter holds the stored array itself, not a copy, when it
         is float32 (load_checkpoint's tensors are), so training it changes the
-        checkpoint's tensor.  The stored tensor must exist and have shape (a
-        None dimension matches any count) with no empty dimension; nothing of
-        the configured shape is allocated before these checks pass.
+        checkpoint's tensor.  The stored tensor must exist and have shape, with
+        no empty dimension; nothing of the configured shape is allocated before
+        these checks pass.
         """
         if stored is None:
             return cls(draw(), name)
         if name not in stored:
             raise ConfigError(f"checkpoint is missing tensor '{name}'")
         got = stored[name].shape
-        want = tuple(g if w is None else w for w, g in zip(shape, got)) if len(got) == len(shape) else shape
-        if got != want:
-            raise ConfigError(f"tensor '{name}' has shape {got}, model expects {want}")
+        if got != shape:
+            raise ConfigError(f"tensor '{name}' has shape {got}, model expects {shape}")
         if not all(got):
             raise ConfigError(f"tensor '{name}' has shape {got}, with no elements")
         return cls(stored[name], name)

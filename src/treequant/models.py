@@ -33,13 +33,13 @@ class EmbeddingTable:
     role: str
 
     @classmethod
-    def create(cls, rng: SeededRng, count: int | None, dim: int, role: str, init_std: float = 0.01,
+    def create(cls, rng: SeededRng, count: int, dim: int, role: str, init_std: float = 0.01,
                stored: dict | None = None):
-        """A drawn table, or the stored one; a count of None takes the stored table's rows."""
+        """A drawn table, or the stored one."""
         name = f"{role}_table"
         rows = Parameter.made(name, (count, dim), lambda: rng_normal_init(rng, count, dim, init_std, f"init/{name}"),
                               stored)
-        return cls(count=rows.value.shape[0], dim=dim, rows=rows, role=role)
+        return cls(count=count, dim=dim, rows=rows, role=role)
 
 
 def _check_indices(idx: np.ndarray, limit: int, what: str):

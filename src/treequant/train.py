@@ -89,19 +89,18 @@ def prepare_lists(cfg: TrainConfig, rng: SeededRng) -> ListData:
 # ---------------------------------------------------------------------------
 
 
-def build_model(cfg: TrainConfig, n_users: int | None, n_items: int | None, stored: dict | None = None):
+def build_model(cfg: TrainConfig, n_users: int, n_items: int, stored: dict | None = None):
     """The task's model: drawn when stored is None, else made of the checkpoint tensors in stored.
 
     Each initializer draws from its own named stream, so build order is free;
     users come before items, so a defect of both tables names the user table.
-    A table count of None takes the stored table's rows.
     """
     if cfg.task not in TASKS:
         raise ConfigError(f"unknown task {cfg.task!r}")
     rng = SeededRng(cfg.model.seed)
     m, c = cfg.model, cfg.cage
 
-    def side(role: str, count: int | None, quantized: bool):
+    def side(role: str, count: int, quantized: bool):
         table = EmbeddingTable.create(rng, count, m.dim, role, m.init_std, stored)
         cage = make_quantizer(rng, m.dim, c.levels, alpha=c.alpha, beta=c.beta, fusion_mode=c.fusion_mode,
                               name=f"{role}_cage", init_std=m.init_std, stored=stored) if quantized else None
@@ -123,11 +122,10 @@ def build_model(cfg: TrainConfig, n_users: int | None, n_items: int | None, stor
 def model_from_checkpoint(ckpt: Checkpoint):
     """Rebuild the model purely from the checkpoint (no data files needed); nothing is drawn.
 
-    A stored vocabulary side fixes its table's row count.
+    Each vocabulary side fixes its table's row count; a missing side counts 0 rows.
     """
     cfg = config_from_dict(ckpt.config)
-    vocab = ckpt.vocab or {}
-    n_users, n_items = (len(vocab[side]) if side in vocab else None for side in ("users", "items"))
+    n_users, n_items = (len(ckpt.vocab.get(side, ())) for side in ("users", "items"))
     model = build_model(cfg, n_users, n_items, stored=ckpt.tensors)
     extra = set(ckpt.tensors) - set(model.named_parameters())
     if extra:
@@ -159,15 +157,12 @@ def _raw_ids(ds) -> dict:
     return {side: v.ids for side, v in vocabs.items()}
 
 
-def _check_vocab(ckpt: Checkpoint, model, ds, path):
-    """The data file must map raw ids to the rows the checkpoint was trained with, one id per table row."""
-    for (side, ids), (table, _) in zip(_raw_ids(ds).items(), model.sides):
-        if ckpt.vocab is not None and ckpt.vocab.get(side) != ids:
+def _check_vocab(ckpt: Checkpoint, ds, path):
+    """The data file must map raw ids to the rows the checkpoint was trained with."""
+    for side, ids in _raw_ids(ds).items():
+        if ckpt.vocab.get(side) != ids:
             raise DataError(f"{path}: the {side} vocabulary differs from the one the checkpoint "
                             "was trained with (ids added, removed or reordered)")
-        if len(ids) != table.count:
-            raise DataError(f"{path}: the data has {len(ids)} {side}, but the checkpoint's "
-                            f"{table.rows.name} has {table.count} rows")
 
 
 def _check_eval_units(cfg: TrainConfig, ds, pairs, split: str):
@@ -341,8 +336,7 @@ def run_train(cfg: TrainConfig, out_dir: str | None = None) -> TrainResult:
         _train(cfg, model, ds, result, rng, log_fh)
     ckpt_path = os.path.join(out_dir, "model.ckpt")
     tensors = {name: p.value for name, p in model.named_parameters().items()}
-    save_checkpoint(ckpt_path, cfg.to_dict(), cfg.model.epochs, {"seed": cfg.model.seed},
-                    tensors, vocab=_raw_ids(ds))
+    save_checkpoint(ckpt_path, cfg.to_dict(), tensors, _raw_ids(ds))
     result.checkpoint_path = ckpt_path
     result.log_path = log_path
     return result
@@ -365,7 +359,7 @@ def run_evaluate(checkpoint_path, split: str = "test", overrides: dict | None = 
         cfg = config_from_dict(doc)
 
     ds = _prepare(cfg)
-    _check_vocab(ckpt, model, ds, cfg.data.path)
+    _check_vocab(ckpt, ds, cfg.data.path)
     pairs = ds.val_pairs if split == "val" else ds.test_pairs
     if not pairs:
         raise ConfigError(f"{split} split is empty")

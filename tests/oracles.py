@@ -1,4 +1,9 @@
-"""Numerical oracles shared by the gradient tests, a trace's codes, and a draw-counting stand-in for a numpy Generator."""
+"""Numerical oracles shared by the gradient tests, a trace's codes, a draw-counting stand-in for a numpy
+Generator, and a rewriter of a saved checkpoint's metadata and payload."""
+
+import json
+import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -59,3 +64,17 @@ class CountingGen:
 
     def random(self):
         return self.gen.random()
+
+
+def rewrite_checkpoint(path, edit, payload=None):
+    """Apply edit(meta) to a saved checkpoint's metadata and, given payload, replace its payload with
+    payload(old payload); the magic and version stay, and the metadata length is rewritten."""
+    path = Path(path)
+    blob = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<Q", blob, 12)
+    meta = json.loads(blob[20:20 + meta_len].decode("utf-8"))
+    edit(meta)
+    body = blob[20 + meta_len:]
+    new_meta = json.dumps(meta, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:12] + struct.pack("<Q", len(new_meta)) + new_meta
+                     + (body if payload is None else payload(body)))

@@ -1,6 +1,7 @@
 import copy
 import ctypes
 import json
+import math
 import random
 import re
 import resource
@@ -23,8 +24,7 @@ from treequant.data import sample_negatives
 from treequant.train import model_from_checkpoint, run_evaluate, run_train
 from treequant.rng import SeededRng
 
-from oracles import CountingGen
-from test_checkpoint import _rewrite_meta
+from oracles import CountingGen, rewrite_checkpoint
 
 
 def _write_interactions(path, n_users=30, n_items=20, per_user=5, seed=0, labels=False):
@@ -110,7 +110,6 @@ class TestRunTrain:
         result = run_train(cfg, out_dir=str(tmp_path / "run"))
         assert result.step_losses == []
         ckpt = load_checkpoint(result.checkpoint_path)
-        assert ckpt.epoch == 0
         model, _ = model_from_checkpoint(ckpt)
         assert model.items.rows.value.shape[1] == 8
         # log has only the config header
@@ -360,7 +359,7 @@ class TestTaskFormatPairs:
 
     def test_stored_list_checkpoint_with_default_format(self, tmp_path, capsys):
         ckpt = TestCli()._train(tmp_path, task="list-completion")
-        _rewrite_meta(ckpt, lambda meta: meta["config"]["data"].update(format="generic-tsv"))
+        rewrite_checkpoint(ckpt, lambda meta: meta["config"]["data"].update(format="generic-tsv"))
         assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
         assert capsys.readouterr().err.startswith('error: list-completion reads item lists; '
                                                   'set data.format to "lists"')
@@ -532,15 +531,6 @@ class TestEvaluateVocabulary:
         assert run_evaluate(result.checkpoint_path, split="val").values == \
             result.epoch_metrics[-1].values
 
-    def test_checkpoint_without_vocab_is_not_checked(self, tmp_path, capsys):
-        ckpt = TestCli()._train(tmp_path)
-        capsys.readouterr()
-        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 0
-        with_vocab = capsys.readouterr().out
-        _rewrite_meta(ckpt, lambda meta: meta.pop("vocab"))
-        assert main(["evaluate", "--checkpoint", str(ckpt)]) == 0
-        assert capsys.readouterr().out == with_vocab
-
 
 _MALFORMED_VOCABS = [[1, 2], "items", {"items": 5}, {"items": [1, 2]}, {"users": [], "labels": []}]
 
@@ -552,14 +542,14 @@ class TestMalformedVocab:
 
     @pytest.mark.parametrize("vocab", _MALFORMED_VOCABS)
     def test_evaluate_is_typed_error(self, ckpt, vocab, capsys):
-        _rewrite_meta(ckpt, lambda meta: meta.update(vocab=vocab))
+        rewrite_checkpoint(ckpt, lambda meta: meta.update(vocab=vocab))
         assert main(["evaluate", "--checkpoint", str(ckpt), "--split", "val"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "vocab must map" in err
 
     @pytest.mark.parametrize("vocab", _MALFORMED_VOCABS)
     def test_inspect_codes_labels_is_typed_error(self, ckpt, vocab, tmp_path, capsys):
-        _rewrite_meta(ckpt, lambda meta: meta.update(vocab=vocab))
+        rewrite_checkpoint(ckpt, lambda meta: meta.update(vocab=vocab))
         labels = tmp_path / "labels.tsv"
         labels.write_text("i1\tcat0\n")
         assert main(["inspect-codes", "--checkpoint", str(ckpt), "--labels", str(labels)]) == 2
@@ -704,8 +694,7 @@ class TestCliDamagedCheckpoint:
         else:
             stored = load_checkpoint(ckpt)
             stored.tensors[damage][0, 0] = np.nan
-            save_checkpoint(ckpt, stored.config, stored.epoch, stored.seed_state, stored.tensors,
-                            vocab=stored.vocab)
+            save_checkpoint(ckpt, stored.config, stored.tensors, stored.vocab)
         capsys.readouterr()
         tree = ["--json", str(tmp_path / "t.json"), "--dot", str(tmp_path / "t.dot")]
         assert main([command, "--checkpoint", str(ckpt), *(tree if command == "export-tree" else [])]) == 2
@@ -716,25 +705,22 @@ class TestCliDamagedCheckpoint:
                                              ([0, 2 ** 63], 0), ([-1, 2], 0), ([1] * 65, 1)],
                              ids=["2**62x4", "2**32x2**32", "0x2**70", "0x2**63", "negative", "65-dims"])
     def test_invalid_shape_is_typed_error(self, tmp_path, capsys, shape, kept):
-        """The last tensor's shape replaced and the payload cut kept floats past its offset: no byte count
+        """The last tensor's shape replaced and the payload cut kept floats past its start: no byte count
         wraps or overflows, and no shape reaches numpy that it cannot describe."""
         ckpt = TestCli()._train(tmp_path)
-        blob = ckpt.read_bytes()
-        (meta_len,) = struct.unpack_from("<Q", blob, 12)
-        meta = json.loads(blob[20:20 + meta_len].decode("utf-8"))
-        last = max(meta["tensors"], key=lambda entry: entry["offset"])
-        last["shape"] = shape
-        new_meta = json.dumps(meta, sort_keys=True).encode("utf-8")
-        ckpt.write_bytes(blob[:12] + struct.pack("<Q", len(new_meta)) + new_meta
-                         + blob[20 + meta_len:20 + meta_len + last["offset"] + 4 * kept])
+        stored = load_checkpoint(ckpt).tensors
+        *head, last = stored
+        cut = 4 * (sum(stored[name].size for name in head) + kept)
+        rewrite_checkpoint(ckpt, lambda meta: meta["tensors"][-1].update(shape=shape),
+                           lambda payload: payload[:cut])
         capsys.readouterr()
         assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
-        assert capsys.readouterr().err == f"error: {ckpt}: tensor '{last['name']}' has an invalid shape {shape}\n"
+        assert capsys.readouterr().err == f"error: {ckpt}: tensor '{last}' has an invalid shape {shape}\n"
 
 
 class TestCliCheckpointIntegers:
-    """Directory shapes and offsets and the epoch must be JSON integers: int() would truncate 8.9 to 8,
-    read true as 1 and the string "81" as (8, 1), and each of these checkpoints would then evaluate."""
+    """Directory shapes must be lists of JSON integers: int() would truncate 8.9 to 8, read true as 1 and
+    the string "81" as (8, 1), and each of these checkpoints would then evaluate."""
 
     @staticmethod
     def _damage(meta, case):
@@ -743,31 +729,23 @@ class TestCliCheckpointIntegers:
                                                    ("layer0.bias", "layer1.weight", "layer1.bias"))
         assert (layer0_bias["shape"], layer1_weight["shape"], layer1_bias["shape"]) == ([8], [8, 1], [1])
         if case == "float-shape":
-            layer0_bias.update(shape=[8.9], offset=layer0_bias["offset"] + 0.75)
+            layer0_bias["shape"] = [8.9]
         elif case == "bool-dimension":
             layer1_bias["shape"] = [True]
-        elif case == "string-shape":
-            layer1_weight["shape"] = "81"
-        elif case == "float-offset":
-            layer1_weight["offset"] = float(layer1_weight["offset"])
         else:
-            meta["epoch"] = 1.5
-        return layer1_weight["offset"]
+            layer1_weight["shape"] = "81"
 
     @pytest.mark.parametrize("case, error", [
         ("float-shape", "tensor 'mlp.layer0.bias' has an invalid shape [8.9]"),
         ("bool-dimension", "tensor 'mlp.layer1.bias' has an invalid shape [true]"),
         ("string-shape", "tensor 'mlp.layer1.weight' has an invalid shape \"81\""),
-        ("float-offset", "tensor 'mlp.layer1.weight' has an invalid offset {offset}"),
-        ("float-epoch", "epoch must be an integer, got 1.5"),
     ])
     def test_evaluate_is_typed_error(self, tmp_path, capsys, case, error):
         ckpt = TestCli()._train(tmp_path, task="ctr")
-        offsets = []
-        _rewrite_meta(ckpt, lambda meta: offsets.append(self._damage(meta, case)))
+        rewrite_checkpoint(ckpt, lambda meta: self._damage(meta, case))
         capsys.readouterr()
         assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
-        assert capsys.readouterr().err == f"error: {ckpt}: {error.format(offset=offsets[0])}\n"
+        assert capsys.readouterr().err == f"error: {ckpt}: {error}\n"
 
 
 class TestCliEmptySplit:
@@ -784,12 +762,31 @@ class TestCliEmptySplit:
 
 
 class TestCliIncompleteCheckpoint:
-    def test_evaluate_reports_missing_epoch(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["evaluate", "export-tree", "inspect-codes"])
+    def test_missing_vocab_is_typed_error(self, tmp_path, capsys, command):
+        """Every checkpoint stores its vocabulary; a file without one is refused, not evaluated unchecked."""
         ckpt = TestCli()._train(tmp_path)
-        _rewrite_meta(ckpt, lambda meta: meta.pop("epoch"))
+        rewrite_checkpoint(ckpt, lambda meta: meta.pop("vocab"))
+        capsys.readouterr()
+        tree = ["--json", str(tmp_path / "t.json"), "--dot", str(tmp_path / "t.dot")]
+        assert main([command, "--checkpoint", str(ckpt), *(tree if command == "export-tree" else [])]) == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: incomplete metadata: KeyError('vocab')\n"
+
+    def test_version_1_is_typed_error(self, tmp_path, capsys):
+        """A version-1 file, with its byte offsets, epoch and seed state, is refused rather than read."""
+        ckpt = TestCli()._train(tmp_path)
+
+        def to_version_1(meta):
+            offset = 0
+            for entry in meta["tensors"]:
+                entry["offset"] = offset
+                offset += 4 * math.prod(entry["shape"])
+            meta.update(epoch=1, seed_state={"seed": 0})
+        rewrite_checkpoint(ckpt, to_version_1)
+        ckpt.write_bytes(MAGIC + struct.pack("<I", 1) + ckpt.read_bytes()[12:])
+        capsys.readouterr()
         assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "epoch" in err
+        assert capsys.readouterr().err == f"error: {ckpt}: unsupported container version 1\n"
 
 
 class TestCliNegativeSeed:
@@ -802,7 +799,7 @@ class TestCliNegativeSeed:
     @pytest.mark.parametrize("section", ["model", "eval"])
     def test_stored_seed(self, tmp_path, capsys, section):
         ckpt = TestCli()._train(tmp_path)
-        _rewrite_meta(ckpt, lambda meta: meta["config"][section].update(seed=-1))
+        rewrite_checkpoint(ckpt, lambda meta: meta["config"][section].update(seed=-1))
         assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
         assert capsys.readouterr().err.startswith("error: model.seed and eval.seed must be >= 0")
 
@@ -816,7 +813,7 @@ class TestCliMissingTable:
 
         def rename(meta):
             next(t for t in meta["tensors"] if t["name"] == table)["name"] = "renamed"
-        _rewrite_meta(ckpt, rename)
+        rewrite_checkpoint(ckpt, rename)
         assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
         assert capsys.readouterr().err == f"error: checkpoint is missing tensor '{table}'\n"
 
@@ -825,7 +822,7 @@ class TestCliMissingTable:
 
         def reshape(meta):  # the same 8 floats as a (1, 8) row
             next(t for t in meta["tensors"] if t["name"] == "mlp.layer0.bias")["shape"] = [1, 8]
-        _rewrite_meta(ckpt, reshape)
+        rewrite_checkpoint(ckpt, reshape)
         assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
         assert capsys.readouterr().err == ("error: tensor 'mlp.layer0.bias' has shape (1, 8), "
                                            "model expects (8,)\n")
@@ -834,7 +831,7 @@ class TestCliMissingTable:
         ckpt = TestCli()._train(tmp_path)
         stored = load_checkpoint(ckpt)
         tensors = {**stored.tensors, "extra": np.zeros(3, dtype=np.float32)}
-        save_checkpoint(ckpt, stored.config, stored.epoch, stored.seed_state, tensors, vocab=stored.vocab)
+        save_checkpoint(ckpt, stored.config, tensors, stored.vocab)
         assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
         assert capsys.readouterr().err == "error: checkpoint has unexpected tensor(s): ['extra']\n"
 
@@ -897,51 +894,66 @@ class TestCliCheckpointSizes:
         def enlarge(meta):
             conf = meta["config"][section]
             conf[field] = 2 ** 40 if field == "dim" else [2 ** 40, *conf[field][1:]]
-        _rewrite_meta(ckpt, enlarge)
+        rewrite_checkpoint(ckpt, enlarge)
         assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: tensor '{tensor}' has shape ") and "1099511627776" in err
 
 
 class TestCliTableRows:
-    """A stored vocabulary side fixes its table's rows; without one, the data's vocabulary must fit the rows."""
+    """Each vocabulary side fixes its table's rows, and a side missing from the vocabulary counts 0 rows.
+
+    The "no-vocab" cases also remove the table's side from the stored vocabulary.
+    """
 
     @staticmethod
-    def _resize(ckpt, table, rows, keep_vocab):
-        """Rewrite ckpt with table cut by rows < 0, grown by rows > 0 or emptied by rows == 0."""
+    def _resize(ckpt, table, rows, keep_side):
+        """Rewrite ckpt with table cut by rows < 0, grown by rows > 0 or emptied by rows == 0.
+
+        Returns the shape the model expects and the stored shape.
+        """
         stored = load_checkpoint(ckpt)
         good = stored.tensors[table]
         stored.tensors[table] = good[:rows] if rows <= 0 else np.concatenate([good, good[:rows]])
-        save_checkpoint(ckpt, stored.config, stored.epoch, stored.seed_state, stored.tensors,
-                        vocab=stored.vocab if keep_vocab else None)
-        return stored, good.shape, stored.tensors[table].shape
+        if not keep_side:
+            del stored.vocab[table.replace("_table", "s")]
+        save_checkpoint(ckpt, stored.config, stored.tensors, stored.vocab)
+        return (good.shape if keep_side else (0, good.shape[1])), stored.tensors[table].shape
 
-    @pytest.mark.parametrize("keep_vocab", [True, False], ids=["vocab", "no-vocab"])
+    @pytest.mark.parametrize("keep_side", [True, False], ids=["vocab", "no-vocab"])
     @pytest.mark.parametrize("rows", [-1, 1], ids=["one-fewer", "one-more"])
     @pytest.mark.parametrize("task, table", [("cf", "user_table"), ("cf", "item_table"), ("ctr", "user_table"),
                                              ("list-completion", "item_table")])
-    def test_evaluate_is_typed_error(self, tmp_path, capsys, task, table, rows, keep_vocab):
+    def test_evaluate_is_typed_error(self, tmp_path, capsys, task, table, rows, keep_side):
         ckpt = TestCli()._train(tmp_path, task=task)
-        stored, want, got = self._resize(ckpt, table, rows, keep_vocab)
+        want, got = self._resize(ckpt, table, rows, keep_side)
         capsys.readouterr()
         assert main(["evaluate", "--checkpoint", str(ckpt)]) == 2
-        side = table.replace("_table", "s")
-        assert capsys.readouterr().err == (
-            f"error: tensor '{table}' has shape {got}, model expects {want}\n" if keep_vocab else
-            f"error: {stored.config['data']['path']}: the data has {want[0]} {side}, "
-            f"but the checkpoint's {table} has {got[0]} rows\n")
+        assert capsys.readouterr().err == f"error: tensor '{table}' has shape {got}, model expects {want}\n"
 
-    @pytest.mark.parametrize("keep_vocab", [True, False], ids=["vocab", "no-vocab"])
+    @pytest.mark.parametrize("keep_side", [True, False], ids=["vocab", "no-vocab"])
     @pytest.mark.parametrize("command", ["evaluate", "export-tree", "inspect-codes"])
-    def test_zero_rows_is_typed_error(self, tmp_path, capsys, command, keep_vocab):
+    def test_zero_rows_is_typed_error(self, tmp_path, capsys, command, keep_side):
         ckpt = TestCli()._train(tmp_path)
-        _, want, got = self._resize(ckpt, "item_table", 0, keep_vocab)
+        want, got = self._resize(ckpt, "item_table", 0, keep_side)
         capsys.readouterr()
         tree = ["--json", str(tmp_path / "t.json"), "--dot", str(tmp_path / "t.dot")]
         assert main([command, "--checkpoint", str(ckpt), *(tree if command == "export-tree" else [])]) == 2
         assert capsys.readouterr().err == (
             f"error: tensor 'item_table' has shape {got}, "
-            + (f"model expects {want}\n" if keep_vocab else "with no elements\n"))
+            + (f"model expects {want}\n" if keep_side else "with no elements\n"))
+
+    @pytest.mark.parametrize("command", ["evaluate", "export-tree", "inspect-codes"])
+    def test_missing_side_names_the_table(self, tmp_path, capsys, command):
+        """A cf checkpoint whose vocabulary has no users side, its tables untouched, fails on user_table."""
+        ckpt = TestCli()._train(tmp_path)
+        rows, dim = load_checkpoint(ckpt).tensors["user_table"].shape
+        rewrite_checkpoint(ckpt, lambda meta: meta["vocab"].pop("users"))
+        capsys.readouterr()
+        tree = ["--json", str(tmp_path / "t.json"), "--dot", str(tmp_path / "t.dot")]
+        assert main([command, "--checkpoint", str(ckpt), *(tree if command == "export-tree" else [])]) == 2
+        assert capsys.readouterr().err == (f"error: tensor 'user_table' has shape ({rows}, {dim}), "
+                                           f"model expects (0, {dim})\n")
 
 
 class _NoNormalDraw:
@@ -968,6 +980,25 @@ def test_model_from_checkpoint_holds_the_stored_tensors(tmp_path, monkeypatch, t
     assert sorted(named) == sorted(ckpt.tensors)
     for name, param in named.items():
         assert param.value is ckpt.tensors[name]
+
+
+@pytest.mark.parametrize("task", ["cf", "ctr", "list-completion"])
+def test_checkpoint_holds_config_vocab_and_parameters_in_order(tmp_path, task):
+    """The metadata is the config, the vocabulary and {name, shape} per parameter, and the payload is the
+    float32 bytes of model.parameters() in that order."""
+    data = tmp_path / "data"
+    if task == "list-completion":
+        _write_lists(data)
+    else:
+        _write_interactions(data)
+    result = run_train(_cfg(data, task=task, epochs=1), out_dir=str(tmp_path / "run"))
+    blob = Path(result.checkpoint_path).read_bytes()
+    (meta_len,) = struct.unpack_from("<Q", blob, 12)
+    meta = json.loads(blob[20:20 + meta_len].decode("utf-8"))
+    params = result.model.parameters()
+    assert meta == {"config": result.config.to_dict(), "vocab": train._raw_ids(result.dataset),
+                    "tensors": [{"name": p.name, "shape": list(p.value.shape)} for p in params]}
+    assert blob[20 + meta_len:] == b"".join(p.value.astype("<f4").tobytes() for p in params)
 
 
 def test_inspect_codes_non_utf8_labels(tmp_path, capsys):
@@ -1178,7 +1209,7 @@ class TestCliStoredConfigTypes:
     @pytest.mark.parametrize("command", ["evaluate", "export-tree"])
     def test_is_typed_error(self, tmp_path, capsys, edit, command):
         ckpt = TestCli()._train(tmp_path)
-        _rewrite_meta(ckpt, edit)
+        rewrite_checkpoint(ckpt, edit)
         capsys.readouterr()
         tree = ["--json", str(tmp_path / "t.json"), "--dot", str(tmp_path / "t.dot")]
         assert main([command, "--checkpoint", str(ckpt), *(tree if command == "export-tree" else [])]) == 2
@@ -1278,7 +1309,7 @@ class TestCliConfigFuzz:
                 doc = self._mutate(doc, gen)
                 cfg_path.write_text(json.dumps(doc))
                 shutil.copyfile(base_ckpt, ckpt)
-                _rewrite_meta(ckpt, lambda meta: meta.update(config=doc))
+                rewrite_checkpoint(ckpt, lambda meta: meta.update(config=doc))
                 for argv in (["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")],
                              ["evaluate", "--checkpoint", str(ckpt)]):
                     signal.alarm(10)
@@ -1358,10 +1389,10 @@ _CKPT_POOL = [-1, 0, 1.5, "x", [], None, True, 2 ** 62, 2 ** 64]
 class TestCliCheckpointFuzz:
     """Seeded mutations of checkpoints and labels files through evaluate, export-tree and inspect-codes --labels.
 
-    A case mutates one of: a directory entry's shape, offset or name, a vocabulary list, a table's rows
-    or raw bytes of a checkpoint, or the bytes of the labels file.  The first cases resize each table by
-    -1, +1 and to 0 rows, with and without the stored vocabulary.  Each command must exit 0 or 2; a
-    traceback or a hang fails the test.
+    A case mutates one of: a directory entry's shape or name, a vocabulary list, a table's rows or raw
+    bytes of a checkpoint, or the bytes of the labels file.  The first cases resize each table by -1, +1
+    and to 0 rows, with and without its vocabulary side.  Each command must exit 0 or 2; a traceback or
+    a hang fails the test.
     """
 
     def _raise_hang(self, signum, frame):
@@ -1370,12 +1401,10 @@ class TestCliCheckpointFuzz:
     @staticmethod
     def _directory(meta, gen):
         entry = gen.choice(meta["tensors"])
-        key = gen.choice(["shape", "offset", "name"])
+        key = gen.choice(["shape", "name"])
         if key == "shape" and gen.random() < 0.7:
             dim = gen.randrange(len(entry["shape"]))
             entry["shape"][dim] = gen.choice([entry["shape"][dim] - 1, entry["shape"][dim] + 1, *_CKPT_POOL])
-        elif key == "offset" and gen.random() < 0.5:
-            entry["offset"] += gen.choice([-4, 1, 4])
         elif key == "name" and gen.random() < 0.5:
             entry["name"] = gen.choice([other["name"] for other in meta["tensors"]] + ["renamed"])
         else:
@@ -1428,8 +1457,8 @@ class TestCliCheckpointFuzz:
             bases[task] = (Path(ckpt).read_bytes(), labels.encode())
         tables = {task: ["item_table"] if task == "list-completion" else ["user_table", "item_table"]
                   for task in bases}
-        resizes = [(task, table, rows, keep_vocab) for task in bases for table in tables[task]
-                   for rows in (-1, 1, 0) for keep_vocab in (True, False)]
+        resizes = [(task, table, rows, keep_side) for task in bases for table in tables[task]
+                   for rows in (-1, 1, 0) for keep_side in (True, False)]
         gen = random.Random(1818)
         ckpt, labels = tmp_path / "case.ckpt", tmp_path / "labels.tsv"
         tree = ["--json", str(tmp_path / "t.json"), "--dot", str(tmp_path / "t.dot")]
@@ -1443,14 +1472,14 @@ class TestCliCheckpointFuzz:
                 kind = "resize" if case < len(resizes) else gen.choice(
                     ["directory", "vocab", "resize", "bytes", "labels"])
                 if kind == "resize":
-                    _, table, rows, keep_vocab = resizes[case] if case < len(resizes) else (
+                    _, table, rows, keep_side = resizes[case] if case < len(resizes) else (
                         task, gen.choice(tables[task]), gen.choice([-1, 1, 0]), gen.random() < 0.5)
-                    TestCliTableRows._resize(ckpt, table, rows, keep_vocab)
-                    kind = f"resize {table} {rows:+d} {'with' if keep_vocab else 'without'} vocab"
+                    TestCliTableRows._resize(ckpt, table, rows, keep_side)
+                    kind = f"resize {table} {rows:+d} {'with' if keep_side else 'without'} its vocab side"
                 elif kind == "directory":
-                    _rewrite_meta(ckpt, lambda meta: self._directory(meta, gen))
+                    rewrite_checkpoint(ckpt, lambda meta: self._directory(meta, gen))
                 elif kind == "vocab":
-                    _rewrite_meta(ckpt, lambda meta: self._vocab(meta, gen))
+                    rewrite_checkpoint(ckpt, lambda meta: self._vocab(meta, gen))
                 elif kind == "bytes":
                     ckpt.write_bytes(self._bytes(blob, gen))
                 else:
