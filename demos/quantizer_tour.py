@@ -44,7 +44,7 @@ print(f"l_cage = l_quant + beta * l_commit = {batch_cage_loss_sum(trace, q.beta)
 # and never touches the codebooks; the penalties move codes toward inputs and
 # inputs toward codes.
 grad_z = np.array([1.0, 0.0], dtype=np.float32)
-grad_e, code_grads, _ = ste_backward_batch(q, trace, grad_z[None, :], weight_cage=1.0)
+grad_e, code_grads = ste_backward_batch(q, trace, grad_z[None, :], weight_cage=1.0)
 print("\ngrad_z:", grad_z, "-> grad_e:", grad_e[0].round(3))
 for level, (idx, g) in enumerate(zip(trace.indices[:, 0], code_grads[:, 0]), start=1):
     print(f"  codebook level {level}, row {idx} gets {g.round(3)}")

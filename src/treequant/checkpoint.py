@@ -80,7 +80,7 @@ def load_checkpoint(path) -> Checkpoint:
     except (KeyError, TypeError) as exc:
         raise CorruptPayloadError(f"{path}: incomplete metadata: {exc!r}") from exc
     if not _is_vocab(vocab):
-        raise CorruptPayloadError(f"{path}: vocab must map 'users'/'items' to lists of raw-id strings")
+        raise CorruptPayloadError(f"{path}: vocab must map 'users'/'items' to lists of distinct raw-id strings")
     names = [name for name, _ in directory]
     if len(set(names)) != len(names):
         raise CorruptPayloadError(f"{path}: duplicate tensor names in the directory")
@@ -109,4 +109,5 @@ def load_checkpoint(path) -> Checkpoint:
 
 def _is_vocab(vocab) -> bool:
     return (isinstance(vocab, dict) and set(vocab) <= {"users", "items"}
-            and all(isinstance(ids, list) and set(map(type, ids)) <= {str} for ids in vocab.values()))
+            and all(isinstance(ids, list) and set(map(type, ids)) <= {str} and len(set(ids)) == len(ids)
+                    for ids in vocab.values()))

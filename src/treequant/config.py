@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass, field, make_dataclass
 from .errors import ConfigError
 
 TASKS = ("cf", "ctr", "list-completion")
-FUSION_MODES = ("average", "concat-project")
 DATA_FORMATS = ("generic-tsv", "movielens-100k", "lists")
 
 
@@ -54,7 +53,6 @@ FIELDS = {
         "beta": (NUMBER, 1.0, (">=", 0)),
         "omega_q": (NUMBER, 1.0, (">=", 0)),
         "omega_c": (NUMBER, 1.0, (">=", 0)),
-        "fusion_mode": (one_of(FUSION_MODES), "average", None),
     },
     "model": {
         "dim": (INT, 64, (">=", 1)),

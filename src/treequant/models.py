@@ -93,10 +93,8 @@ def _route(cage: CascadedQuantizer | None, table: EmbeddingTable, idx: np.ndarra
     if cage is None:
         _scatter_rows(table.rows.grad, idx, grad_z)
         return 0.0
-    grad_e, code_grads, grad_proj = ste_backward_batch(cage, trace, grad_z, weight_cage=scale)
+    grad_e, code_grads = ste_backward_batch(cage, trace, grad_z, weight_cage=scale)
     _scatter_rows(table.rows.grad, idx, grad_e)
-    if grad_proj is not None:
-        cage.projection.grad += grad_proj
     if scale != 0.0:
         for cb, rows, grad in zip(cage.codebooks, trace.indices, code_grads):
             _scatter_rows(cb.grad, rows, grad)

@@ -2,7 +2,7 @@
 
 A stack of fine-to-coarse codebooks turns an entity embedding into a path of
 code indices (one per level).  The chosen codes are fused back into the
-embedding through a weighted residual, and two quadratic penalties keep codes
+embedding x as x + alpha * mean(codes), and two quadratic penalties keep codes
 and embeddings attached to each other.  After training, the frozen
 nearest-neighbour assignments form a category tree.
 """
@@ -17,9 +17,6 @@ from .core import Parameter
 from .errors import ConfigError, DimensionError
 from .rng import SeededRng, rng_normal_init
 
-AVERAGE = "average"
-CONCAT_PROJECT = "concat-project"
-
 _BLOCK = 1024  # rows per nearest-code search block; memory is O(block x codes)
 _PAIRS = 4096  # (row, code) pairs per direct recomputation chunk
 _F64_ROUNDOFF = 2.0 ** -53
@@ -33,8 +30,6 @@ class CascadedQuantizer:
     codebooks: list  # level i+1's (size x dim) code vectors at position i, sizes decreasing
     alpha: float = 1.0
     beta: float = 1.0
-    fusion_mode: str = AVERAGE
-    projection: Parameter | None = None
 
     def __post_init__(self):
         if not self.codebooks:
@@ -44,14 +39,6 @@ class CascadedQuantizer:
             raise ConfigError(f"codebook sizes must be strictly decreasing, got {sizes}")
         if self.alpha < 0 or self.beta < 0:
             raise ConfigError("alpha and beta must be >= 0")
-        if self.fusion_mode not in (AVERAGE, CONCAT_PROJECT):
-            raise ConfigError(f"unknown fusion mode {self.fusion_mode!r}")
-        if self.fusion_mode == CONCAT_PROJECT:
-            if self.projection is None:
-                raise ConfigError("concat-project fusion requires a projection parameter")
-            want = (self.depth * self.dim, self.dim)
-            if self.projection.value.shape != want:
-                raise DimensionError(f"projection shape {self.projection.value.shape} != {want}")
 
     @property
     def depth(self) -> int:
@@ -66,26 +53,16 @@ class CascadedQuantizer:
         return [cb.value.shape[0] for cb in self.codebooks]
 
     def parameters(self) -> list:
-        params = list(self.codebooks)
-        if self.projection is not None:
-            params.append(self.projection)
-        return params
+        return list(self.codebooks)
 
 
 def make_quantizer(rng: SeededRng, dim: int, sizes, alpha: float = 1.0, beta: float = 1.0,
-                   fusion_mode: str = AVERAGE, name: str = "cage", init_std: float = 0.01,
-                   stored: dict | None = None) -> CascadedQuantizer:
+                   name: str = "cage", init_std: float = 0.01, stored: dict | None = None) -> CascadedQuantizer:
     """Build a quantizer with normally initialized codebooks; see Parameter.made for stored."""
     books = [Parameter.made(f"{name}.codebook{i}", (v, dim),
                             lambda: rng_normal_init(rng, v, dim, init_std, f"init/{name}/codebook{i}"), stored)
              for i, v in enumerate(sizes, start=1)]
-    proj = None
-    if fusion_mode == CONCAT_PROJECT:
-        h = len(sizes)
-        std = float(np.sqrt(2.0 / (h * dim)))
-        proj = Parameter.made(f"{name}.projection", (h * dim, dim),
-                              lambda: rng_normal_init(rng, h * dim, dim, std, f"init/{name}/projection"), stored)
-    return CascadedQuantizer(codebooks=books, alpha=alpha, beta=beta, fusion_mode=fusion_mode, projection=proj)
+    return CascadedQuantizer(codebooks=books, alpha=alpha, beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +197,6 @@ def _code_paths(q: CascadedQuantizer):
     return paths, dists, parents
 
 
-def _fuse(q: CascadedQuantizer, codes: np.ndarray) -> np.ndarray:
-    """The residual of codes (H, n, d): fused = input + alpha * residual."""
-    if q.fusion_mode == AVERAGE:
-        return codes.mean(axis=0)
-    return codes.transpose(1, 0, 2).reshape(codes.shape[1], -1) @ q.projection.value
-
-
 def _level1(q: CascadedQuantizer, x: np.ndarray):
     """The level-1 search of float32 rows x: (code indices, squared distances)."""
     if x.shape[1] != q.dim:
@@ -246,7 +216,7 @@ def quantize_batch(q: CascadedQuantizer, x: np.ndarray) -> BatchTrace:
     codes = np.stack([cb.value[row] for cb, row in zip(q.codebooks, paths)])  # (H, k1, d)
     return BatchTrace(input=x, indices=np.take(paths, j1, axis=1),
                       sq_dists=np.concatenate([d1[None, :], np.take(dists, j1, axis=1)]),
-                      fused=x + np.float32(q.alpha) * _fuse(q, codes)[j1])
+                      fused=x + np.float32(q.alpha) * codes.mean(axis=0)[j1])
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +242,12 @@ def ste_backward_batch(q: CascadedQuantizer, trace: BatchTrace, grad_z: np.ndarr
                        weight_cage: float = 1.0):
     """Straight-through routing for a batch; pure, the caller scatters the results.
 
-    Returns (grad_e (n, d), code_grads (H, n, d), grad_projection or None):
-    the input gradient, each selected codebook row's gradient per level and
-    row, and in concat-project mode the projection's gradient.  Routing:
+    Returns (grad_e (n, d), code_grads (H, n, d)): the input gradient and
+    each selected codebook row's gradient per level and row.  Routing:
 
-    * task path: the residual plus the straight-through pass of every code
-      term reaches the input; codebook rows get nothing from it.  In
-      concat-project mode the projection gets its exact gradient.
+    * task path: fused = x + alpha * mean(codes), and each code term passes
+      straight through to the input, so the input gets (1 + alpha) * grad_z;
+      codebook rows get nothing from it.
     * quantization penalty (x weight_cage): each selected row is pulled
       toward its (detached) level input.
     * commitment penalty (x weight_cage * beta): each level input is pulled
@@ -287,16 +256,7 @@ def ste_backward_batch(q: CascadedQuantizer, trace: BatchTrace, grad_z: np.ndarr
     """
     grad_z = np.asarray(grad_z, dtype=np.float32)
     n, h = trace.input.shape[0], q.depth
-    alpha = np.float32(q.alpha)
-    grad_proj = None
-
-    if q.fusion_mode == AVERAGE:
-        grad_e = (np.float32(1.0) + alpha) * grad_z
-    else:
-        concat = np.concatenate([cb.value[rows] for cb, rows in zip(q.codebooks, trace.indices)], axis=1)
-        grad_proj = alpha * (concat.T @ grad_z)
-        chunks = (alpha * (grad_z @ q.projection.value.T)).reshape(n, h, q.dim)
-        grad_e = grad_z + chunks.sum(axis=1)
+    grad_e = (np.float32(1.0) + np.float32(q.alpha)) * grad_z
 
     w = np.float32(weight_cage)
     wb = np.float32(weight_cage * q.beta)
@@ -307,7 +267,7 @@ def ste_backward_batch(q: CascadedQuantizer, trace: BatchTrace, grad_z: np.ndarr
         code_grads[i] = w * np.float32(2.0) * (c - prev)
         grad_e = grad_e + wb * np.float32(2.0) * (prev - c)
         prev = c
-    return grad_e, code_grads, grad_proj
+    return grad_e, code_grads
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,8 @@ def build_model(cfg: TrainConfig, n_users: int, n_items: int, stored: dict | Non
 
     def side(role: str, count: int, quantized: bool):
         table = EmbeddingTable.create(rng, count, m.dim, role, m.init_std, stored)
-        cage = make_quantizer(rng, m.dim, c.levels, alpha=c.alpha, beta=c.beta, fusion_mode=c.fusion_mode,
-                              name=f"{role}_cage", init_std=m.init_std, stored=stored) if quantized else None
+        cage = make_quantizer(rng, m.dim, c.levels, alpha=c.alpha, beta=c.beta, name=f"{role}_cage",
+                              init_std=m.init_std, stored=stored) if quantized else None
         return table, cage
 
     if cfg.task == "list-completion":

@@ -156,7 +156,7 @@ class TestEvaluateRanking:
     def test_own_positive_never_a_negative(self):
         # user 0's set lacks the held-out item 4, which is excluded all the same: the
         # 4 negatives of each unit are exactly items 0, 2, 3 and 5, and 5 are more than there are
-        model = _frozen_model("cf", "average", n_users=2, n_items=6, dim=8)
+        model = _frozen_model("cf", n_users=2, n_items=6, dim=8)
         ranked, predict_topk = [], model.predict_topk
 
         def recorded(user, candidates, k):
@@ -202,7 +202,7 @@ class TestEvaluateRankingOracle:
     def _model(cls, kind):
         if kind == "random":
             return _RandomScorer(24, cls.N_ITEMS, seed=11)
-        return _frozen_model(kind, "concat-project", n_users=24, n_items=cls.N_ITEMS, dim=8)
+        return _frozen_model(kind, n_users=24, n_items=cls.N_ITEMS, dim=8)
 
     @classmethod
     def _split(cls, seed):

@@ -13,7 +13,7 @@ from treequant.models import (CfModel, CtrModel, EmbeddingTable, SeqModel,
 from treequant.quantizer import make_quantizer, quantize_batch
 from treequant.rng import SeededRng
 
-from oracles import finite_diff_gradient, trace_codes
+from oracles import finite_diff_gradient
 
 
 def _tables(rng, n_users=8, n_items=12, dim=4, std=0.1):
@@ -100,35 +100,6 @@ class TestCfModel:
         cf_bpr_step(zero_lr, u, p, n)
         denom = np.maximum(np.abs(fd), 1e-2)
         assert np.max(np.abs(grads["user"] - fd) / denom) < 1e-3
-
-    def test_projection_gradient_matches_finite_differences(self):
-        # concat-project fusion: the projection gets l_rec's gradient from both item sides
-        rng = SeededRng(4)
-        users, items = _tables(rng, std=0.5)
-        cage = make_quantizer(rng, 4, [4, 2], alpha=0.8, fusion_mode="concat-project",
-                              name="item_cage", init_std=0.5)
-        model = CfModel(users, items, item_cage=cage, omega_q=0.0, lr=0.0)
-        u, p, n = [0, 1, 2], [2, 3, 3], [4, 5, 6]
-        z_u = users.rows.value[np.array(u)].astype(np.float64)
-        sides = [quantize_batch(cage, items.rows.value[np.array(idx)]) for idx in (p, n)]
-
-        def fused(trace, proj):
-            concat = trace_codes(cage, trace).transpose(1, 0, 2).reshape(len(u), -1).astype(np.float64)
-            return trace.input.astype(np.float64) + 0.8 * concat @ proj
-
-        def f(proj):
-            z_p, z_n = fused(sides[0], proj), fused(sides[1], proj)
-            margin = (z_u * z_p).sum(axis=1) - (z_u * z_n).sum(axis=1)
-            return float(np.mean(np.logaddexp(0.0, -margin)))
-
-        fd = finite_diff_gradient(f, cage.projection.value.astype(np.float64), h=1e-3)
-        grads = {}
-        original = model.optimizer.step
-        model.optimizer.step = lambda: grads.update(proj=cage.projection.grad.copy()) or original()
-        cf_bpr_step(model, u, p, n)
-        denom = np.maximum(np.abs(fd), 1e-2)
-        assert np.abs(fd).max() > 1e-2
-        assert np.max(np.abs(grads["proj"] - fd) / denom) < 1e-3
 
 
 class TestCfAblation:
@@ -388,12 +359,11 @@ class _PerCall:
         return self.model.predict_completion(prefix, k, exclude)
 
 
-def _frozen_model(task, fusion_mode, seed=3, n_users=30, n_items=40, dim=32, sizes=(6, 3)):
+def _frozen_model(task, seed=3, n_users=30, n_items=40, dim=32, sizes=(6, 3)):
     rng = SeededRng(seed)
 
     def cage(name):
-        return make_quantizer(rng, dim, list(sizes), alpha=0.8, fusion_mode=fusion_mode,
-                              name=name, init_std=0.3)
+        return make_quantizer(rng, dim, list(sizes), alpha=0.8, name=name, init_std=0.3)
 
     items = EmbeddingTable.create(rng, n_items, dim, "item", init_std=0.3)
     if task == "seq":
@@ -433,14 +403,10 @@ def count_quantize(monkeypatch):
     return calls
 
 
-FUSION_MODES = ["average", "concat-project"]
-
-
 class TestFrozenScope:
-    @pytest.mark.parametrize("fusion_mode", FUSION_MODES)
     @pytest.mark.parametrize("task", ["cf", "ctr"])
-    def test_ranking_report_equals_per_call(self, task, fusion_mode, count_quantize):
-        model = _frozen_model(task, fusion_mode)
+    def test_ranking_report_equals_per_call(self, task, count_quantize):
+        model = _frozen_model(task)
         split = [(u, (3 * u) % 40) for u in range(30)]
         frozen = evaluate_ranking(model, split, 20, [1, 5, 10], SeededRng(4).stream("eval-negatives"))
         n_frozen = len(count_quantize)
@@ -450,18 +416,16 @@ class TestFrozenScope:
         assert count_quantize[:n_frozen] == [30, 40]
         assert len(count_quantize) == 2 + 2 * len(split)
 
-    @pytest.mark.parametrize("fusion_mode", FUSION_MODES)
-    def test_completion_report_equals_per_call(self, fusion_mode, count_quantize):
-        model = _frozen_model("seq", fusion_mode)
+    def test_completion_report_equals_per_call(self, count_quantize):
+        model = _frozen_model("seq")
         split = _completion_split()
         frozen = evaluate_completion(model, split, [1, 5, 10])
         assert count_quantize == [40]
         reference = evaluate_completion(_PerCall(model), split, [1, 5, 10])
         assert frozen == reference
 
-    @pytest.mark.parametrize("fusion_mode", FUSION_MODES)
-    def test_fused_rows_equal_quantize_batch(self, fusion_mode):
-        model = _frozen_model("cf", fusion_mode)
+    def test_fused_rows_equal_quantize_batch(self):
+        model = _frozen_model("cf")
         gen = np.random.default_rng(0)
         with model.frozen():
             # the 1-row cases guard row-count independence: a row's result must not depend on its call's size
@@ -473,14 +437,13 @@ class TestFrozenScope:
                     assert np.array_equal(got, want.fused)
                     assert trace is None
 
-    @pytest.mark.parametrize("fusion_mode", FUSION_MODES)
-    def test_ctr_and_seq_forward_unchanged_inside_scope(self, fusion_mode):
-        ctr = _frozen_model("ctr", fusion_mode)
+    def test_ctr_and_seq_forward_unchanged_inside_scope(self):
+        ctr = _frozen_model("ctr")
         u, i = np.arange(30) % 30, (7 * np.arange(30)) % 40
         outside = ctr.score(u, i)[0]
         with ctr.frozen():
             assert np.array_equal(ctr.score(u, i)[0], outside)
-        seq = _frozen_model("seq", fusion_mode)
+        seq = _frozen_model("seq")
         prefixes = [p for p, _ in _completion_split(n_units=8)]
         outside = seq.encode(prefixes)[0]
         with seq.frozen():
@@ -488,7 +451,7 @@ class TestFrozenScope:
 
     @pytest.mark.parametrize("fail", [False, True])
     def test_tables_dropped_on_exit(self, fail):
-        model = _frozen_model("cf", "average")
+        model = _frozen_model("cf")
         candidates = list(range(40))
         with pytest.raises(RuntimeError) if fail else contextlib.nullcontext():
             with model.frozen():
@@ -528,24 +491,23 @@ class TestSkeleton:
                 SeqModel(items, make_mlp_params(rng, [4, 6, 4], name="encoder"),
                          tree_heads=make_tree_heads(rng, 4, [3, 2]), **bad)
 
-    @pytest.mark.parametrize("task, fusion_mode, names", [
-        ("cf", "concat-project",
+    @pytest.mark.parametrize("task, names", [
+        ("cf",
          ["user_table", "item_table",
-          "user_cage.codebook1", "user_cage.codebook2", "user_cage.projection",
-          "item_cage.codebook1", "item_cage.codebook2", "item_cage.projection"]),
-        ("ctr", "average",
+          "user_cage.codebook1", "user_cage.codebook2", "item_cage.codebook1", "item_cage.codebook2"]),
+        ("ctr",
          ["user_table", "item_table",
           "scorer.layer0.weight", "scorer.layer0.bias", "scorer.layer1.weight", "scorer.layer1.bias",
           "user_cage.codebook1", "user_cage.codebook2", "item_cage.codebook1", "item_cage.codebook2"]),
-        ("seq", "average",
+        ("seq",
          ["item_table",
           "encoder.layer0.weight", "encoder.layer0.bias", "encoder.layer1.weight", "encoder.layer1.bias",
           "tree_head1.weight", "tree_head1.bias", "tree_head2.weight", "tree_head2.bias",
           "item_cage.codebook1", "item_cage.codebook2"]),
     ])
-    def test_parameter_order(self, task, fusion_mode, names):
+    def test_parameter_order(self, task, names):
         """Checkpoints store their tensors in this order, and Adam keeps one slot per name."""
-        model = _frozen_model(task, fusion_mode)
+        model = _frozen_model(task)
         assert list(model.named_parameters()) == names
         assert [p.name for p, _ in model.optimizer.slots] == names
 
@@ -645,22 +607,21 @@ def _assert_steps_match_oracle(model, task, count_quantize, monkeypatch):
 
 class TestStepEqualsPerOccurrence:
     @pytest.mark.parametrize("omega_q", [0.0, 0.7])
-    @pytest.mark.parametrize("fusion_mode", FUSION_MODES)
     @pytest.mark.parametrize("task", ["cf", "ctr", "seq"])
-    def test_bit_identical_to_oracle(self, task, fusion_mode, omega_q, count_quantize, monkeypatch):
-        model = _frozen_model(task, fusion_mode)
+    def test_bit_identical_to_oracle(self, task, omega_q, count_quantize, monkeypatch):
+        model = _frozen_model(task)
         model.omega_q = omega_q
         _assert_steps_match_oracle(model, task, count_quantize, monkeypatch)
 
     @pytest.mark.parametrize("task", ["cf", "ctr"])
     def test_quantizer_free_side(self, task, count_quantize, monkeypatch):
-        model = _frozen_model(task, "average")
+        model = _frozen_model(task)
         model.omega_q = 0.7
         model.user_cage = None  # the user side scatters grad_z straight into its table
         _assert_steps_match_oracle(model, task, count_quantize, monkeypatch)
 
     def test_duplicates_share_one_cascade_row(self, count_quantize):
-        model = _frozen_model("cf", "average")
+        model = _frozen_model("cf")
         cf_bpr_step(model, [3, 3, 3, 3], [1, 2, 1, 2], [2, 1, 2, 1])
         assert count_quantize == [1, 2]
 

@@ -7,7 +7,7 @@ import pytest
 from treequant.core import Parameter
 from treequant.errors import ConfigError, DimensionError
 from treequant.models import EmbeddingTable, _route
-from treequant.quantizer import (_BLOCK, AVERAGE, CONCAT_PROJECT, CascadedQuantizer,
+from treequant.quantizer import (_BLOCK, CascadedQuantizer,
                                  batch_cage_loss_sum, code_purity,
                                  codebook_utilization, extract_tree,
                                  make_quantizer, quantize_batch,
@@ -22,10 +22,9 @@ def book(rows, name="cb"):
     return Parameter(np.array(rows, dtype=np.float32), name=name)
 
 
-def quantizer(levels, alpha=1.0, beta=1.0, fusion_mode=AVERAGE, projection=None):
+def quantizer(levels, alpha=1.0, beta=1.0):
     books = [book(rows, name=f"cb{i + 1}") for i, rows in enumerate(levels)]
-    return CascadedQuantizer(codebooks=books, alpha=alpha, beta=beta,
-                             fusion_mode=fusion_mode, projection=projection)
+    return CascadedQuantizer(codebooks=books, alpha=alpha, beta=beta)
 
 
 def oracle_nearest(entries, e):
@@ -365,18 +364,6 @@ class TestFuseCodes:
             trace = quantize_batch(q, e[None, :])
             assert np.allclose(trace.fused[0], (1 + alpha) * e)
 
-    def test_missing_projection_rejected(self):
-        with pytest.raises(ConfigError):
-            quantizer([[[0.0, 0.0]]], fusion_mode=CONCAT_PROJECT)
-
-    def test_concat_identity_projection_matches_average_at_h1(self):
-        proj = Parameter(np.eye(2, dtype=np.float32), name="proj")
-        qa = quantizer([[[0.3, 0.4], [2.0, 2.0]]], alpha=0.8)
-        qc = quantizer([[[0.3, 0.4], [2.0, 2.0]]], alpha=0.8,
-                       fusion_mode=CONCAT_PROJECT, projection=proj)
-        e = np.array([[0.2, 0.5]], dtype=np.float32)
-        assert np.allclose(quantize_batch(qa, e).fused, quantize_batch(qc, e).fused, atol=1e-7)
-
     def test_fusion_recomputed_from_codes(self):
         q = make_quantizer(SeededRng(4), 4, [4, 2], alpha=1.3)
         e = (np.arange(4, dtype=np.float32) / 4)[None, :]
@@ -433,44 +420,35 @@ def commit_surrogate(q, trace, weight):
 
 
 def reference_ste_backward(trace, i, q, grad_z, weight_cage):
-    """The routing loop over row i of a trace: (grad_e, {(level, row): code grad}, grad_projection)."""
+    """The routing loop over row i of a trace: (grad_e, {(level, row): code grad})."""
     grad_z = np.asarray(grad_z, dtype=np.float32).reshape(-1)
-    h = q.depth
-    alpha = np.float32(q.alpha)
     codes = trace_codes(q, trace)[:, i]
     code_grads = {}
-    grad_proj = None
-    if q.fusion_mode == AVERAGE:
-        grad_e = (np.float32(1.0) + alpha) * grad_z
-    else:
-        concat = codes.reshape(-1)
-        grad_proj = alpha * np.outer(concat, grad_z).astype(np.float32)
-        chunks = (alpha * (q.projection.value @ grad_z)).reshape(h, q.dim)
-        grad_e = grad_z + chunks.sum(axis=0)
+    grad_e = (np.float32(1.0) + np.float32(q.alpha)) * grad_z
     w = np.float32(weight_cage)
     wb = np.float32(weight_cage * q.beta)
     prev = trace.input[i]
-    for level in range(h):
+    for level in range(q.depth):
         c = codes[level]
         key = (level + 1, int(trace.indices[level, i]))
         code_grads[key] = code_grads.get(key, 0.0) + w * np.float32(2.0) * (c - prev)
         grad_e = grad_e + wb * np.float32(2.0) * (prev - c)
         prev = c
-    return grad_e, code_grads, grad_proj
+    return grad_e, code_grads
 
 
 class TestSteBackward:
     def test_task_path_identity_average(self):
         q = quantizer([[[0.0, 0.0], [3.0, 3.0]]], alpha=1.0, beta=0.0)
         trace = quantize_batch(q, np.array([[5.0, 5.0]], dtype=np.float32))
-        grad_e, code_grads, _ = ste_backward_batch(q, trace, np.array([[1.0, 2.0]]), weight_cage=0.0)
+        grad_e, code_grads = ste_backward_batch(q, trace, np.array([[1.0, 2.0]]), weight_cage=0.0)
         assert np.allclose(grad_e, [[2.0, 4.0]])
         assert not np.any(code_grads)
 
     def test_quant_and_commit_routing_single_level(self):
         q = quantizer([[[0.0, 0.0]]], alpha=0.0, beta=1.0)
         trace = quantize_batch(q, np.array([[1.0, 0.0]], dtype=np.float32))
-        grad_e, code_grads, _ = ste_backward_batch(q, trace, np.zeros((1, 2)), weight_cage=1.0)
+        grad_e, code_grads = ste_backward_batch(q, trace, np.zeros((1, 2)), weight_cage=1.0)
         assert trace.indices.tolist() == [[0]]
         assert np.allclose(code_grads[0, 0], [-2.0, 0.0])
         assert np.allclose(grad_e, [[2.0, 0.0]])
@@ -479,7 +457,7 @@ class TestSteBackward:
         q = quantizer([[[0.5, 0.5], [2.0, 2.0]]], alpha=0.0)
         trace = quantize_batch(q, np.array([[0.4, 0.4]], dtype=np.float32))
         grad_z = np.array([[0.3, -0.7]], dtype=np.float32)
-        grad_e, code_grads, _ = ste_backward_batch(q, trace, grad_z, weight_cage=0.0)
+        grad_e, code_grads = ste_backward_batch(q, trace, grad_z, weight_cage=0.0)
         assert np.array_equal(grad_e, grad_z)
         assert not np.any(code_grads)
 
@@ -494,9 +472,9 @@ class TestSteBackward:
         e = gen.normal(size=(1, d)).astype(np.float32)
         grad_z = gen.normal(size=(1, d)).astype(np.float32)
         trace = quantize_batch(q, e)
-        grad_e, _, _ = ste_backward_batch(q, trace, grad_z, weight_cage=0.0)
+        grad_e, _ = ste_backward_batch(q, trace, grad_z, weight_cage=0.0)
         q.beta = 0.0
-        grad_e_no_losses, _, _ = ste_backward_batch(q, trace, grad_z, weight_cage=0.0)
+        grad_e_no_losses, _ = ste_backward_batch(q, trace, grad_z, weight_cage=0.0)
         assert np.allclose(grad_e_no_losses, (1 + alpha) * grad_z, atol=1e-6)
         assert np.allclose(grad_e, grad_e_no_losses, atol=1e-6)
 
@@ -511,7 +489,7 @@ class TestSteBackward:
         q = make_quantizer(SeededRng(trial), d, [int(s) for s in sizes], alpha=0.0, beta=beta)
         e = gen.normal(size=d).astype(np.float32)
         trace = quantize_batch(q, e[None, :])
-        grad_e, _, _ = ste_backward_batch(q, trace, np.zeros((1, d)), weight_cage=omega_q)
+        grad_e, _ = ste_backward_batch(q, trace, np.zeros((1, d)), weight_cage=omega_q)
         # remove the quantization term's absence: grad_e here is commit-only
         fd = finite_diff_gradient(commit_surrogate(q, trace, omega_q * beta),
                                   e.astype(np.float64), h=1e-3).reshape(-1)
@@ -529,7 +507,7 @@ class TestSteBackward:
         q.beta = 0.0
         e = gen.normal(size=(1, d)).astype(np.float32)
         trace = quantize_batch(q, e)
-        _, code_grads, _ = ste_backward_batch(q, trace, np.zeros((1, d)), weight_cage=omega_q)
+        _, code_grads = ste_backward_batch(q, trace, np.zeros((1, d)), weight_cage=omega_q)
         codes = trace_codes(q, trace)[:, 0].astype(np.float64)
         inputs = [e[0].astype(np.float64)] + list(codes[:-1])
         for level in range(1, h + 1):
@@ -555,54 +533,18 @@ class TestSteBackward:
                     assert not cb.grad[row].any()
 
     def test_batch_routing_matches_single(self):
-        for fusion_mode in (AVERAGE, CONCAT_PROJECT):
-            q = make_quantizer(SeededRng(12), 4, [6, 2], alpha=0.9, beta=0.7, fusion_mode=fusion_mode)
-            gen = np.random.default_rng(12)
-            x = gen.normal(size=(5, 4)).astype(np.float32)
-            gz = gen.normal(size=(5, 4)).astype(np.float32)
-            bt = quantize_batch(q, x)
-            grad_e_batch, code_grads, grad_proj = ste_backward_batch(q, bt, gz, weight_cage=0.4)
-            proj_sum = 0.0
-            for i in range(5):
-                single, single_codes, single_proj = reference_ste_backward(bt, i, q, gz[i], 0.4)
-                assert np.allclose(grad_e_batch[i], single, atol=1e-6)
-                for level in range(q.depth):
-                    key = (level + 1, int(bt.indices[level, i]))
-                    assert np.allclose(code_grads[level, i], single_codes[key], atol=1e-6)
-                if single_proj is not None:
-                    proj_sum = proj_sum + single_proj
-            assert (grad_proj is None) == (fusion_mode == AVERAGE)
-            if grad_proj is not None:
-                assert np.allclose(grad_proj, proj_sum, atol=1e-6)
-
-    def test_concat_projection_gradient(self):
-        d, h = 3, 2
-        gen = np.random.default_rng(9)
-        proj = Parameter(gen.normal(size=(h * d, d)).astype(np.float32), name="proj")
-        q = quantizer([
-            gen.normal(size=(4, d)).tolist(),
-            gen.normal(size=(2, d)).tolist(),
-        ], alpha=0.6, beta=0.0, fusion_mode=CONCAT_PROJECT, projection=proj)
-        e = gen.normal(size=(1, d)).astype(np.float32)
-        trace = quantize_batch(q, e)
-        grad_z = gen.normal(size=d).astype(np.float32)
-        q.beta = 0.0
-        grad_e, _, grad_proj = ste_backward_batch(q, trace, grad_z[None, :], weight_cage=0.0)
-
-        concat = trace_codes(q, trace)[:, 0].reshape(-1).astype(np.float64)
-
-        def fused_surrogate(p64):
-            # z as a function of the projection, selections frozen
-            return float(np.dot(concat @ p64, grad_z.astype(np.float64))) * 0.6
-
-        fd = finite_diff_gradient(lambda p: fused_surrogate(p) / 0.6 * 0.6,
-                                  proj.value.astype(np.float64), h=1e-3)
-        assert np.max(np.abs(grad_proj - fd)) < 1e-3
-
-        # task gradient to e: direct residual plus one chunk per level
-        chunks = (0.6 * (proj.value.astype(np.float64) @ grad_z)).reshape(h, d)
-        expected = grad_z + chunks.sum(axis=0)
-        assert np.allclose(grad_e[0], expected, atol=1e-5)
+        q = make_quantizer(SeededRng(12), 4, [6, 2], alpha=0.9, beta=0.7)
+        gen = np.random.default_rng(12)
+        x = gen.normal(size=(5, 4)).astype(np.float32)
+        gz = gen.normal(size=(5, 4)).astype(np.float32)
+        bt = quantize_batch(q, x)
+        grad_e_batch, code_grads = ste_backward_batch(q, bt, gz, weight_cage=0.4)
+        for i in range(5):
+            single, single_codes = reference_ste_backward(bt, i, q, gz[i], 0.4)
+            assert np.allclose(grad_e_batch[i], single, atol=1e-6)
+            for level in range(q.depth):
+                key = (level + 1, int(bt.indices[level, i]))
+                assert np.allclose(code_grads[level, i], single_codes[key], atol=1e-6)
 
 
 class TestExtractTree:
@@ -653,9 +595,8 @@ def assert_tree_is_the_cascade(q, emb):
 
 
 class TestTreeIsTheCascade:
-    @pytest.mark.parametrize("fusion_mode", [AVERAGE, CONCAT_PROJECT])
-    def test_duplicated_codes(self, fusion_mode):
-        q = make_quantizer(SeededRng(34), 16, [64, 8, 2], fusion_mode=fusion_mode)
+    def test_duplicated_codes(self):
+        q = make_quantizer(SeededRng(34), 16, [64, 8, 2])
         coarse, fine = q.codebooks[1].value, q.codebooks[0].value
         coarse[5] = coarse[2]
         fine[:6] = coarse[2]  # children on a duplicated parent: ties go to the lowest index
@@ -666,38 +607,15 @@ class TestTreeIsTheCascade:
         assert np.all(tree.paths[:20, 0] == 9)
         assert tree.parents[0][:6].tolist() == [2] * 6
 
-    @pytest.mark.parametrize("fusion_mode", [AVERAGE, CONCAT_PROJECT])
-    def test_single_level(self, fusion_mode):
-        q = make_quantizer(SeededRng(35), 8, [5], fusion_mode=fusion_mode)
+    def test_single_level(self):
+        q = make_quantizer(SeededRng(35), 8, [5])
         emb = np.random.default_rng(35).normal(size=(30, 8)).astype(np.float32) * 0.01
         assert assert_tree_is_the_cascade(q, emb).parents == []
 
-    @pytest.mark.parametrize("fusion_mode", [AVERAGE, CONCAT_PROJECT])
-    def test_random_codebooks(self, fusion_mode):
-        q = make_quantizer(SeededRng(36), 8, [12, 5, 2], fusion_mode=fusion_mode, init_std=0.5)
+    def test_random_codebooks(self):
+        q = make_quantizer(SeededRng(36), 8, [12, 5, 2], init_std=0.5)
         emb = np.random.default_rng(36).normal(size=(50, 8)).astype(np.float32)
         assert_tree_is_the_cascade(q, emb)
-
-
-@pytest.fixture(scope="module")
-def concat_table():
-    q = make_quantizer(SeededRng(37), 64, [256, 32, 8], fusion_mode=CONCAT_PROJECT)
-    table = np.random.default_rng(37).normal(size=(3000, 64)).astype(np.float32) * 0.01
-    return q, table, quantize_batch(q, table)
-
-
-class TestRowCountIndependence:
-    @pytest.mark.parametrize("n", [1, 2, 5, 17, 100, 999])
-    def test_concat_project_rows_equal_the_whole_table_pass(self, concat_table, n):
-        q, table, full = concat_table
-        gen = np.random.default_rng(n)
-        for _ in range(7):
-            idx = gen.choice(table.shape[0], size=n, replace=False)
-            part = quantize_batch(q, table[idx])
-            assert np.array_equal(part.indices, full.indices[:, idx])
-            assert np.array_equal(part.sq_dists, full.sq_dists[:, idx])
-            assert np.array_equal(trace_codes(q, part), trace_codes(q, full)[:, idx])
-            assert np.array_equal(part.fused, full.fused[idx])
 
 
 class TestDiagnostics:

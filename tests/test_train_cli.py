@@ -81,6 +81,13 @@ class TestConfig:
                 "data": {"path": "x"},
                 "model": {"seed": 0, "learning_rate": 0.1},
             })
+        with pytest.raises(ConfigError, match=re.escape("unknown key(s) in cage: ['fusion_mode']")):
+            config_from_dict({
+                "task": "cf",
+                "data": {"path": "x"},
+                "cage": {"fusion_mode": "average"},
+                "model": {"seed": 0},
+            })
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -556,8 +563,32 @@ class TestMalformedVocab:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "vocab must map" in err
 
+    def test_repeated_raw_id_refused(self, ckpt, tmp_path, capsys):
+        # two table rows under one raw id: a label or a tree path could name either row
+        def repeat_first_item(meta):
+            meta["vocab"]["items"][1] = meta["vocab"]["items"][0]
+
+        rewrite_checkpoint(ckpt, repeat_first_item)
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("i1\tcat0\n")
+        for argv in (["inspect-codes", "--labels", str(labels)],
+                     ["export-tree", "--json", str(tmp_path / "t.json"), "--dot", str(tmp_path / "t.dot")]):
+            assert main([*argv, "--checkpoint", str(ckpt)]) == 2
+            assert capsys.readouterr().err == (f"error: {ckpt}: vocab must map 'users'/'items' "
+                                               "to lists of distinct raw-id strings\n")
+        assert not (tmp_path / "t.json").exists()
+
 
 class TestCliTypedErrors:
+    def test_stored_fusion_mode_refused(self, tmp_path, capsys):
+        # the stored config of a checkpoint written while cage.fusion_mode was a key
+        ckpt = TestCli()._train(tmp_path)
+        rewrite_checkpoint(ckpt, lambda meta: meta["config"]["cage"].update(fusion_mode="average"))
+        for argv in (["evaluate"],
+                     ["export-tree", "--json", str(tmp_path / "t.json"), "--dot", str(tmp_path / "t.dot")]):
+            assert main([*argv, "--checkpoint", str(ckpt)]) == 2
+            assert capsys.readouterr().err == "error: unknown key(s) in cage: ['fusion_mode']\n"
+
     def test_too_many_negatives(self, tmp_path, capsys):
         ckpt = TestCli()._train(tmp_path)
         rc = main(["evaluate", "--checkpoint", str(ckpt), "--n-negatives", "50"])
@@ -963,9 +994,8 @@ class _NoNormalDraw:
         raise AssertionError("a normal draw while loading a checkpoint")
 
 
-@pytest.mark.parametrize("task, fusion_mode", [("cf", "concat-project"), ("ctr", "average"),
-                                               ("list-completion", "average")])
-def test_model_from_checkpoint_holds_the_stored_tensors(tmp_path, monkeypatch, task, fusion_mode):
+@pytest.mark.parametrize("task", ["cf", "ctr", "list-completion"])
+def test_model_from_checkpoint_holds_the_stored_tensors(tmp_path, monkeypatch, task):
     """Every parameter of a reloaded model is its stored tensor, and nothing is drawn."""
     data = tmp_path / "data"
     if task == "list-completion":
@@ -973,7 +1003,7 @@ def test_model_from_checkpoint_holds_the_stored_tensors(tmp_path, monkeypatch, t
     else:
         _write_interactions(data)
     doc = _cfg(data, task=task, epochs=1).to_dict()
-    doc["cage"].update(user_enabled=task != "list-completion", fusion_mode=fusion_mode)
+    doc["cage"].update(user_enabled=task != "list-completion")
     ckpt = load_checkpoint(run_train(config_from_dict(doc), out_dir=str(tmp_path / "run")).checkpoint_path)
     monkeypatch.setattr(SeededRng, "stream", lambda self, name: _NoNormalDraw())
     named = model_from_checkpoint(ckpt)[0].named_parameters()
