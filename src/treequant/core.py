@@ -66,13 +66,12 @@ class Adam:
     def step(self):
         """One update of every parameter whose gradient is not all zero; zeroes the gradients.
 
-        Every gradient is checked finite before anything changes.  Float32
-        overflow past that point is silent, as IEEE gives it: a square past
-        the range makes v inf, and an inf or NaN left in a value is reported
-        by run_train's divergence check.  An all-zero gradient (+-0 only)
-        leaves its parameter and moments untouched.  In place, with one
-        parameter-sized temporary and the gradient buffer as scratch, the
-        float32 operations and their order are those of
+        Every gradient is checked finite before anything changes.  A square
+        past float32 sets its v entry to inf without a warning: that entry
+        never moves again, and run_train reports it as divergence.  An all-zero
+        gradient (+-0 only) leaves its parameter and moments untouched.  In
+        place, with one parameter-sized temporary and the gradient buffer as
+        scratch, the float32 operations and their order are those of
             m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
             value = value - lr*m_hat / (sqrt(v_hat) + eps)
         with m_hat = m / (1 - b1**t) and v_hat = v / (1 - b2**t).
@@ -87,26 +86,26 @@ class Adam:
             touched.append(not high == low == 0)
         self.t += 1
         b1, b2 = np.float32(BETA1), np.float32(BETA2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for (p, (m, v)), moved in zip(self.slots, touched):
-                if not moved:
-                    continue
-                g, tmp = p.grad, np.empty_like(p.value)
-                np.multiply(np.float32(1.0) - b1, g, out=tmp)
-                m *= b1
-                m += tmp
+        for (p, (m, v)), moved in zip(self.slots, touched):
+            if not moved:
+                continue
+            g, tmp = p.grad, np.empty_like(p.value)
+            np.multiply(np.float32(1.0) - b1, g, out=tmp)
+            m *= b1
+            m += tmp
+            with np.errstate(over="ignore"):
                 np.multiply(g, g, out=tmp)
-                tmp *= np.float32(1.0) - b2
-                v *= b2
-                v += tmp
-                np.divide(m, np.float32(1.0 - BETA1 ** self.t), out=tmp)
-                tmp *= np.float32(self.lr)
-                np.divide(v, np.float32(1.0 - BETA2 ** self.t), out=g)
-                np.sqrt(g, out=g)
-                g += np.float32(EPS)
-                tmp /= g
-                p.value -= tmp
-                g[...] = 0.0
+            tmp *= np.float32(1.0) - b2
+            v *= b2
+            v += tmp
+            np.divide(m, np.float32(1.0 - BETA1 ** self.t), out=tmp)
+            tmp *= np.float32(self.lr)
+            np.divide(v, np.float32(1.0 - BETA2 ** self.t), out=g)
+            np.sqrt(g, out=g)
+            g += np.float32(EPS)
+            tmp /= g
+            p.value -= tmp
+            g[...] = 0.0
 
 
 # ---------------------------------------------------------------------------

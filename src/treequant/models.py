@@ -152,7 +152,7 @@ class _Model:
             params.extend([w, b])
         for _, cage in self.sides:
             if cage is not None:
-                params.extend(cage.parameters())
+                params.extend(cage.codebooks)
         return params
 
     def named_parameters(self) -> dict:

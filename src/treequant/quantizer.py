@@ -52,9 +52,6 @@ class CascadedQuantizer:
     def level_sizes(self) -> list:
         return [cb.value.shape[0] for cb in self.codebooks]
 
-    def parameters(self) -> list:
-        return list(self.codebooks)
-
 
 def make_quantizer(rng: SeededRng, dim: int, sizes, alpha: float = 1.0, beta: float = 1.0,
                    name: str = "cage", init_std: float = 0.01, stored: dict | None = None) -> CascadedQuantizer:

@@ -253,6 +253,10 @@ def _train(cfg: TrainConfig, model, ds, result: TrainResult, rng: SeededRng, log
     diverged = [name for name, p in model.named_parameters().items() if not np.isfinite(p.value).all()]
     if diverged:
         raise DivergenceError(f"non-finite parameters after training: {', '.join(diverged)}")
+    # an inf second moment freezes its weight entry while the loss stays finite
+    stalled = [p.name for p, (_, v) in model.optimizer.slots if not np.isfinite(v).all()]
+    if stalled:
+        raise DivergenceError(f"non-finite Adam second moment after training: {', '.join(stalled)}")
 
 
 def _evaluate(cfg: TrainConfig, model, ds, pairs, stream: str) -> MetricReport:

@@ -212,15 +212,6 @@ class TestAdamOracle:
         assert got.value.tobytes() == want.value.tobytes()
         assert opt.slots[0][1][1].tobytes() == want_v.tobytes()
 
-    def test_overflowing_update_is_silent(self):
-        """With RuntimeWarnings as errors, an update that overflows float32 still completes; the
-        inf and NaN it leaves are the training loop's divergence check to report."""
-        p = Parameter(np.ones((4, 3), dtype=np.float32), name="w")
-        opt = Adam([p], lr=2.0 ** 40)
-        p.grad[...] = np.float32(3.0e38)
-        opt.step()
-        assert opt.t == 1 and np.isinf(opt.slots[0][1][1]).all() and np.isnan(p.value).all()
-
 
 class TestMlp:
     def test_identity_single_layer(self):

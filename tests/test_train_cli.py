@@ -709,6 +709,23 @@ class TestCliDivergedScores:
             run_train(config_from_dict(doc))
 
 
+class TestCliStalledMoments:
+    """A gradient whose square passes float32 sets Adam's v to inf and freezes those weight entries.
+
+    The loss and every weight stay finite, so only the second-moment check that ends
+    training finds it: a typed error with no checkpoint, and no warning escapes.
+    """
+
+    def test_is_typed_error(self, tmp_path, capsys):
+        data = tmp_path / "d.tsv"
+        _write_interactions(data)
+        doc = _cfg(data, task="ctr", epochs=1, lr=2.0 ** 40).to_dict()
+        assert _train_exit(tmp_path, doc) == 2
+        error = "non-finite Adam second moment after training: user_table, item_table, mlp.layer0.weight"
+        assert capsys.readouterr().err.startswith(f"error: {error}")
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
 class TestCliDamagedCheckpoint:
     """A payload that is not what the directory declares, or not finite, fails every command that loads it."""
 
