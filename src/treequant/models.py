@@ -27,10 +27,16 @@ from .rng import SeededRng, normal_draw, rng_normal_init
 
 @dataclass
 class EmbeddingTable:
-    count: int
-    dim: int
     rows: Parameter
     role: str
+
+    @property
+    def count(self) -> int:
+        return self.rows.value.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.rows.value.shape[1]
 
     @classmethod
     def create(cls, rng: SeededRng, count: int, dim: int, role: str, init_std: float = 0.01,
@@ -39,7 +45,7 @@ class EmbeddingTable:
         name = f"{role}_table"
         rows = Parameter.made(name, (count, dim), lambda: rng_normal_init(rng, count, dim, init_std, f"init/{name}"),
                               stored)
-        return cls(count=count, dim=dim, rows=rows, role=role)
+        return cls(rows=rows, role=role)
 
 
 def _check_indices(idx: np.ndarray, limit: int, what: str):
@@ -56,15 +62,6 @@ def _gather_rows(full: BatchTrace, idx: np.ndarray):
     trace = BatchTrace(input=full.input[idx], indices=np.take(full.indices, idx, axis=1),
                        sq_dists=np.take(full.sq_dists, idx, axis=1), fused=full.fused[idx])
     return trace.fused, trace
-
-
-def _check_topk(candidates, n_items: int, k: int) -> np.ndarray:
-    candidates = _check_indices(np.asarray(candidates), n_items, "item")
-    if candidates.size == 0:
-        raise ValueError("candidates must be nonempty")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return candidates
 
 
 def _scatter_rows(grad: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
@@ -117,15 +114,19 @@ def _rank(candidates: np.ndarray, scores: np.ndarray, k: int):
 class _Model:
     """ID tables, each with an optional quantizer, plus the backbone's own layers.
 
-    A subclass sets its tables and quantizers, then calls this constructor,
-    which checks them and builds the Adam optimizer over parameters().
+    The constructor takes the user table (None for the list model), the item
+    table, both quantizers and the backbone's (weight, bias) layer pairs in
+    checkpoint order, checks them and builds Adam over parameters().
     """
 
     _frozen = None  # table role -> whole-table fused rows, only inside frozen()
 
-    def __init__(self, omega_q: float, lr: float):
+    def __init__(self, users: EmbeddingTable | None, items: EmbeddingTable, user_cage: CascadedQuantizer | None,
+                 item_cage: CascadedQuantizer | None, layers: list, omega_q: float, lr: float):
         if omega_q < 0:
             raise ValueError("omega_q must be >= 0")
+        self.users, self.items, self.user_cage, self.item_cage = users, items, user_cage, item_cage
+        self.layers = layers
         for table, cage in self.sides:
             if cage is not None and cage.dim != table.dim:
                 raise DimensionError("quantizer dim does not match embedding dim")
@@ -135,11 +136,8 @@ class _Model:
     @property
     def sides(self) -> list:
         """(table, quantizer or None) for each ID table, users before items."""
-        return [(self.users, self.user_cage), (self.items, self.item_cage)]
-
-    def _layer_params(self) -> list:
-        """(weight, bias) Parameter pairs of the backbone's own layers."""
-        return []
+        return [(table, cage) for table, cage in ((self.users, self.user_cage), (self.items, self.item_cage))
+                if table is not None]
 
     @property
     def n_items(self) -> int:
@@ -148,7 +146,7 @@ class _Model:
     def parameters(self) -> list:
         """Table rows, then the layers, then each quantizer's: the checkpoint payload order."""
         params = [table.rows for table, _ in self.sides]
-        for w, b in self._layer_params():
+        for w, b in self.layers:
             params.extend([w, b])
         for _, cage in self.sides:
             if cage is not None:
@@ -191,9 +189,6 @@ class _Model:
         parts = np.split(inv, np.cumsum([idx.size for idx in parts])[:-1])
         return [_gather_rows(full, idx) for idx in parts]
 
-    def _fused_rows(self, cage: CascadedQuantizer | None, table: EmbeddingTable, idx):
-        return self._fused_parts(cage, table, [idx])[0]
-
     def _update(self, routes, batch: int, layer_grads=()) -> float:
         """The tail of every step: apply the gradients and take one Adam step.
 
@@ -211,28 +206,32 @@ class _Model:
         return l_cage
 
 
+class _PairModel(_Model):
+    """A user-item model; _candidate_scores(z_u (d,), z_c (n, d)) gives each candidate's score."""
+
+    def predict_topk(self, user: int, candidates, k: int):
+        candidates = _check_indices(candidates, self.n_items, "item")
+        if candidates.size == 0:
+            raise ValueError("candidates must be nonempty")
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        (z_u, _), = self._fused_parts(self.user_cage, self.users, [[user]])
+        (z_c, _), = self._fused_parts(self.item_cage, self.items, [candidates])
+        return _rank(candidates, self._candidate_scores(z_u[0], z_c), k)
+
+
 # ---------------------------------------------------------------------------
 # Collaborative filtering (BPR)
 # ---------------------------------------------------------------------------
 
 
-class CfModel(_Model):
-    def __init__(self, users: EmbeddingTable, items: EmbeddingTable,
-                 user_cage: CascadedQuantizer | None = None,
-                 item_cage: CascadedQuantizer | None = None,
-                 omega_q: float = 1.0, lr: float = 0.01):
-        self.users = users
-        self.items = items
-        self.user_cage = user_cage
-        self.item_cage = item_cage
-        super().__init__(omega_q, lr)
+class CfModel(_PairModel):
+    def __init__(self, users: EmbeddingTable, items: EmbeddingTable, user_cage: CascadedQuantizer | None = None,
+                 item_cage: CascadedQuantizer | None = None, *, omega_q: float, lr: float):
+        super().__init__(users, items, user_cage, item_cage, [], omega_q, lr)
 
-    def predict_topk(self, user: int, candidates, k: int):
-        candidates = _check_topk(candidates, self.n_items, k)
-        z_u, _ = self._fused_rows(self.user_cage, self.users, [user])
-        z_c, _ = self._fused_rows(self.item_cage, self.items, candidates)
-        scores = z_c @ z_u[0]
-        return _rank(candidates, scores, k)
+    def _candidate_scores(self, z_u, z_c):
+        return z_c @ z_u
 
 
 def cf_bpr_step(model: CfModel, users, pos_items, neg_items) -> dict:
@@ -246,7 +245,7 @@ def cf_bpr_step(model: CfModel, users, pos_items, neg_items) -> dict:
         raise ValueError("positive and negative item must differ")
     batch = u.shape[0]
 
-    z_u, tr_u = model._fused_rows(model.user_cage, model.users, u)
+    (z_u, tr_u), = model._fused_parts(model.user_cage, model.users, [u])
     (z_p, tr_p), (z_n, tr_n) = model._fused_parts(model.item_cage, model.items, [p, n])
 
     margin = ((z_u * z_p).sum(axis=1) - (z_u * z_n).sum(axis=1)).astype(np.float64)
@@ -264,36 +263,24 @@ def cf_bpr_step(model: CfModel, users, pos_items, neg_items) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class CtrModel(_Model):
+class CtrModel(_PairModel):
     def __init__(self, users: EmbeddingTable, items: EmbeddingTable, mlp_params: list,
                  user_cage: CascadedQuantizer | None = None,
-                 item_cage: CascadedQuantizer | None = None,
-                 omega_q: float = 1.0, lr: float = 0.001):
+                 item_cage: CascadedQuantizer | None = None, *, omega_q: float, lr: float):
         if mlp_params[0][0].value.shape[0] != 2 * items.dim:
             raise DimensionError("MLP input width must be 2 * embedding dim")
-        self.users = users
-        self.items = items
-        self.mlp_params = mlp_params  # list of (Parameter W, Parameter b)
-        self.user_cage = user_cage
-        self.item_cage = item_cage
-        super().__init__(omega_q, lr)
-
-    def _layer_params(self) -> list:
-        return self.mlp_params
+        super().__init__(users, items, user_cage, item_cage, mlp_params, omega_q, lr)
 
     def score(self, user_idx, item_idx):
         """Logits for aligned (user, item) index arrays, plus traces and tape."""
-        z_u, tr_u = self._fused_rows(self.user_cage, self.users, user_idx)
-        z_i, tr_i = self._fused_rows(self.item_cage, self.items, item_idx)
-        x = np.concatenate([z_u, z_i], axis=1)
-        logits, tape = mlp_apply(_values(self.mlp_params), x)
+        (z_u, tr_u), = self._fused_parts(self.user_cage, self.users, [user_idx])
+        (z_i, tr_i), = self._fused_parts(self.item_cage, self.items, [item_idx])
+        logits, tape = mlp_apply(_values(self.layers), np.concatenate([z_u, z_i], axis=1))
         return logits[:, 0], tr_u, tr_i, tape
 
-    def predict_topk(self, user: int, candidates, k: int):
-        candidates = _check_topk(candidates, self.n_items, k)
-        users = np.full(candidates.shape, user, dtype=np.int64)
-        scores, _, _, _ = self.score(users, candidates)
-        return _rank(candidates, scores, k)
+    def _candidate_scores(self, z_u, z_c):
+        x = np.concatenate([np.broadcast_to(z_u, z_c.shape), z_c], axis=1)
+        return mlp_apply(_values(self.layers), x)[0][:, 0]
 
 
 def ctr_step(model: CtrModel, users, items, labels) -> dict:
@@ -314,7 +301,7 @@ def ctr_step(model: CtrModel, users, items, labels) -> dict:
     d = model.items.dim
     l_cage = model._update([(model.user_cage, model.users, u, tr_u, grad_x[:, :d]),
                             (model.item_cage, model.items, i, tr_i, grad_x[:, d:])],
-                           batch, zip(model.mlp_params, param_grads))
+                           batch, zip(model.layers, param_grads))
     return {"l_rec": l_rec, "l_cage": l_cage, "l_total": l_rec + model.omega_q * l_cage}
 
 
@@ -324,13 +311,9 @@ def ctr_step(model: CtrModel, users, items, labels) -> dict:
 
 
 class SeqModel(_Model):
-    def __init__(self, items: EmbeddingTable, encoder_params: list,
-                 item_cage: CascadedQuantizer | None = None,
-                 tree_heads: list | None = None,
-                 omega_c: float = 1.0, omega_q: float = 1.0, lr: float = 0.001):
-        self.items = items
+    def __init__(self, items: EmbeddingTable, encoder_params: list, item_cage: CascadedQuantizer | None = None,
+                 tree_heads: list | None = None, *, omega_c: float, omega_q: float, lr: float):
         self.encoder_params = encoder_params
-        self.item_cage = item_cage
         self.tree_heads = tree_heads or []
         if item_cage is not None:
             if len(self.tree_heads) != item_cage.depth:
@@ -339,14 +322,7 @@ class SeqModel(_Model):
                 if w.value.shape != (items.dim, size):
                     raise DimensionError(f"tree head width {w.value.shape[1]} != codebook size {size}")
         self.omega_c = float(omega_c)
-        super().__init__(omega_q, lr)
-
-    @property
-    def sides(self) -> list:
-        return [(self.items, self.item_cage)]
-
-    def _layer_params(self) -> list:
-        return self.encoder_params + self.tree_heads
+        super().__init__(None, items, None, item_cage, encoder_params + self.tree_heads, omega_q, lr)
 
     def _flatten(self, prefixes):
         """(flat item index array, segment lengths) of a batch of nonempty prefixes."""
@@ -364,7 +340,8 @@ class SeqModel(_Model):
     def encode(self, prefixes):
         """Prediction vectors (B, d) and encoder tape of a batch of prefixes."""
         flat, lens = self._flatten(prefixes)
-        return self._pool(self._fused_rows(self.item_cage, self.items, flat)[0], lens)
+        (z_all, _), = self._fused_parts(self.item_cage, self.items, [flat])
+        return self._pool(z_all, lens)
 
     def predict_completion(self, prefix, k: int, exclude=()):
         exclude = set(int(e) for e in exclude)
@@ -401,7 +378,7 @@ def seq_step(model: SeqModel, prefixes, targets) -> dict:
     grad_zbar = grad_logits @ table
     model.items.rows.grad += grad_logits.T @ z_bar  # tied output projection
 
-    l_tree = 0.0
+    l_tree, head_grads = 0.0, []
     if model.item_cage is not None:
         h = model.item_cage.depth
         head_scale = np.float32(model.omega_c / (h * batch))
@@ -411,8 +388,7 @@ def seq_step(model: SeqModel, prefixes, targets) -> dict:
             losses, grads = softmax_xent_batch(head_logits, trace_t.indices[level])
             tree_total += float(losses.sum())
             grads = grads * head_scale
-            w.grad += z_bar.T @ grads
-            b.grad += grads.sum(axis=0)
+            head_grads.append((z_bar.T @ grads, grads.sum(axis=0)))
             grad_zbar = grad_zbar + grads @ w.value.T
         l_tree = tree_total / (h * batch)
 
@@ -422,7 +398,8 @@ def seq_step(model: SeqModel, prefixes, targets) -> dict:
     if model.item_cage is not None:
         # target trace: quantizer penalties only, no task gradient
         routes.append((model.item_cage, model.items, t, trace_t, np.zeros_like(trace_t.input)))
-    l_cage = model._update(routes, batch, zip(model.encoder_params, param_grads))
+    # the layers are the encoder's, then the tree heads'
+    l_cage = model._update(routes, batch, zip(model.layers, param_grads + head_grads))
     l_rec = l_item + model.omega_c * l_tree
     return {"l_item": l_item, "l_tree": l_tree, "l_rec": l_rec, "l_cage": l_cage,
             "l_total": l_rec + model.omega_q * l_cage}

@@ -18,6 +18,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 try:
     import job
+    import spans
 finally:
     sys.path.remove(str(BENCH))
 
@@ -34,3 +35,27 @@ def test_adam_elements_count_every_parameter(workload):
     model = build_model(cfg, n_users=3, n_items=300)
     want = sum(p.value.size for p in model.parameters())
     assert job._adam_elements(None, model.optimizer) == {"elements": want}
+
+
+def test_one_predict_call_records_one_span():
+    """With every wrap point installed, one predict call is one models.predict span.
+
+    The benchmark wraps CfModel.predict_topk and CtrModel.predict_topk
+    separately; if one class inherited the other's method, the inherited
+    wrapper would wrap again and every call would record two spans.  The
+    wraps are installed once: a second install would find the first one's
+    leftover wrapper and hide the double count.
+    """
+    models = {workload: build_model(wl.config("unread.tsv", seed=1), n_users=3, n_items=300)
+              for workload, wl in job.WORKLOADS.items()}
+    rec = spans.Recorder()
+    with rec.wrapped(job.PHASES + job.LAYERS):
+        for workload, model in models.items():
+            rec.job = workload
+            if job.WORKLOADS[workload].lists:
+                model.predict_completion([0, 1], k=5)
+            else:
+                model.predict_topk(0, list(range(100)), k=10)
+            rec.job = None
+    predicts = [job_id for name, _, _, _, job_id, _ in rec.spans if name == "models.predict"]
+    assert {workload: predicts.count(workload) for workload in models} == dict.fromkeys(models, 1)

@@ -76,7 +76,7 @@ class TestCfModel:
         users, items = _tables(rng, dim=4)
         bad = make_quantizer(rng, 8, [3, 2])
         with pytest.raises(DimensionError):
-            CfModel(users, items, item_cage=bad)
+            CfModel(users, items, item_cage=bad, omega_q=1.0, lr=0.01)
 
     def test_task_gradient_matches_finite_differences(self):
         # quantizer selections frozen: perturb one user row, compare l_rec FD
@@ -130,7 +130,7 @@ class TestCtrModel:
     def test_zero_final_layer_gives_ln2(self):
         for label in (0, 1):
             model = _ctr(omega_q=0.0)
-            w, b = model.mlp_params[-1]
+            w, b = model.layers[-1]
             w.value[...] = 0.0
             b.value[...] = 0.0
             logits, _, _, _ = model.score(np.array([0]), np.array([1]))
@@ -143,7 +143,7 @@ class TestCtrModel:
         users, items = _tables(rng, dim=4)
         bad = make_mlp_params(rng, [5, 1], name="scorer")
         with pytest.raises(DimensionError):
-            CtrModel(users, items, bad)
+            CtrModel(users, items, bad, omega_q=1.0, lr=0.001)
 
     def test_disable_path_matches_plain(self):
         plain = _ctr(seed=9, with_cage=False)
@@ -162,7 +162,7 @@ class TestCtrModel:
         model = _ctr(seed=2, with_cage=True, omega_q=0.0, alpha=0.7, lr=0.0)
         u, i, y = [0, 1, 2], [3, 4, 5], [1, 0, 1]
         cage = model.item_cage
-        layers = [(w.value.copy(), b.value.copy()) for w, b in model.mlp_params]
+        layers = [(w.value.copy(), b.value.copy()) for w, b in model.layers]
 
         def f(user_rows):
             z_u = user_rows[np.array(u)].astype(np.float64)
@@ -239,7 +239,7 @@ class TestSeqModel:
         heads = make_tree_heads(rng, 4, [4, 3])  # wrong width at level 2
         enc = make_mlp_params(rng, [4, 4], name="encoder")
         with pytest.raises(DimensionError):
-            SeqModel(items, enc, item_cage=cage, tree_heads=heads)
+            SeqModel(items, enc, item_cage=cage, tree_heads=heads, omega_c=1.0, omega_q=1.0, lr=0.001)
 
     def test_full_ablation_matches_plain(self):
         plain = _seq(seed=4, with_cage=False)
@@ -369,12 +369,13 @@ def _frozen_model(task, seed=3, n_users=30, n_items=40, dim=32, sizes=(6, 3)):
     if task == "seq":
         enc = make_mlp_params(rng, [dim, 6, dim], name="encoder")
         return SeqModel(items, enc, item_cage=cage("item_cage"),
-                        tree_heads=make_tree_heads(rng, dim, sizes), lr=0.05)
+                        tree_heads=make_tree_heads(rng, dim, sizes), omega_c=1.0, omega_q=1.0, lr=0.05)
     users = EmbeddingTable.create(rng, n_users, dim, "user", init_std=0.3)
     if task == "cf":
-        return CfModel(users, items, user_cage=cage("user_cage"), item_cage=cage("item_cage"), lr=0.05)
+        return CfModel(users, items, user_cage=cage("user_cage"), item_cage=cage("item_cage"), omega_q=1.0, lr=0.05)
     mlp = make_mlp_params(rng, [2 * dim, 6, 1], name="scorer")
-    return CtrModel(users, items, mlp, user_cage=cage("user_cage"), item_cage=cage("item_cage"))
+    return CtrModel(users, items, mlp, user_cage=cage("user_cage"), item_cage=cage("item_cage"),
+                    omega_q=1.0, lr=0.001)
 
 
 def _completion_split(n_items=40, n_units=25, seed=0):
@@ -432,7 +433,7 @@ class TestFrozenScope:
             for n in (1, 1, 1, 2, 3, 17, 40, 59):
                 for cage, table in ((model.user_cage, model.users), (model.item_cage, model.items)):
                     idx = gen.integers(0, table.count, size=n)
-                    got, trace = model._fused_rows(cage, table, idx)
+                    (got, trace), = model._fused_parts(cage, table, [idx])
                     want = quantize_batch(cage, table.rows.value[idx])
                     assert np.array_equal(got, want.fused)
                     assert trace is None
@@ -455,7 +456,7 @@ class TestFrozenScope:
         candidates = list(range(40))
         with pytest.raises(RuntimeError) if fail else contextlib.nullcontext():
             with model.frozen():
-                stale_items = model._fused_rows(model.item_cage, model.items, candidates)[0]
+                (stale_items, _), = model._fused_parts(model.item_cage, model.items, [candidates])
                 model.predict_topk(0, candidates, k=40)
                 if fail:
                     raise RuntimeError("boom")
@@ -486,10 +487,10 @@ class TestSkeleton:
         bad = {f"{side}_cage": make_quantizer(rng, 8, [3, 2], name=f"{side}_cage")}
         with pytest.raises(DimensionError, match="quantizer dim"):
             if task == "ctr":
-                CtrModel(users, items, make_mlp_params(rng, [8, 6, 1], name="mlp"), **bad)
+                CtrModel(users, items, make_mlp_params(rng, [8, 6, 1], name="mlp"), **bad, omega_q=1.0, lr=0.001)
             else:
                 SeqModel(items, make_mlp_params(rng, [4, 6, 4], name="encoder"),
-                         tree_heads=make_tree_heads(rng, 4, [3, 2]), **bad)
+                         tree_heads=make_tree_heads(rng, 4, [3, 2]), **bad, omega_c=1.0, omega_q=1.0, lr=0.001)
 
     @pytest.mark.parametrize("task, names", [
         ("cf",
@@ -586,9 +587,8 @@ def _assert_steps_match_oracle(model, task, count_quantize, monkeypatch):
     for args in _dup_batches(task):
         del count_quantize[:]
         got = step(model, *args)
-        want_rows = _distinct_rows(task, args)
-        if getattr(model, "user_cage", True) is None:  # no user-side call (SeqModel has no user side)
-            want_rows = want_rows[1:]
+        # one call per quantized side; a side without a quantizer makes none
+        want_rows = [n for n, (_, cage) in zip(_distinct_rows(task, args), model.sides, strict=True) if cage is not None]
         assert count_quantize == want_rows
         with monkeypatch.context() as m:
             m.setattr(models_module, "_scatter_rows", np.add.at)  # the 2-D scatter

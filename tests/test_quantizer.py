@@ -524,7 +524,7 @@ class TestSteBackward:
         gen = np.random.default_rng(11)
         x = gen.normal(size=(16, 4)).astype(np.float32)
         bt = quantize_batch(q, x)
-        table = EmbeddingTable(count=16, dim=4, rows=Parameter(x, name="item_table"), role="item")
+        table = EmbeddingTable(rows=Parameter(x, name="item_table"), role="item")
         _route(q, table, np.arange(16), bt, gen.normal(size=(16, 4)).astype(np.float32), 1.0)
         for level, cb in enumerate(q.codebooks):
             selected = set(int(j) for j in bt.indices[level])
