@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .data import sample_negatives
 
@@ -24,15 +28,30 @@ def _check(relevant, k: int):
         raise ValueError("relevant set is empty")
 
 
+def _gains(n: int) -> list:
+    """The DCG gain 1 / log2(p + 1) of each rank p = 1..n."""
+    return [1.0 / math.log2(p + 1) for p in range(1, n + 1)]
+
+
+def _unit_metrics(ranking, relevant, ks, gains, ideals) -> list:
+    """[NDCG@k for each k of ks] + [HR@k for each k] from the 1-based ranks of ranking's relevant items;
+    gains reaches rank min(k, len(ranking)) and ideals[m] = sum(gains[:m]) for each m = min(k, |relevant|)."""
+    positions = [p for p, item in enumerate(ranking[:len(gains)], start=1) if item in relevant]
+    dcg = list(itertools.accumulate((gains[p - 1] for p in positions), initial=0.0))
+    hits = [(bisect.bisect_right(positions, k), min(k, len(relevant))) for k in ks]
+    return [dcg[h] / ideals[m] for h, m in hits] + [h / m for h, m in hits]
+
+
+def _at_k(ranking, relevant, k: int) -> list:
+    _check(relevant, k)
+    m = min(k, len(relevant))
+    gains = _gains(max(m, min(k, len(ranking))))
+    return _unit_metrics(ranking, relevant, [k], gains, {m: sum(gains[:m])})
+
+
 def ndcg_at_k(ranking, relevant, k: int) -> float:
     """Binary-relevance NDCG over the top-k of ranking (candidate items, best first)."""
-    _check(relevant, k)
-    dcg = 0.0
-    for pos, item in enumerate(ranking[:k], start=1):
-        if item in relevant:
-            dcg += 1.0 / math.log2(pos + 1)
-    ideal = sum(1.0 / math.log2(p + 1) for p in range(1, min(k, len(relevant)) + 1))
-    return dcg / ideal
+    return _at_k(ranking, relevant, k)[0]
 
 
 def hr_at_k(ranking, relevant, k: int) -> float:
@@ -41,9 +60,7 @@ def hr_at_k(ranking, relevant, k: int) -> float:
     With one relevant item among distinct candidates it is 1.0 on a hit and
     0.0 otherwise.
     """
-    _check(relevant, k)
-    hits = sum(1 for item in ranking[:k] if item in relevant)
-    return hits / min(k, len(relevant))
+    return _at_k(ranking, relevant, k)[1]
 
 
 def _evaluate(model, split, ks, rank_unit) -> MetricReport:
@@ -51,16 +68,18 @@ def _evaluate(model, split, ks, rank_unit) -> MetricReport:
     split = list(split)
     if not split:
         raise ValueError("empty evaluation split")
-    sums = {f"{m}@{k}": 0.0 for m in ("ndcg", "hr") for k in ks}
-    names = [(k, f"ndcg@{k}", f"hr@{k}") for k in dict.fromkeys(ks)]  # a repeated k is counted once
+    ks = list(dict.fromkeys(ks))  # a repeated k is counted once
+    names = [f"{m}@{k}" for m in ("ndcg", "hr") for k in ks]
+    gains = _gains(max(ks))  # the gains and ideal DCGs are computed once per pass
+    ideals = [sum(gains[:m]) for m in range(len(gains) + 1)]
+    k_min, sums = min(ks), [0.0] * len(names)
     with model.frozen():
         for unit in split:
             ranking, relevant = rank_unit(*unit)
-            for k, ndcg, hr in names:
-                sums[ndcg] += ndcg_at_k(ranking, relevant, k)
-                sums[hr] += hr_at_k(ranking, relevant, k)
-    n = len(split)
-    return MetricReport(values={name: s / n for name, s in sums.items()}, count=n)
+            _check(relevant, k_min)
+            for i, value in enumerate(_unit_metrics(ranking, relevant, ks, gains, ideals)):
+                sums[i] += value
+    return MetricReport(values={name: s / len(split) for name, s in zip(names, sums)}, count=len(split))
 
 
 def evaluate_ranking(model, split, n_negatives: int, ks, rng, positives_by_user=None) -> MetricReport:
@@ -74,22 +93,25 @@ def evaluate_ranking(model, split, n_negatives: int, ks, rng, positives_by_user=
     Generator the negatives are drawn from, in one sample_negatives call for
     the pass: the negatives and the generator's final state are those of
     scalar draws unit after unit, so passes that share a generator draw one
-    continuous stream.  Each unit's ranking holds its top max(ks)
-    candidates, all the metrics read.
+    continuous stream.  Unit i ranks row i of one candidate matrix, its
+    positive and then its negatives in drawn order, and keeps the top
+    max(ks), all the metrics read.
     """
     split = list(split)
     excluded = []
     for user, pos in split:  # a user's set is shared, not copied, when it holds the positive
         positives = positives_by_user.get(user, set()) if positives_by_user else set()
         excluded.append(positives if pos in positives else positives | {pos})
+    candidates = np.empty((len(split), 1 + n_negatives), dtype=np.int64)
+    candidates[:, 0] = [pos for _, pos in split]
     negatives = sample_negatives(excluded, n_negatives, model.n_items, rng)
-    units = [(user, pos, negatives[i * n_negatives:(i + 1) * n_negatives]) for i, (user, pos) in enumerate(split)]
+    candidates[:, 1:] = np.fromiter(negatives, np.int64, len(negatives)).reshape(len(split), n_negatives)
     k = max(ks)
 
-    def rank(user, pos_item, sampled):
-        return model.predict_topk(user, [pos_item] + sampled, k=k), {pos_item}
+    def rank(user, pos_item, row):
+        return model.predict_topk(user, row, k=k), {pos_item}
 
-    return _evaluate(model, units, ks, rank)
+    return _evaluate(model, [(user, pos, row) for (user, pos), row in zip(split, candidates)], ks, rank)
 
 
 def evaluate_completion(model, split, ks) -> MetricReport:

@@ -107,7 +107,7 @@ def _rank(candidates: np.ndarray, scores: np.ndarray, k: int):
     """Descending score, ties by ascending candidate index; a score that is not finite raises."""
     if not np.isfinite(scores).all():
         raise DivergenceError("non-finite ranking score; the model has diverged")
-    order = np.lexsort((candidates, -scores.astype(np.float64)))
+    order = np.lexsort((candidates, -scores))  # negation is exact, so the order is the scores' own
     return candidates[order[:k]].tolist()
 
 
@@ -179,9 +179,9 @@ class _Model:
         trace None.  Outside it one cascade over the distinct indices of all
         the parts serves every part, gathered one trace row per index.
         """
-        parts = [np.asarray(idx) for idx in parts]
         if self._frozen is not None:
-            return [(self._frozen[table.role][idx], None) for idx in parts]
+            return [(self._frozen[table.role].take(idx, axis=0), None) for idx in parts]
+        parts = [np.asarray(idx) for idx in parts]
         if cage is None:
             return [(table.rows.value[idx], None) for idx in parts]
         uniq, inv = np.unique(np.concatenate(parts), return_inverse=True)
@@ -215,7 +215,7 @@ class _PairModel(_Model):
             raise ValueError("candidates must be nonempty")
         if k < 1:
             raise ValueError("k must be >= 1")
-        (z_u, _), = self._fused_parts(self.user_cage, self.users, [[user]])
+        (z_u, _), = self._fused_parts(self.user_cage, self.users, [_check_indices(user, self.users.count, "user")])
         (z_c, _), = self._fused_parts(self.item_cage, self.items, [candidates])
         return _rank(candidates, self._candidate_scores(z_u[0], z_c), k)
 
@@ -279,7 +279,9 @@ class CtrModel(_PairModel):
         return logits[:, 0], tr_u, tr_i, tape
 
     def _candidate_scores(self, z_u, z_c):
-        x = np.concatenate([np.broadcast_to(z_u, z_c.shape), z_c], axis=1)
+        n, d = z_c.shape
+        x = np.empty((n, 2 * d), dtype=np.float32)
+        x[:, :d], x[:, d:] = z_u, z_c  # the user row beside each candidate row
         return mlp_apply(_values(self.layers), x)[0][:, 0]
 
 
@@ -344,7 +346,7 @@ class SeqModel(_Model):
         return self._pool(z_all, lens)
 
     def predict_completion(self, prefix, k: int, exclude=()):
-        exclude = set(int(e) for e in exclude)
+        exclude = set(_check_indices(list(exclude), self.n_items, "item").tolist())
         if k > self.n_items - len(exclude):
             raise ValueError(f"k={k} exceeds the {self.n_items - len(exclude)} rankable items")
         z_bar, _ = self.encode([list(prefix)])

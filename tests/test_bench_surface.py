@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+import treequant.train as T
+from treequant.rng import SeededRng
 from treequant.train import build_model
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -59,3 +61,24 @@ def test_one_predict_call_records_one_span():
             rec.job = None
     predicts = [job_id for name, _, _, _, job_id, _ in rec.spans if name == "models.predict"]
     assert {workload: predicts.count(workload) for workload in models} == dict.fromkeys(models, 1)
+
+
+@pytest.mark.parametrize("workload", sorted(job.WORKLOADS))
+def test_one_predict_span_per_evaluation_unit(workload):
+    """A traced pass is one metrics.evaluate span whose units equal the report's count, and that many
+    models.predict spans: bench/run.py's traced_predict_calls check, which fails a traced run otherwise."""
+    wl = job.WORKLOADS[workload]
+    model = build_model(wl.config("unread.tsv", seed=1), n_users=3, n_items=300)
+    rec = spans.Recorder()
+    with rec.wrapped(job.PHASES + job.LAYERS):
+        rec.job = workload
+        if wl.lists:
+            report = T.evaluate_completion(model, [([0, 1], [2]), ([3], [4, 5, 3]), ([6, 7, 8], [9])], [5, 10])
+        else:
+            split = [(u, 10 * u + j) for u in range(3) for j in range(2)]
+            report = T.evaluate_ranking(model, split, 20, [5, 10], SeededRng(1).stream("eval"),
+                                        positives_by_user={u: {10 * u, 10 * u + 1} for u in range(3)})
+        rec.job = None
+    evaluates = [counts for name, *_, counts in rec.spans if name == "metrics.evaluate"]
+    assert evaluates == [{"units": report.count}] and report.count in (3, 6)
+    assert sum(name == "models.predict" for name, *_ in rec.spans) == report.count

@@ -288,6 +288,52 @@ class TestEvaluateCompletion:
         assert report.count == 2
 
 
+def reference_evaluate_completion(model, split, ks):
+    """The completion pass unit by unit, each unit ranking every item outside its prefix and scored by the
+    public ndcg_at_k and hr_at_k: (metric values, unit count)."""
+    sums = {f"{m}@{k}": 0.0 for m in ("ndcg", "hr") for k in ks}
+    with model.frozen():
+        for prefix, targets in split:
+            exclude = set(prefix)
+            ranking = model.predict_completion(prefix, k=model.n_items - len(exclude), exclude=exclude)
+            for k in dict.fromkeys(ks):
+                sums[f"ndcg@{k}"] += ndcg_at_k(ranking, set(targets), k)
+                sums[f"hr@{k}"] += hr_at_k(ranking, set(targets), k)
+    return {name: value / len(split) for name, value in sums.items()}, len(split)
+
+
+class TestEvaluateCompletionOracle:
+    """evaluate_completion equals the reference pass bit for bit, in every value and the count."""
+
+    N_ITEMS = 40
+
+    @classmethod
+    def _model(cls, kind):
+        if kind == "tied":  # five distinct scores over 40 items: most rankings break ties by index
+            return _CompletionOracle(cls.N_ITEMS, np.random.default_rng(5).integers(0, 5, cls.N_ITEMS))
+        return _frozen_model("seq", n_items=cls.N_ITEMS, dim=8)
+
+    @classmethod
+    def _split(cls, seed):
+        """Prefixes of 1-4 items and 1-6 targets drawn with replacement, so some repeat or sit in the prefix."""
+        gen = np.random.default_rng(seed)
+        split = [(gen.choice(cls.N_ITEMS, size=int(gen.integers(1, 5)), replace=False).tolist(),
+                  gen.integers(0, cls.N_ITEMS, size=int(gen.integers(1, 7))).tolist()) for _ in range(40)]
+        return split + [([3, 4], [5, 5, 3]), ([7], [7]), ([0], [1, 2, 6, 8, 9, 10])]
+
+    @pytest.mark.parametrize("ks", [[1, 5, 10], [10, 5, 5]], ids=["1-5-10", "10-5-5"])
+    @pytest.mark.parametrize("kind", ["tied", "seq"])
+    def test_equals_reference_pass(self, kind, ks):
+        model = self._model(kind)
+        for seed in range(4):
+            split = self._split(seed)
+            report = evaluate_completion(model, split, ks)
+            values, count = reference_evaluate_completion(model, split, ks)
+            assert report.count == count == len(split)
+            assert list(report.values) == list(values)
+            assert [v.hex() for v in report.values.values()] == [v.hex() for v in values.values()], seed
+
+
 def test_metric_report_to_dict_sorted():
     r = MetricReport(values={"ndcg@10": 0.5, "hr@5": 0.25}, count=3)
     d = r.to_dict()

@@ -287,6 +287,16 @@ class TestPredictTopk:
         a = model.predict_topk(2, list(range(12)), k=6)
         assert a == model.predict_topk(2, list(range(12)), k=6)
 
+    @pytest.mark.parametrize("user", [-1, -8, 8, 99])
+    @pytest.mark.parametrize("with_cage", [False, True], ids=["plain", "cage"])
+    @pytest.mark.parametrize("kind", ["cf", "ctr"])
+    def test_user_out_of_range_raises(self, kind, with_cage, user):
+        # a negative user indexed from the end of the 8-row table and ranked for another user
+        model = {"cf": _cf, "ctr": _ctr}[kind](with_cage=with_cage)
+        for scope in (contextlib.nullcontext(), model.frozen()):
+            with scope, pytest.raises(IndexError, match=r"user index out of range \[0, 8\)"):
+                model.predict_topk(user, [1, 2, 3], k=2)
+
 
 class TestPredictCompletion:
     def test_forced_choice(self):
@@ -305,6 +315,14 @@ class TestPredictCompletion:
         model = _seq(n_items=3, with_cage=False)
         with pytest.raises(ValueError):
             model.predict_completion([0], k=3, exclude={0})
+
+    @pytest.mark.parametrize("exclude", [{1, 2, 99, 100}, {1, -1}, {20}, [2, 20, 2]])
+    def test_out_of_range_exclude_raises(self, exclude):
+        # an id outside [0, 20) excludes nothing, so it must not shrink the rankable count either
+        model = _seq(n_items=20, with_cage=False)
+        with pytest.raises(IndexError, match=r"item index out of range \[0, 20\)"):
+            model.predict_completion([0], k=17, exclude=exclude)
+        assert len(model.predict_completion([0], k=18, exclude={1, 2})) == 18
 
     def test_deterministic(self):
         model = _seq(with_cage=True)
