@@ -38,13 +38,13 @@ level_inputs = np.concatenate([e[None, :], codes[:-1]]).astype(np.float64)
 l_commit = float(((level_inputs - codes.astype(np.float64)) ** 2).sum())
 print(f"\nl_quant = {l_quant:.6f}")
 print(f"l_commit = {l_commit:.6f}  (same number, different gradient route)")
-print(f"l_cage = l_quant + beta * l_commit = {batch_cage_loss_sum(trace, q.beta):.6f}")
+print(f"l_cage = l_quant + beta * l_commit = {batch_cage_loss_sum(trace, [0], q.beta):.6f}")
 
 # Straight-through routing: the task gradient reaches e scaled by (1 + alpha)
 # and never touches the codebooks; the penalties move codes toward inputs and
 # inputs toward codes.
 grad_z = np.array([1.0, 0.0], dtype=np.float32)
-grad_e, code_grads = ste_backward_batch(q, trace, grad_z[None, :], weight_cage=1.0)
+grad_e, code_grads = ste_backward_batch(q, trace, grad_z[None, :], [0], weight_cage=1.0)
 print("\ngrad_z:", grad_z, "-> grad_e:", grad_e[0].round(3))
 for level, (idx, g) in enumerate(zip(trace.indices[:, 0], code_grads[:, 0]), start=1):
     print(f"  codebook level {level}, row {idx} gets {g.round(3)}")

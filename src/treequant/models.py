@@ -50,18 +50,11 @@ class EmbeddingTable:
 
 def _check_indices(idx: np.ndarray, limit: int, what: str):
     idx = np.asarray(idx)
+    if idx.size and idx.dtype.kind not in "iu":  # a float or bool id would be truncated, not refused
+        raise IndexError(f"{what} indices must be integers, got {idx.dtype}")
     if idx.size and (idx.min() < 0 or idx.max() >= limit):
         raise IndexError(f"{what} index out of range [0, {limit})")
     return idx.astype(np.int64, copy=False).reshape(-1)
-
-
-def _gather_rows(full: BatchTrace, idx: np.ndarray):
-    """(fused rows, trace) of rows idx of a quantize_batch trace, one row per index in order."""
-    # np.take keeps the C layout that whole-trace reductions such as
-    # batch_cage_loss_sum sum in; full.sq_dists[:, idx] would come out F-ordered
-    trace = BatchTrace(input=full.input[idx], indices=np.take(full.indices, idx, axis=1),
-                       sq_dists=np.take(full.sq_dists, idx, axis=1), fused=full.fused[idx])
-    return trace.fused, trace
 
 
 def _scatter_rows(grad: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
@@ -69,33 +62,46 @@ def _scatter_rows(grad: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None
 
     One 1-D np.add.at on flat element indices.  Each element receives its
     contributions in the same row order as the 2-D np.add.at(grad, idx,
-    values), so the sums are bit-identical.
+    values), so the sums are bit-identical.  An even-width float32 row is
+    added as complex64 pairs: half the elements, and a complex addition is
+    one float32 addition per half, with the same rounding and signed zeros.
     """
     if not grad.flags.c_contiguous:
         raise ValueError("gradient buffer must be C-contiguous")  # else reshape would copy
-    d = grad.shape[1]
+    flat, values = grad.reshape(-1), np.ascontiguousarray(values, dtype=np.float32)
+    if grad.shape[1] % 2 == 0:
+        flat, values = flat.view(np.complex64), values.view(np.complex64)
+    d = values.shape[1]
     flat_idx = (idx[:, None] * d + np.arange(d, dtype=np.int64)).reshape(-1)
-    np.add.at(grad.reshape(-1), flat_idx, values.reshape(-1))
+    np.add.at(flat, flat_idx, values.reshape(-1))
 
 
-def _route(cage: CascadedQuantizer | None, table: EmbeddingTable, idx: np.ndarray,
-           trace: BatchTrace | None, grad_z: np.ndarray, scale: float) -> float:
-    """Scatter one side's gradient into its parameters; returns the side's summed l_cage.
+def _joined(arrays: list) -> np.ndarray:
+    """The arrays concatenated in order; a single array is returned as is, not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
-    With a quantizer, grad_z is first routed by ste_backward_batch, its
-    penalties weighted by scale.  trace holds one row per occurrence in idx,
-    so each occurrence contributes once, in order.  Every gradient scatter of
-    a step is here.
+
+def _route(cage: CascadedQuantizer | None, table: EmbeddingTable, trace: BatchTrace | None, parts,
+           scale: float) -> list:
+    """Scatter one table's gradients into its parameters; returns each part's summed l_cage.
+
+    parts holds one (indices, trace rows, grad_z) per index array, in order;
+    their rows are joined, so each parameter takes one scatter in which every
+    occurrence contributes once, in order.  With a quantizer, grad_z is first
+    routed by ste_backward_batch over the distinct rows of trace, its
+    penalties weighted by scale.  Every gradient scatter of a step is here.
     """
+    idx, grad_z = _joined([part[0] for part in parts]), _joined([part[2] for part in parts])
     if cage is None:
         _scatter_rows(table.rows.grad, idx, grad_z)
-        return 0.0
-    grad_e, code_grads = ste_backward_batch(cage, trace, grad_z, weight_cage=scale)
+        return []
+    rows = _joined([part[1] for part in parts])
+    grad_e, code_grads = ste_backward_batch(cage, trace, grad_z, rows, weight_cage=scale)
     _scatter_rows(table.rows.grad, idx, grad_e)
     if scale != 0.0:
-        for cb, rows, grad in zip(cage.codebooks, trace.indices, code_grads):
-            _scatter_rows(cb.grad, rows, grad)
-    return batch_cage_loss_sum(trace, cage.beta)
+        for cb, codes, grad in zip(cage.codebooks, trace.indices, code_grads):
+            _scatter_rows(cb.grad, codes[rows], grad[rows])
+    return [batch_cage_loss_sum(trace, part[1], cage.beta) for part in parts]
 
 
 def _values(layers) -> list:
@@ -173,35 +179,38 @@ class _Model:
             self._frozen = None
 
     def _fused_parts(self, cage: CascadedQuantizer | None, table: EmbeddingTable, parts):
-        """(fused rows, trace) of table for each index array in parts.
+        """(trace, then (fused rows, trace rows) per index array of parts) of table.
 
-        Inside frozen() each part is sliced from the side's fused table, with
-        trace None.  Outside it one cascade over the distinct indices of all
-        the parts serves every part, gathered one trace row per index.
+        Outside frozen() one cascade over the distinct indices of all the
+        parts serves every part: trace holds one row per distinct index, and
+        index k of a part is trace row rows[k].  Inside frozen() each part is
+        sliced from the side's fused table, and a plain side's from its rows,
+        with trace and rows None.
         """
         if self._frozen is not None:
-            return [(self._frozen[table.role].take(idx, axis=0), None) for idx in parts]
+            return (None, *((self._frozen[table.role].take(idx, axis=0), None) for idx in parts))
         parts = [np.asarray(idx) for idx in parts]
         if cage is None:
-            return [(table.rows.value[idx], None) for idx in parts]
+            return (None, *((table.rows.value[idx], None) for idx in parts))
         uniq, inv = np.unique(np.concatenate(parts), return_inverse=True)
-        full = quantize_batch(cage, table.rows.value[uniq])
-        parts = np.split(inv, np.cumsum([idx.size for idx in parts])[:-1])
-        return [_gather_rows(full, idx) for idx in parts]
+        trace = quantize_batch(cage, table.rows.value[uniq])
+        rows = np.split(inv, np.cumsum([idx.size for idx in parts])[:-1])
+        return (trace, *((trace.fused[r], r) for r in rows))
 
     def _update(self, routes, batch: int, layer_grads=()) -> float:
         """The tail of every step: apply the gradients and take one Adam step.
 
         layer_grads pairs each (weight, bias) of a layer with its gradients.
-        routes holds one (quantizer, table, indices, trace, grad_z) per index
-        array to route, in scatter order.  Returns the step's l_cage: the
-        summed quantizer penalty divided by batch.
+        routes holds one (quantizer, table, trace, parts) per table, parts
+        one (indices, trace rows, grad_z) per index array, in scatter order.
+        Returns the step's l_cage: the quantizer penalty summed part by part
+        in route order, divided by batch.
         """
         for (w, b), (gw, gb) in layer_grads:
             w.grad += gw
             b.grad += gb
         scale = self.omega_q / batch
-        l_cage = sum(_route(*route, scale) for route in routes) / batch
+        l_cage = sum(loss for route in routes for loss in _route(*route, scale)) / batch
         self.optimizer.step()
         return l_cage
 
@@ -215,8 +224,8 @@ class _PairModel(_Model):
             raise ValueError("candidates must be nonempty")
         if k < 1:
             raise ValueError("k must be >= 1")
-        (z_u, _), = self._fused_parts(self.user_cage, self.users, [_check_indices(user, self.users.count, "user")])
-        (z_c, _), = self._fused_parts(self.item_cage, self.items, [candidates])
+        _, (z_u, _) = self._fused_parts(self.user_cage, self.users, [_check_indices(user, self.users.count, "user")])
+        _, (z_c, _) = self._fused_parts(self.item_cage, self.items, [candidates])
         return _rank(candidates, self._candidate_scores(z_u[0], z_c), k)
 
 
@@ -245,16 +254,16 @@ def cf_bpr_step(model: CfModel, users, pos_items, neg_items) -> dict:
         raise ValueError("positive and negative item must differ")
     batch = u.shape[0]
 
-    (z_u, tr_u), = model._fused_parts(model.user_cage, model.users, [u])
-    (z_p, tr_p), (z_n, tr_n) = model._fused_parts(model.item_cage, model.items, [p, n])
+    tr_u, (z_u, r_u) = model._fused_parts(model.user_cage, model.users, [u])
+    tr_i, (z_p, r_p), (z_n, r_n) = model._fused_parts(model.item_cage, model.items, [p, n])
 
     margin = ((z_u * z_p).sum(axis=1) - (z_u * z_n).sum(axis=1)).astype(np.float64)
     l_rec = float(np.mean(np.logaddexp(0.0, -margin)))
     # d l_rec / d margin, including the 1/B of the mean
     dm = ((1.0 / (1.0 + np.exp(-margin)) - 1.0) / batch).astype(np.float32)[:, None]
-    l_cage = model._update([(model.user_cage, model.users, u, tr_u, dm * (z_p - z_n)),
-                            (model.item_cage, model.items, p, tr_p, dm * z_u),
-                            (model.item_cage, model.items, n, tr_n, -dm * z_u)], batch)
+    l_cage = model._update([(model.user_cage, model.users, tr_u, [(u, r_u, dm * (z_p - z_n))]),
+                            (model.item_cage, model.items, tr_i, [(p, r_p, dm * z_u), (n, r_n, -dm * z_u)])],
+                           batch)
     return {"l_rec": l_rec, "l_cage": l_cage, "l_total": l_rec + model.omega_q * l_cage}
 
 
@@ -272,11 +281,11 @@ class CtrModel(_PairModel):
         super().__init__(users, items, user_cage, item_cage, mlp_params, omega_q, lr)
 
     def score(self, user_idx, item_idx):
-        """Logits for aligned (user, item) index arrays, plus traces and tape."""
-        (z_u, tr_u), = self._fused_parts(self.user_cage, self.users, [user_idx])
-        (z_i, tr_i), = self._fused_parts(self.item_cage, self.items, [item_idx])
+        """Logits for aligned (user, item) index arrays, (trace, trace rows) of each side, and the tape."""
+        tr_u, (z_u, r_u) = self._fused_parts(self.user_cage, self.users, [user_idx])
+        tr_i, (z_i, r_i) = self._fused_parts(self.item_cage, self.items, [item_idx])
         logits, tape = mlp_apply(_values(self.layers), np.concatenate([z_u, z_i], axis=1))
-        return logits[:, 0], tr_u, tr_i, tape
+        return logits[:, 0], (tr_u, r_u), (tr_i, r_i), tape
 
     def _candidate_scores(self, z_u, z_c):
         n, d = z_c.shape
@@ -294,15 +303,15 @@ def ctr_step(model: CtrModel, users, items, labels) -> dict:
         raise DimensionError("batch arrays must have equal length")
     batch = u.shape[0]
 
-    logits, tr_u, tr_i, tape = model.score(u, i)
+    logits, (tr_u, r_u), (tr_i, r_i), tape = model.score(u, i)
     losses, grad_logit = bce_with_logits_batch(logits, y)
     l_rec = float(losses.mean())
     grad_out = (grad_logit / batch)[:, None]
 
     param_grads, grad_x = mlp_backward(tape, grad_out)
     d = model.items.dim
-    l_cage = model._update([(model.user_cage, model.users, u, tr_u, grad_x[:, :d]),
-                            (model.item_cage, model.items, i, tr_i, grad_x[:, d:])],
+    l_cage = model._update([(model.user_cage, model.users, tr_u, [(u, r_u, grad_x[:, :d])]),
+                            (model.item_cage, model.items, tr_i, [(i, r_i, grad_x[:, d:])])],
                            batch, zip(model.layers, param_grads))
     return {"l_rec": l_rec, "l_cage": l_cage, "l_total": l_rec + model.omega_q * l_cage}
 
@@ -331,7 +340,7 @@ class SeqModel(_Model):
         if any(len(p) == 0 for p in prefixes):
             raise ValueError("prefixes must be nonempty")
         lens = np.array([len(p) for p in prefixes], dtype=np.int64)
-        return _check_indices(np.concatenate([np.asarray(p) for p in prefixes]), self.n_items, "item"), lens
+        return _check_indices(np.concatenate(prefixes), self.n_items, "item"), lens
 
     def _pool(self, z_all: np.ndarray, lens: np.ndarray):
         """(prediction vectors (B, d), encoder tape): each prefix's mean fused row through the encoder MLP."""
@@ -342,7 +351,7 @@ class SeqModel(_Model):
     def encode(self, prefixes):
         """Prediction vectors (B, d) and encoder tape of a batch of prefixes."""
         flat, lens = self._flatten(prefixes)
-        (z_all, _), = self._fused_parts(self.item_cage, self.items, [flat])
+        _, (z_all, _) = self._fused_parts(self.item_cage, self.items, [flat])
         return self._pool(z_all, lens)
 
     def predict_completion(self, prefix, k: int, exclude=()):
@@ -369,7 +378,7 @@ def seq_step(model: SeqModel, prefixes, targets) -> dict:
     batch = t.shape[0]
 
     flat, lens = model._flatten(prefixes)
-    (z_all, trace_pref), (_, trace_t) = model._fused_parts(model.item_cage, model.items, [flat, t])
+    trace, (z_all, r_pref), (_, r_t) = model._fused_parts(model.item_cage, model.items, [flat, t])
     z_bar, tape = model._pool(z_all, lens)
     table = model.items.rows.value
 
@@ -387,7 +396,7 @@ def seq_step(model: SeqModel, prefixes, targets) -> dict:
         tree_total = 0.0
         for level, (w, b) in enumerate(model.tree_heads):
             head_logits = z_bar @ w.value + b.value[None, :]
-            losses, grads = softmax_xent_batch(head_logits, trace_t.indices[level])
+            losses, grads = softmax_xent_batch(head_logits, trace.indices[level][r_t])
             tree_total += float(losses.sum())
             grads = grads * head_scale
             head_grads.append((z_bar.T @ grads, grads.sum(axis=0)))
@@ -396,12 +405,13 @@ def seq_step(model: SeqModel, prefixes, targets) -> dict:
 
     param_grads, grad_x = mlp_backward(tape, grad_zbar)
     grad_pref = np.repeat(grad_x / lens[:, None].astype(np.float32), lens, axis=0)
-    routes = [(model.item_cage, model.items, flat, trace_pref, grad_pref)]
+    parts = [(flat, r_pref, grad_pref)]
     if model.item_cage is not None:
-        # target trace: quantizer penalties only, no task gradient
-        routes.append((model.item_cage, model.items, t, trace_t, np.zeros_like(trace_t.input)))
+        # the targets: quantizer penalties only, no task gradient
+        parts.append((t, r_t, np.zeros((batch, model.items.dim), dtype=np.float32)))
     # the layers are the encoder's, then the tree heads'
-    l_cage = model._update(routes, batch, zip(model.layers, param_grads + head_grads))
+    l_cage = model._update([(model.item_cage, model.items, trace, parts)], batch,
+                           zip(model.layers, param_grads + head_grads))
     l_rec = l_item + model.omega_c * l_tree
     return {"l_item": l_item, "l_tree": l_tree, "l_rec": l_rec, "l_cage": l_cage,
             "l_total": l_rec + model.omega_q * l_cage}

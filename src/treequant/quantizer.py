@@ -221,13 +221,14 @@ def quantize_batch(q: CascadedQuantizer, x: np.ndarray) -> BatchTrace:
 # ---------------------------------------------------------------------------
 
 
-def batch_cage_loss_sum(trace: BatchTrace, beta: float) -> float:
-    """Sum of per-row l_cage = l_quant + beta * l_commit over a batch (float64).
+def batch_cage_loss_sum(trace: BatchTrace, rows: np.ndarray, beta: float) -> float:
+    """Sum of per-occurrence l_cage = l_quant + beta * l_commit (float64); occurrence k is trace row rows[k].
 
     Both penalties are sums of the same per-level squared distances; they
     differ only in which side the gradient reaches (see ste_backward_batch).
+    The (H, n) distances of the occurrences are summed in C order.
     """
-    return float(trace.sq_dists.sum()) * (1.0 + beta)
+    return float(np.take(trace.sq_dists, rows, axis=1).sum()) * (1.0 + beta)
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +236,14 @@ def batch_cage_loss_sum(trace: BatchTrace, beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def ste_backward_batch(q: CascadedQuantizer, trace: BatchTrace, grad_z: np.ndarray,
+def ste_backward_batch(q: CascadedQuantizer, trace: BatchTrace, grad_z: np.ndarray, rows: np.ndarray,
                        weight_cage: float = 1.0):
     """Straight-through routing for a batch; pure, the caller scatters the results.
 
-    Returns (grad_e (n, d), code_grads (H, n, d)): the input gradient and
-    each selected codebook row's gradient per level and row.  Routing:
+    Occurrence k has gradient grad_z[k] and trace row rows[k], so a row that
+    occurs several times is routed once.  Returns (grad_e (n, d), code_grads
+    (H, n_trace, d)): each occurrence's input gradient and each trace row's
+    selected codebook row gradient per level.  Routing:
 
     * task path: fused = x + alpha * mean(codes), and each code term passes
       straight through to the input, so the input gets (1 + alpha) * grad_z;
@@ -249,20 +252,19 @@ def ste_backward_batch(q: CascadedQuantizer, trace: BatchTrace, grad_z: np.ndarr
       toward its (detached) level input.
     * commitment penalty (x weight_cage * beta): each level input is pulled
       toward its (detached) code, and that pull rides the straight-through
-      chain down to the input embedding.
+      chain down to the input embedding, added level by level.
     """
     grad_z = np.asarray(grad_z, dtype=np.float32)
-    n, h = trace.input.shape[0], q.depth
     grad_e = (np.float32(1.0) + np.float32(q.alpha)) * grad_z
 
     w = np.float32(weight_cage)
     wb = np.float32(weight_cage * q.beta)
-    code_grads = np.empty((h, n, q.dim), dtype=np.float32)
+    code_grads = np.empty((q.depth,) + trace.input.shape, dtype=np.float32)
     prev = trace.input
-    for i in range(h):
+    for i in range(q.depth):
         c = q.codebooks[i].value[trace.indices[i]]
         code_grads[i] = w * np.float32(2.0) * (c - prev)
-        grad_e = grad_e + wb * np.float32(2.0) * (prev - c)
+        grad_e += (wb * np.float32(2.0) * (prev - c))[rows]
         prev = c
     return grad_e, code_grads
 

@@ -198,7 +198,9 @@ def _task_examples(cfg: TrainConfig, model, ds, rng: SeededRng):
     example per target item.
     """
     if cfg.task == "list-completion":
-        prefixes = [prefix for prefix, targets in ds.train_pairs for _ in targets]
+        # one int64 array per list, shared by the examples of its targets
+        arrays = [np.array(prefix, dtype=np.int64) for prefix, _ in ds.train_pairs]
+        prefixes = [prefix for prefix, (_, targets) in zip(arrays, ds.train_pairs) for _ in targets]
         targets = np.array([t for _, targets in ds.train_pairs for t in targets], dtype=np.int64)
 
         def seq(b):

@@ -92,7 +92,7 @@ def test_criterion_2_ste_identity():
             e = gen.normal(size=d).astype(np.float32)
             trace = quantize_batch(q, e[None, :])
             grad_z = gen.normal(size=d).astype(np.float32)
-            grad_e, code_grads = ste_backward_batch(q, trace, grad_z[None, :], weight_cage=0.0)
+            grad_e, code_grads = ste_backward_batch(q, trace, grad_z[None, :], [0], weight_cage=0.0)
             expected = (np.float32(1.0) + np.float32(alpha)) * grad_z
             assert np.max(np.abs(grad_e[0] - expected)) < 1e-6, f"trial {trial}"
             assert np.max(np.abs(code_grads)) == 0.0, f"trial {trial}: task path leaked into a codebook"
@@ -120,7 +120,7 @@ def test_criterion_3_finite_difference_gradients():
                                beta=float(gen.uniform(0.2, 2.0)), init_std=0.5)
             e = gen.normal(size=d).astype(np.float32)
             trace = quantize_batch(q, e[None, :])
-            grad_e, code_grads = ste_backward_batch(q, trace, np.zeros((1, d), dtype=np.float32),
+            grad_e, code_grads = ste_backward_batch(q, trace, np.zeros((1, d), dtype=np.float32), [0],
                                                        weight_cage=1.0)
             grad_e, codes = grad_e[0], trace_codes(q, trace)[:, 0]
 

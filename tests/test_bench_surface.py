@@ -82,3 +82,25 @@ def test_one_predict_span_per_evaluation_unit(workload):
     evaluates = [counts for name, *_, counts in rec.spans if name == "metrics.evaluate"]
     assert evaluates == [{"units": report.count}] and report.count in (3, 6)
     assert sum(name == "models.predict" for name, *_ in rec.spans) == report.count
+
+
+@pytest.mark.parametrize("workload, step, args", [
+    ("cf-cage", "cf_bpr_step", ([0, 1, 2, 0], [1, 2, 3, 1], [4, 5, 6, 7])),
+    ("lists-cage", "seq_step", ([[0, 1, 2], [3, 1], [4]], [5, 0, 6])),
+])
+def test_traced_quantized_step_records_its_quantizer_layers(workload, step, args):
+    """A traced step's quantizer.quantize_batch_s and quantizer.ste_backward_s come from spans inside it:
+    each quantized side records one cascade over its distinct rows and one straight-through backward."""
+    model = build_model(job.WORKLOADS[workload].config("unread.tsv", seed=1), n_users=3, n_items=300)
+    # the distinct rows of each quantized side, users before items; the list model has items only
+    distinct = [3, 7] if workload == "cf-cage" else [7]
+    assert sum(cage is not None for _, cage in model.sides) == len(distinct)
+    rec = spans.Recorder()
+    with rec.wrapped(job.LAYERS):
+        rec.job = workload
+        getattr(T, step)(model, *args)  # the wrapped step, as the training loop resolves it
+        rec.job = None
+    (index,) = [i for i, (name, *_) in enumerate(rec.spans) if name == "models.step"]
+    inside = [(name, counts) for name, _, _, parent, _, counts in rec.spans if parent == index]
+    assert [counts["rows"] for name, counts in inside if name == "quantizer.quantize_batch"] == distinct
+    assert sum(name == "quantizer.ste_backward" for name, _ in inside) == len(distinct)

@@ -298,6 +298,43 @@ class TestPredictTopk:
                 model.predict_topk(user, [1, 2, 3], k=2)
 
 
+class TestNonIntegerIds:
+    """A float or bool id is refused: a cast to int64 would truncate it to another row."""
+
+    @pytest.mark.parametrize("user, candidates", [(0, [1.5, 2.7]), (0.9, [1, 2]), (0, np.array([True, False]))],
+                             ids=["float-items", "float-user", "bool-items"])
+    @pytest.mark.parametrize("kind", ["cf", "ctr"])
+    def test_predict_topk_refuses(self, kind, user, candidates):
+        model = {"cf": _cf, "ctr": _ctr}[kind](with_cage=True)
+        for scope in (contextlib.nullcontext(), model.frozen()):
+            with scope, pytest.raises(IndexError, match="indices must be integers"):
+                model.predict_topk(user, candidates, k=2)
+
+    @pytest.mark.parametrize("prefix, exclude", [([1.5, 2], ()), ([1, 2], [3.0]), ([True], ())])
+    def test_predict_completion_refuses(self, prefix, exclude):
+        model = _seq(with_cage=True)
+        with pytest.raises(IndexError, match="indices must be integers"):
+            model.predict_completion(prefix, k=2, exclude=exclude)
+
+    @pytest.mark.parametrize("kind, args", [
+        ("cf", ([0.0], [1], [2])), ("cf", ([0], [np.True_], [2])),
+        ("ctr", ([0], [1.5], [1.0])), ("seq", ([[1.5, 2]], [3])), ("seq", ([[1, 2]], [3.0]))])
+    def test_step_refuses_and_changes_nothing(self, kind, args):
+        model = {"cf": _cf, "ctr": _ctr, "seq": _seq}[kind](with_cage=True)
+        before = [p.value.copy() for p in model.parameters()]
+        with pytest.raises(IndexError, match="indices must be integers"):
+            _STEPS[kind](model, *args)
+        assert all(np.array_equal(p.value, b) for p, b in zip(model.parameters(), before))
+        assert model.optimizer.t == 0
+
+    def test_empty_sequences_stay_valid(self):
+        # np.asarray([]) is float64; an empty exclusion list is still no exclusion
+        model = _seq(n_items=3, with_cage=False)
+        assert model.predict_completion([0], k=3, exclude=[]) == model.predict_completion([0], k=3)
+        with pytest.raises(ValueError, match="candidates must be nonempty"):
+            _cf().predict_topk(0, [], k=1)
+
+
 class TestPredictCompletion:
     def test_forced_choice(self):
         model = _seq(n_items=3, with_cage=False)
@@ -451,10 +488,10 @@ class TestFrozenScope:
             for n in (1, 1, 1, 2, 3, 17, 40, 59):
                 for cage, table in ((model.user_cage, model.users), (model.item_cage, model.items)):
                     idx = gen.integers(0, table.count, size=n)
-                    (got, trace), = model._fused_parts(cage, table, [idx])
+                    trace, (got, rows) = model._fused_parts(cage, table, [idx])
                     want = quantize_batch(cage, table.rows.value[idx])
                     assert np.array_equal(got, want.fused)
-                    assert trace is None
+                    assert trace is None and rows is None
 
     def test_ctr_and_seq_forward_unchanged_inside_scope(self):
         ctr = _frozen_model("ctr")
@@ -474,7 +511,7 @@ class TestFrozenScope:
         candidates = list(range(40))
         with pytest.raises(RuntimeError) if fail else contextlib.nullcontext():
             with model.frozen():
-                (stale_items, _), = model._fused_parts(model.item_cage, model.items, [candidates])
+                _, (stale_items, _) = model._fused_parts(model.item_cage, model.items, [candidates])
                 model.predict_topk(0, candidates, k=40)
                 if fail:
                     raise RuntimeError("boom")
@@ -540,15 +577,12 @@ def _per_occurrence(model):
     """The model with one cascade per index occurrence, fused per call: the oracle."""
 
     def fused_parts(cage, table, parts):
-        out = []
-        for idx in parts:
-            rows = table.rows.value[np.asarray(idx)]
-            if cage is None:
-                out.append((rows, None))
-            else:
-                trace = quantize_batch(cage, rows)
-                out.append((trace.fused, trace))
-        return out
+        rows = [table.rows.value[np.asarray(idx)] for idx in parts]
+        if cage is None:
+            return (None, *((r, None) for r in rows))
+        trace = quantize_batch(cage, np.concatenate(rows))  # each occurrence is its own trace row
+        ends = np.cumsum([len(r) for r in rows])
+        return (trace, *((trace.fused[end - len(r):end], np.arange(end - len(r), end)) for r, end in zip(rows, ends)))
 
     model._fused_parts = fused_parts
     return model
@@ -654,9 +688,12 @@ class TestScatterRows:
         gen = np.random.default_rng(n_rows + idx.size)
         base = (gen.standard_normal((n_rows, values.shape[1])) * 10.0 ** gen.integers(-6, 7, size=(n_rows, 1))).astype(np.float32)
         got, want = base.copy(), base.copy()
-        _scatter_rows(got, idx, values)
-        np.add.at(want, idx, values)
-        assert np.array_equal(got.view(np.int32), want.view(np.int32))  # -0.0 and +0.0 differ here
+        with np.errstate(invalid="ignore"):  # inf + -inf is NaN on both paths
+            _scatter_rows(got, idx, values)
+            np.add.at(want, idx, values)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int32), want[~nan].view(np.int32))  # -0.0 and +0.0 differ here
 
     @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 2049])
     def test_chunk_boundaries(self, n):
@@ -687,13 +724,34 @@ class TestScatterRows:
         np.add.at(want, idx, values)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @pytest.mark.parametrize("width", [1, 5])
+    def test_odd_widths(self, width):
+        # an odd row cannot be viewed as complex64 pairs: the float32 path
+        gen = np.random.default_rng(width)
+        n = 700
+        idx = gen.integers(0, 9, size=n).astype(np.int64)
+        values = (gen.standard_normal((n, width)) * 10.0 ** gen.integers(-6, 7, size=(n, width))).astype(np.float32)
+        values[gen.random((n, width)) < 0.1] = -0.0
+        self._check(9, idx, values)
+
     def test_non_contiguous_values(self):
         gen = np.random.default_rng(9)
-        grad_x = gen.standard_normal((300, 16)).astype(np.float32)
         idx = gen.integers(0, 11, size=300).astype(np.int64)
-        for values in (grad_x[:, :8], grad_x[:, 8:]):  # ctr_step's user and item halves
-            assert not values.flags.c_contiguous
-            self._check(11, idx, values)
+        for width in (8, 5):  # the complex64 path and the float32 path
+            grad_x = gen.standard_normal((300, 2 * width)).astype(np.float32)
+            for values in (grad_x[:, :width], grad_x[:, width:]):  # ctr_step's user and item halves
+                assert not values.flags.c_contiguous
+                self._check(11, idx, values)
+
+    @pytest.mark.parametrize("width", [1, 4, 5, 6])
+    def test_infinities_and_nans(self, width):
+        gen = np.random.default_rng(20 + width)
+        n = 400
+        idx = gen.integers(0, 7, size=n).astype(np.int64)
+        values = gen.standard_normal((n, width)).astype(np.float32)
+        for special in (np.inf, -np.inf, np.nan):
+            values[gen.random((n, width)) < 0.03] = special
+        self._check(7, idx, values)
 
     def test_non_contiguous_gradient_rejected(self):
         from treequant.models import _scatter_rows

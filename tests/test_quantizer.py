@@ -377,7 +377,7 @@ class TestCagePenalties:
         q = quantizer([[e]], beta=0.5)
         trace = quantize_batch(q, np.array([e], dtype=np.float32))
         assert penalties(q, trace, 0) == (0.0, 0.0)
-        assert batch_cage_loss_sum(trace, beta=0.5) == 0.0
+        assert batch_cage_loss_sum(trace, [0], beta=0.5) == 0.0
 
     def test_single_level_arithmetic(self):
         q = quantizer([[[0.0, 0.0]]], beta=0.5)
@@ -385,7 +385,7 @@ class TestCagePenalties:
         l_quant, l_commit = penalties(q, trace, 0)
         assert l_quant == pytest.approx(1.0)
         assert l_commit == pytest.approx(1.0)
-        assert batch_cage_loss_sum(trace, beta=0.5) == pytest.approx(1.5)
+        assert batch_cage_loss_sum(trace, [0], beta=0.5) == pytest.approx(1.5)
 
     def test_forward_value_identity(self):
         gen = np.random.default_rng(7)
@@ -441,14 +441,14 @@ class TestSteBackward:
     def test_task_path_identity_average(self):
         q = quantizer([[[0.0, 0.0], [3.0, 3.0]]], alpha=1.0, beta=0.0)
         trace = quantize_batch(q, np.array([[5.0, 5.0]], dtype=np.float32))
-        grad_e, code_grads = ste_backward_batch(q, trace, np.array([[1.0, 2.0]]), weight_cage=0.0)
+        grad_e, code_grads = ste_backward_batch(q, trace, np.array([[1.0, 2.0]]), [0], weight_cage=0.0)
         assert np.allclose(grad_e, [[2.0, 4.0]])
         assert not np.any(code_grads)
 
     def test_quant_and_commit_routing_single_level(self):
         q = quantizer([[[0.0, 0.0]]], alpha=0.0, beta=1.0)
         trace = quantize_batch(q, np.array([[1.0, 0.0]], dtype=np.float32))
-        grad_e, code_grads = ste_backward_batch(q, trace, np.zeros((1, 2)), weight_cage=1.0)
+        grad_e, code_grads = ste_backward_batch(q, trace, np.zeros((1, 2)), [0], weight_cage=1.0)
         assert trace.indices.tolist() == [[0]]
         assert np.allclose(code_grads[0, 0], [-2.0, 0.0])
         assert np.allclose(grad_e, [[2.0, 0.0]])
@@ -457,7 +457,7 @@ class TestSteBackward:
         q = quantizer([[[0.5, 0.5], [2.0, 2.0]]], alpha=0.0)
         trace = quantize_batch(q, np.array([[0.4, 0.4]], dtype=np.float32))
         grad_z = np.array([[0.3, -0.7]], dtype=np.float32)
-        grad_e, code_grads = ste_backward_batch(q, trace, grad_z, weight_cage=0.0)
+        grad_e, code_grads = ste_backward_batch(q, trace, grad_z, [0], weight_cage=0.0)
         assert np.array_equal(grad_e, grad_z)
         assert not np.any(code_grads)
 
@@ -472,9 +472,9 @@ class TestSteBackward:
         e = gen.normal(size=(1, d)).astype(np.float32)
         grad_z = gen.normal(size=(1, d)).astype(np.float32)
         trace = quantize_batch(q, e)
-        grad_e, _ = ste_backward_batch(q, trace, grad_z, weight_cage=0.0)
+        grad_e, _ = ste_backward_batch(q, trace, grad_z, [0], weight_cage=0.0)
         q.beta = 0.0
-        grad_e_no_losses, _ = ste_backward_batch(q, trace, grad_z, weight_cage=0.0)
+        grad_e_no_losses, _ = ste_backward_batch(q, trace, grad_z, [0], weight_cage=0.0)
         assert np.allclose(grad_e_no_losses, (1 + alpha) * grad_z, atol=1e-6)
         assert np.allclose(grad_e, grad_e_no_losses, atol=1e-6)
 
@@ -489,7 +489,7 @@ class TestSteBackward:
         q = make_quantizer(SeededRng(trial), d, [int(s) for s in sizes], alpha=0.0, beta=beta)
         e = gen.normal(size=d).astype(np.float32)
         trace = quantize_batch(q, e[None, :])
-        grad_e, _ = ste_backward_batch(q, trace, np.zeros((1, d)), weight_cage=omega_q)
+        grad_e, _ = ste_backward_batch(q, trace, np.zeros((1, d)), [0], weight_cage=omega_q)
         # remove the quantization term's absence: grad_e here is commit-only
         fd = finite_diff_gradient(commit_surrogate(q, trace, omega_q * beta),
                                   e.astype(np.float64), h=1e-3).reshape(-1)
@@ -507,7 +507,7 @@ class TestSteBackward:
         q.beta = 0.0
         e = gen.normal(size=(1, d)).astype(np.float32)
         trace = quantize_batch(q, e)
-        _, code_grads = ste_backward_batch(q, trace, np.zeros((1, d)), weight_cage=omega_q)
+        _, code_grads = ste_backward_batch(q, trace, np.zeros((1, d)), [0], weight_cage=omega_q)
         codes = trace_codes(q, trace)[:, 0].astype(np.float64)
         inputs = [e[0].astype(np.float64)] + list(codes[:-1])
         for level in range(1, h + 1):
@@ -525,7 +525,7 @@ class TestSteBackward:
         x = gen.normal(size=(16, 4)).astype(np.float32)
         bt = quantize_batch(q, x)
         table = EmbeddingTable(rows=Parameter(x, name="item_table"), role="item")
-        _route(q, table, np.arange(16), bt, gen.normal(size=(16, 4)).astype(np.float32), 1.0)
+        _route(q, table, bt, [(np.arange(16), np.arange(16), gen.normal(size=(16, 4)).astype(np.float32))], 1.0)
         for level, cb in enumerate(q.codebooks):
             selected = set(int(j) for j in bt.indices[level])
             for row in range(cb.value.shape[0]):
@@ -538,7 +538,7 @@ class TestSteBackward:
         x = gen.normal(size=(5, 4)).astype(np.float32)
         gz = gen.normal(size=(5, 4)).astype(np.float32)
         bt = quantize_batch(q, x)
-        grad_e_batch, code_grads = ste_backward_batch(q, bt, gz, weight_cage=0.4)
+        grad_e_batch, code_grads = ste_backward_batch(q, bt, gz, np.arange(5), weight_cage=0.4)
         for i in range(5):
             single, single_codes = reference_ste_backward(bt, i, q, gz[i], 0.4)
             assert np.allclose(grad_e_batch[i], single, atol=1e-6)
