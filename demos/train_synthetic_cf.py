@@ -12,7 +12,7 @@ import numpy as np
 
 from treequant.checkpoint import load_checkpoint
 from treequant.config import config_from_dict
-from treequant.quantizer import code_purity, codebook_utilization, extract_tree, quantize_batch
+from treequant.quantizer import codebook_utilization, extract_tree, label_nmi, quantize_batch
 from treequant.train import model_from_checkpoint, run_evaluate, run_train
 from treequant.treeio import write_tree_dot, write_tree_json
 
@@ -58,16 +58,12 @@ model, _ = model_from_checkpoint(ckpt)
 trace = quantize_batch(model.item_cage, model.items.rows.value)
 print("codebook utilization:", codebook_utilization(trace, model.item_cage))
 
-# our planted categories act as labels; the raw ids preserve the item index
-codes = [int(c) for c in trace.indices[0]]
+# our planted categories act as labels; the raw ids preserve the item index.  The labels file
+# feeds the command line: treequant inspect-codes --checkpoint demos/out/model.ckpt --labels demos/out/labels.tsv
 labels = [f"cat{item_cat[int(raw[1:])]}" for raw in ckpt.vocab["items"]]
-purity = code_purity(codes, labels)
-print(f"category spread: {purity.exclusive}/{purity.total} categories on a single code, "
-      f"{purity.under_10}/{purity.total} within 10 codes")
-majority = sum(np.bincount([item_cat[int(ckpt.vocab['items'][r][1:])]
-                            for r in np.flatnonzero(trace.indices[0] == c)], minlength=4).max()
-               for c in np.unique(trace.indices[0]))
-print(f"majority-vote purity of the 4 item codes: {majority / n_items:.3f}")
+with open(os.path.join(OUT, "labels.tsv"), "w") as fh:
+    fh.write("".join(f"{raw}\t{label}\n" for raw, label in zip(ckpt.vocab["items"], labels)))
+print("label NMI per level:", [round(label_nmi(codes, labels), 4) for codes in trace.indices])
 
 tree = extract_tree(model.item_cage, model.items.rows.value)
 write_tree_json(tree, os.path.join(OUT, "tree.json"))

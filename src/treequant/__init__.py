@@ -18,9 +18,9 @@ from .metrics import (MetricReport, evaluate_completion, evaluate_ranking,
                       hr_at_k, ndcg_at_k)
 from .models import (CfModel, CtrModel, EmbeddingTable, SeqModel, cf_bpr_step,
                      ctr_step, seq_step)
-from .quantizer import (CascadedQuantizer, CategoryTree, code_purity,
-                        codebook_utilization, extract_tree, make_quantizer,
-                        quantize_batch, ste_backward_batch)
+from .quantizer import (CascadedQuantizer, CategoryTree, codebook_utilization,
+                        extract_tree, label_nmi, make_quantizer, quantize_batch,
+                        ste_backward_batch)
 from .rng import SeededRng, rng_normal_init
 from .train import build_model, model_from_checkpoint, run_evaluate, run_train
 

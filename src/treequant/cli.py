@@ -14,7 +14,7 @@ from .config import load_config
 from .data import read_lines
 from .errors import (CheckpointError, ConfigError, DataError, DimensionError,
                      DivergenceError)
-from .quantizer import code_purity, codebook_utilization, extract_tree, quantize_batch
+from .quantizer import codebook_utilization, extract_tree, label_nmi, quantize_batch
 from .train import model_from_checkpoint, run_evaluate, run_train
 from .treeio import write_tree_dot, write_tree_json
 
@@ -27,15 +27,17 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _quantizer_side(model, side: str | None):
+def _quantizer_side(args):
+    """Load args.checkpoint, rebuild its model and pick args.side: (checkpoint, side, quantizer, table rows)."""
+    ckpt = load_checkpoint(args.checkpoint)
+    model, _ = model_from_checkpoint(ckpt)
     sides = {table.role: (cage, table.rows.value) for table, cage in model.sides if cage is not None}
     if not sides:
         raise ConfigError("checkpoint contains no quantizer")
-    if side is None:
-        side = "item" if "item" in sides else "user"
+    side = args.side or ("item" if "item" in sides else "user")
     if side not in sides:
         raise ConfigError(f"checkpoint has no {side}-side quantizer")
-    return side, *sides[side]
+    return ckpt, side, *sides[side]
 
 
 def cmd_train(args) -> int:
@@ -61,9 +63,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_export_tree(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    model, _ = model_from_checkpoint(ckpt)
-    side, quantizer, embeddings = _quantizer_side(model, args.side)
+    _, side, quantizer, embeddings = _quantizer_side(args)
     tree = extract_tree(quantizer, embeddings)
     write_tree_json(tree, args.json)
     write_tree_dot(tree, args.dot)
@@ -72,19 +72,15 @@ def cmd_export_tree(args) -> int:
 
 
 def cmd_inspect_codes(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    model, _ = model_from_checkpoint(ckpt)
-    side, quantizer, embeddings = _quantizer_side(model, args.side)
+    ckpt, side, quantizer, embeddings = _quantizer_side(args)
     trace = quantize_batch(quantizer, embeddings)
     utilization = codebook_utilization(trace, quantizer)
     for level, (size, frac) in enumerate(zip(quantizer.level_sizes, utilization), start=1):
         print(f"level {level}: {size} codes, utilization {frac:.4f}")
 
     if args.labels:
-        raw_ids = ckpt.vocab[f"{side}s"]
-        id_to_row = {raw: row for row, raw in enumerate(raw_ids)}
-        level1 = trace.indices[0]
-        codes, labels, skipped = [], [], 0
+        id_to_row = {raw: row for row, raw in enumerate(ckpt.vocab[f"{side}s"])}
+        first_line, labelled, skipped = {}, {}, 0  # raw id -> its line; table row -> category
         for lineno, line in read_lines(args.labels, ConfigError):
             if not line:
                 continue
@@ -92,18 +88,24 @@ def cmd_inspect_codes(args) -> int:
             if len(parts) != 2:
                 raise ConfigError(f"{args.labels}: line {lineno}: expected 'id<TAB>category'")
             raw, category = parts
+            if raw in first_line:
+                raise ConfigError(f"{args.labels}: line {lineno}: entity {raw!r} already labelled on line "
+                                  f"{first_line[raw]}")
+            first_line[raw] = lineno
             if raw not in id_to_row:
                 skipped += 1
                 log.warning("label line %d: unknown entity %r, skipped", lineno, raw)
                 continue
-            codes.append(int(level1[id_to_row[raw]]))
-            labels.append(category)
+            labelled[id_to_row[raw]] = category
         if skipped:
             print(f"skipped {skipped} label(s) for unknown entities")
-        report = code_purity(codes, labels)
-        print(f"{report.total} categories: {report.exclusive} on one code, "
-              f"{report.under_10} under 10, {report.under_20} under 20, "
-              f"{report.under_100} under 100 codes")
+        rows, categories = list(labelled), list(labelled.values())
+        if not rows:
+            print(f"0 categories: no labelled {side} to compare codes with")
+            return 0
+        nmi = ", ".join(f"level {level} NMI {label_nmi(codes[rows], categories):.4f}"
+                        for level, codes in enumerate(trace.indices, start=1))
+        print(f"{len(set(categories))} categories: {len(rows)} {side}s, {nmi}")
     return 0
 
 
@@ -131,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=["user", "item"], default=None)
     p.set_defaults(func=cmd_export_tree)
 
-    p = sub.add_parser("inspect-codes", help="codebook utilization and optional label purity")
+    p = sub.add_parser("inspect-codes", help="codebook utilization and optional label NMI")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--labels", default=None, help="TSV file: entity raw id, category label")
     p.add_argument("--side", choices=["user", "item"], default=None)

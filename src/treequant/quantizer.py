@@ -9,6 +9,7 @@ nearest-neighbour assignments form a category tree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,6 +254,12 @@ def ste_backward_batch(q: CascadedQuantizer, trace: BatchTrace, grad_z: np.ndarr
     * commitment penalty (x weight_cage * beta): each level input is pulled
       toward its (detached) code, and that pull rides the straight-through
       chain down to the input embedding, added level by level.
+
+    The commitment terms telescope: level i adds 2 wb (c_{i-1} - c_i), with
+    c_0 = x and wb = weight_cage * beta, so they sum to 2 wb (x - c_H) and
+    grad_e = (1 + alpha) grad_z + 2 wb (x - c_H) up to float32 rounding.
+    The commitment pulls an embedding toward its coarsest code, not its
+    nearest one.
     """
     grad_z = np.asarray(grad_z, dtype=np.float32)
     grad_e = (np.float32(1.0) + np.float32(q.alpha)) * grad_z
@@ -313,32 +320,20 @@ def codebook_utilization(trace: BatchTrace, q: CascadedQuantizer) -> list:
     return [used / size for used, size in zip(per_level, q.level_sizes)]
 
 
-@dataclass
-class PurityReport:
-    spans: dict         # category label -> number of distinct level-1 codes it touches
-    exclusive: int      # categories on exactly one code
-    under_10: int
-    under_20: int
-    under_100: int
-    total: int
+def label_nmi(codes, labels) -> float:
+    """Normalized mutual information 2 I / (H(codes) + H(labels)) of two partitions of the same entities.
 
-
-def code_purity(level1_indices, labels) -> PurityReport:
-    """How concentrated each true category is over the learned level-1 codes."""
-    level1_indices = list(level1_indices)
-    labels = list(labels)
-    if len(level1_indices) != len(labels):
-        raise ValueError(f"{len(level1_indices)} paths vs {len(labels)} labels")
-    per_cat = {}
-    for code, lab in zip(level1_indices, labels):
-        per_cat.setdefault(lab, set()).add(int(code))
-    spans = {lab: len(codes) for lab, codes in per_cat.items()}
-    vals = list(spans.values())
-    return PurityReport(
-        spans=spans,
-        exclusive=sum(1 for v in vals if v == 1),
-        under_10=sum(1 for v in vals if v < 10),
-        under_20=sum(1 for v in vals if v < 20),
-        under_100=sum(1 for v in vals if v < 100),
-        total=len(vals),
-    )
+    Only which entries are equal matters, so relabelling either side keeps the value.  Float64 terms
+    from one contingency table, each sum correctly rounded (math.fsum), so the value is symmetric and
+    a relabelled identical partition gives exactly 1.0; two constant partitions give 1.0, and the
+    result is clipped to [0, 1].
+    """
+    codes, labels = np.asarray(codes), np.asarray(labels)
+    if codes.ndim != 1 or codes.shape != labels.shape or codes.size == 0:
+        raise ValueError(f"need two nonempty 1-D sequences of one length, got {codes.shape} and {labels.shape}")
+    a, b = (np.unique(v, return_inverse=True)[1] for v in (codes, labels))
+    n, a_n, b_n = a.size, np.bincount(a), np.bincount(b)
+    cells, joint = np.unique(a * b_n.size + b, return_counts=True)
+    mi = math.fsum(joint / n * np.log(n * joint / (a_n[cells // b_n.size] * b_n[cells % b_n.size])))
+    h = math.fsum(a_n / n * np.log(n / a_n)) + math.fsum(b_n / n * np.log(n / b_n))
+    return 1.0 if h == 0 else min(max(2.0 * mi / h, 0.0), 1.0)

@@ -26,7 +26,7 @@ class SeededRng:
     def __init__(self, seed: int):
         if seed < 0:
             raise ValueError("seed must be non-negative")
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed = int(seed)
 
     def stream(self, name: str) -> np.random.Generator:
         tag = zlib.crc32(name.encode("utf-8"))

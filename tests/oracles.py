@@ -1,8 +1,10 @@
-"""Numerical oracles shared by the gradient tests, a trace's codes, a draw-counting stand-in for a numpy
-Generator, and a rewriter of a saved checkpoint's metadata and payload."""
+"""Numerical oracles shared by the gradient tests, a trace's codes, a dict-count NMI, a draw-counting
+stand-in for a numpy Generator, and a rewriter of a saved checkpoint's metadata and payload."""
 
 import json
+import math
 import struct
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,15 @@ def finite_diff_gradient(f, x: np.ndarray, h: float = 1e-3) -> np.ndarray:
 def trace_codes(q, trace) -> np.ndarray:
     """A quantize_batch trace's chosen codes (H, n, d): row r's level-i code is q.codebooks[i].value[trace.indices[i, r]]."""
     return np.stack([cb.value[rows] for cb, rows in zip(q.codebooks, trace.indices)])
+
+
+def nmi_oracle(codes, labels) -> float:
+    """2 I / (H(codes) + H(labels)) from Counter counts and math.log, one term at a time; 1.0 for two constant partitions."""
+    n = len(codes)
+    joint, a, b = Counter(zip(codes, labels)), Counter(codes), Counter(labels)
+    mi = sum(k / n * math.log(k * n / (a[c] * b[lab])) for (c, lab), k in joint.items())
+    h = -sum(k / n * math.log(k / n) for counts in (a, b) for k in counts.values())
+    return 1.0 if h == 0 else 2.0 * mi / h
 
 
 class CountingGen:

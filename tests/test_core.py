@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -38,6 +39,20 @@ class TestNormalInit:
         b = rng_normal_init(rng, 4, 4, 0.1, name="b")
         assert not np.array_equal(a, b)
         assert np.array_equal(a, rng_normal_init(SeededRng(3), 4, 4, 0.1, name="a"))
+
+
+class TestSeededRng:
+    def test_seeds_past_64_bits_are_not_folded(self):
+        # 2**64 + 5 once lost its high bits and drew the streams of seed 5
+        five = rng_normal_init(SeededRng(5), 4, 8, 0.01, name="init/item_table")
+        assert not np.array_equal(five, rng_normal_init(SeededRng(2 ** 64 + 5), 4, 8, 0.01, name="init/item_table"))
+        assert SeededRng(2 ** 64 + 5).seed == 2 ** 64 + 5
+
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 63, 2 ** 64 - 1])
+    def test_seeds_below_2_64_keep_their_streams(self, seed):
+        tag = zlib.crc32(b"init/item_table")
+        expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, tag]))).normal(size=6)
+        assert np.array_equal(SeededRng(seed).stream("init/item_table").normal(size=6), expected)
 
 
 class TestAdam:

@@ -8,13 +8,12 @@ from treequant.core import Parameter
 from treequant.errors import ConfigError, DimensionError
 from treequant.models import EmbeddingTable, _route
 from treequant.quantizer import (_BLOCK, CascadedQuantizer,
-                                 batch_cage_loss_sum, code_purity,
-                                 codebook_utilization, extract_tree,
-                                 make_quantizer, quantize_batch,
-                                 ste_backward_batch, _nearest)
+                                 batch_cage_loss_sum, codebook_utilization,
+                                 extract_tree, label_nmi, make_quantizer,
+                                 quantize_batch, ste_backward_batch, _nearest)
 from treequant.rng import SeededRng
 
-from oracles import finite_diff_gradient, trace_codes
+from oracles import finite_diff_gradient, nmi_oracle, trace_codes
 from test_acceptance import penalties
 
 
@@ -519,6 +518,25 @@ class TestSteBackward:
             denom = np.maximum(np.abs(fd), 1e-3)
             assert np.max(np.abs(analytic - fd) / denom) < 1e-4
 
+    @pytest.mark.parametrize("trial", range(10))
+    def test_commitment_terms_telescope_to_the_coarsest_code(self, trial):
+        # level i adds 2 wb (c_{i-1} - c_i) with c_0 = x, so the terms sum to 2 wb (x - c_H)
+        gen = np.random.default_rng(400 + trial)
+        h, d = int(gen.integers(1, 4)), int(gen.integers(2, 17))
+        sizes = sorted(gen.choice(np.arange(2, 30), size=h, replace=False), reverse=True)
+        alpha, beta, w = (float(v) for v in gen.uniform(0.1, 2.0, size=3))
+        q = make_quantizer(SeededRng(trial), d, [int(s) for s in sizes], alpha=alpha, beta=beta, init_std=0.5)
+        trace = quantize_batch(q, gen.normal(size=(12, d)).astype(np.float32))
+        rows = gen.integers(0, 12, size=20)  # repeated rows included
+        grad_z = gen.normal(size=(20, d)).astype(np.float32)
+        grad_e, _ = ste_backward_batch(q, trace, grad_z, rows, weight_cage=w)
+        task = (np.float32(1.0) + np.float32(alpha)) * grad_z
+        wb = np.float32(w * beta)
+        telescoped = (2.0 * wb * (trace.input - trace_codes(q, trace)[-1].astype(np.float64)))[rows]
+        inputs = np.concatenate([trace.input[None], trace_codes(q, trace)]).astype(np.float64)
+        scale = np.abs(task) + (2.0 * wb * np.abs(np.diff(inputs, axis=0)).sum(axis=0))[rows]
+        assert np.all(np.abs(grad_e - task - telescoped) <= (h + 3) * 2.0 ** -23 * scale)
+
     def test_unselected_rows_get_zero_gradient(self):
         q = make_quantizer(SeededRng(11), 4, [8, 3], alpha=1.0, beta=1.0)
         gen = np.random.default_rng(11)
@@ -636,21 +654,42 @@ class TestDiagnostics:
         t = quantize_batch(q, np.array([[0.1, 0.1]], dtype=np.float32))
         assert codebook_utilization(t, q) == [0.5]
 
-    def test_purity_perfect_alignment(self):
-        report = code_purity([0, 0, 1, 1], ["A", "A", "B", "B"])
-        assert report.spans == {"A": 1, "B": 1}
-        assert report.exclusive == 2
-        assert report.total == 2
+    @staticmethod
+    def _partitions(seed):
+        """Seeded codes and string labels: sizes 1 to 300, up to 20 codes and 10 labels, some labels copied from codes."""
+        gen = np.random.default_rng(seed)
+        n = int(gen.integers(1, 301))
+        codes = gen.integers(0, int(gen.integers(1, 21)), size=n)
+        labels = gen.integers(0, int(gen.integers(1, 11)), size=n)
+        copied = gen.random(n) < gen.random()
+        labels[copied] = codes[copied] % 10
+        return codes, [f"cat{v}" for v in labels]
 
-    def test_purity_spread(self):
-        report = code_purity([0, 1, 2, 3], ["A", "A", "A", "B"])
-        assert report.spans["A"] == 3
-        assert report.exclusive == 1
-        assert report.under_10 == 2
+    def test_nmi_matches_dict_count_oracle(self):
+        for seed in range(200):
+            codes, labels = self._partitions(seed)
+            expected = min(max(nmi_oracle(codes.tolist(), labels), 0.0), 1.0)
+            assert abs(label_nmi(codes, labels) - expected) <= 1e-12, f"seed {seed}"
 
-    def test_purity_length_mismatch(self):
-        with pytest.raises(ValueError):
-            code_purity([0, 1], ["A"])
+    def test_nmi_relabelled_identical_partition(self):
+        assert label_nmi([0, 0, 1, 1, 2, 7], ["b", "b", "a", "a", "z", "c"]) == 1.0
+        assert label_nmi([3, 3, 3], ["A", "A", "A"]) == 1.0  # two constant partitions
+        codes, _ = self._partitions(7)
+        assert label_nmi(codes, [f"x{c * 37 % 101}" for c in codes]) == 1.0
+
+    def test_nmi_independent_partitions_is_zero(self):
+        assert label_nmi([0, 0, 1, 1], ["A", "B", "A", "B"]) == 0.0
+        assert label_nmi([5, 5, 5, 5], ["A", "B", "A", "B"]) == 0.0  # one constant side
+
+    def test_nmi_is_symmetric(self):
+        for seed in range(50):
+            codes, labels = self._partitions(seed)
+            assert label_nmi(codes, labels) == label_nmi(labels, codes), f"seed {seed}"
+
+    def test_nmi_rejects_empty_and_mismatched(self):
+        for codes, labels in [([], []), ([0, 1], ["A"]), ([0], ["A", "B"]), ([[0, 1]], [["A", "B"]])]:
+            with pytest.raises(ValueError):
+                label_nmi(codes, labels)
 
 
 class TestConstruction:

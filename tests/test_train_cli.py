@@ -18,7 +18,7 @@ from treequant.cli import main
 from treequant.config import config_from_dict
 from treequant import train
 from treequant.models import seq_step
-from treequant.quantizer import quantize_batch
+from treequant.quantizer import label_nmi, quantize_batch
 from treequant.errors import ConfigError, DataError, DivergenceError
 from treequant.data import sample_negatives
 from treequant.train import model_from_checkpoint, run_evaluate, run_train
@@ -345,6 +345,18 @@ class TestCli:
         labels.write_text(f"{vocab[0]}\tcat0\n{vocab[1]}\tcat1\textra\n")
         assert main(["inspect-codes", "--checkpoint", str(ckpt), "--labels", str(labels)]) == 2
         assert capsys.readouterr().err == f"error: {labels}: line 2: expected 'id<TAB>category'\n"
+
+    def test_inspect_codes_refuses_a_repeated_label(self, tmp_path, capsys):
+        # a raw id on two lines would count its entity twice in every level's NMI
+        ckpt = self._train(tmp_path)
+        vocab = load_checkpoint(ckpt).vocab["items"]
+        labels = tmp_path / "labels.tsv"
+        for first, repeat in [(f"{vocab[0]}\tcat0", f"{vocab[0]}\tcat1"), (f"{vocab[0]}\tcat0", f"{vocab[0]}\tcat0"),
+                              ("unknown_item\tcat0", "unknown_item\tcat0")]:
+            labels.write_text(f"{first}\n{vocab[1]}\tcat1\n\n{repeat}\n")
+            assert main(["inspect-codes", "--checkpoint", str(ckpt), "--labels", str(labels)]) == 2
+            raw = first.split("\t")[0]
+            assert capsys.readouterr().err == f"error: {labels}: line 4: entity {raw!r} already labelled on line 1\n"
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 2
@@ -919,6 +931,19 @@ class TestCliQuantizerSide:
         out = capsys.readouterr().out
         assert (f"skipped {len(users)} label(s)" in out) == (n_categories == 0)
         assert f"\n{n_categories} categories: " in out
+
+    def test_inspect_codes_prints_each_level_nmi(self, ckpt, tmp_path, capsys):
+        stored = load_checkpoint(ckpt)
+        users = stored.vocab["users"]
+        labelled = range(0, len(users), 2)  # every other user, in reverse file order
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("".join(f"{users[row]}\tcat{row % 3}\n" for row in reversed(labelled)))
+        assert main(["inspect-codes", "--checkpoint", ckpt, "--labels", str(labels), "--side", "user"]) == 0
+        (table, cage), = [(t, q) for t, q in model_from_checkpoint(stored)[0].sides if t.role == "user"]
+        indices = quantize_batch(cage, table.rows.value).indices[:, list(labelled)]
+        nmi = [label_nmi(codes, [f"cat{row % 3}" for row in labelled]) for codes in indices]
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"3 categories: {len(labelled)} users, level 1 NMI {nmi[0]:.4f}, level 2 NMI {nmi[1]:.4f}")
 
     @pytest.mark.parametrize("command", [["inspect-codes"], ["export-tree", "--json", "t.json", "--dot", "t.dot"]])
     def test_side_without_quantizer(self, tmp_path, capsys, command):
